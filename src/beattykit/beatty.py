@@ -88,9 +88,11 @@ def is_member(params: BeattyParams, m: int) -> Optional[int]:
     """
     _require_alpha_gt_one(params)
     gamma, beta = params.gamma, params.beta
-    # criterion on x = gamma*(m - beta + 1) = gamma*m + delta
+    # criterion on x = gamma*(m - beta + 1) = gamma*m + delta; x = 0 is exact
+    if isinstance(beta, Fraction) and m - beta + 1 == 0:
+        return None
     x = gamma * m + params.delta
-    if isinstance(x, Fraction):  # only when m - beta + 1 == 0
+    if isinstance(x, Fraction):  # a rational product of two surds
         fr = x - x.__floor__()
     elif isinstance(x, PrecisionReal):
         fr = x - x.floor()
@@ -145,21 +147,14 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
     _require_alpha_gt_one(params)
     ms = np.asarray(ms, dtype=np.int64)
     gamma = params.gamma
-    _, fr, err = gamma.affine_floor_frac_many(ms, params.delta)
+    fl, fr, err = gamma.affine_floor_frac_many(ms, params.delta)
     gf = float(gamma)
     band = err + 1e-12
-    member = (fr > band) & (fr < gf - band)
+    # a member's witness ceil(gamma*(m - beta)) is floor(gamma*m + delta);
+    # points whose witness would be < 1 are not real members
+    member = (fr > band) & (fr < gf - band) & (fl >= 1)
     unsure = np.flatnonzero(((fr <= band) | ((fr >= gf - band) & (fr <= gf + band))))
-    ns = np.zeros(ms.size, np.int64)
-    if member.any():
-        idx = np.flatnonzero(member)
-        # witness floor(gamma*m - gamma*beta) + 1; the offset stays exact
-        w_fl, _, _ = gamma.affine_floor_frac_many(ms[idx], gamma * (-params.beta))
-        ns[idx] = w_fl + 1
-        # points whose witness would be < 1 are not real members
-        low = idx[ns[idx] < 1]
-        member[low] = False
-        ns[low] = 0
+    ns = np.where(member, fl, 0)
     for i in unsure.tolist():
         n = is_member(params, int(ms[i]))
         member[i] = n is not None

@@ -387,9 +387,6 @@ def discrepancy_beatty(gamma: Irrational, delta, M: int) -> float:
         raise ValueError("M must be >= 1")
     _, fr, _ = gamma.affine_floor_frac_many(np.arange(1, M + 1, dtype=np.int64),
                                             delta)
-    # the exact fractional part lives in [0, 1) but its float image can
-    # round up to 1.0 (e.g. near-rational gamma); clamp into range
-    np.copyto(fr, np.nextafter(1.0, 0.0), where=fr >= 1.0)
     return discrepancy(fr)
 
 

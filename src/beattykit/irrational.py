@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (AmbiguousFloor, IrrationalParseError, NotPositive,
                      PrecisionExhausted)
-from .surd import QuadraticSurd, exact_floor
+from .surd import (QuadraticSurd, exact_floor, fixed_point_floor_frac,
+                   to_fixed_point)
 
 __all__ = ["PrecisionReal", "Irrational", "ContinuedFraction", "TypeEstimate",
            "parse_irrational", "as_exact_ratio", "floor_affine", "cf_expand",
@@ -169,58 +170,42 @@ class PrecisionReal:
         x = self * n + eta
         return x.floor_frac()
 
+    def fixed_point(self, eta=0):
+        """(I, F, J, G, e_theta, e_eta): the centers to 128 bits by exact
+        division, each off by one unit of 2**-128 plus its radius rounded up."""
+        if not isinstance(eta, PrecisionReal):
+            eta = self._from_interval(as_exact_ratio(eta), 0)
+        c, e = self.center, eta.center
+        return (*to_fixed_point(c.numerator, 0, c.denominator),
+                *to_fixed_point(e.numerator, 0, e.denominator),
+                *(2 + (r.numerator << 128) // r.denominator for r in (self.radius, eta.radius)))
+
     def affine_floor_frac_many(self, ns, eta=0):
         """(floors, fracs, frac error bound) of self*n + eta over integer ns.
 
-        Floors are certified against the carried radius; AmbiguousFloor fires
-        if any single point straddles an integer.
+        The fixed-point kernel certifies floors against max|n|*(radius +
+        2**-128) + eta's radius; other points (and n < 0) go through
+        affine_floor_frac, which raises AmbiguousFloor on a straddle.
         """
-        ns = np.asarray(ns, dtype=np.int64)
-        if ns.size == 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64), 0.0
-        A, B, W, erad = self._affine_ints(eta)
-        nmax = int(np.abs(ns).max())
-        rad = self.radius * nmax + erad
-        floors = np.empty(ns.size, np.int64)
-        fracs = np.empty(ns.size, np.float64)
-        thr = rad * W
-        for i, n in enumerate(ns.tolist()):
-            num = A * n + B
-            t, rem = divmod(num, W)
-            if rem < thr or W - rem <= thr:
-                # the interval around this point may cross an integer
-                nrad = self.radius * abs(n) + erad
-                dist = min(Fraction(rem, W), 1 - Fraction(rem, W))
-                if dist <= nrad:
-                    raise AmbiguousFloor(
-                        f"floor at n={n} undecidable: center distance {float(dist)}"
-                        f" within radius {float(nrad)}")
-            floors[i] = t
-            fracs[i] = rem / W
-        return floors, fracs, float(self.radius * nmax + erad) + 2e-16
+        return fixed_point_floor_frac(self.fixed_point(eta), ns,
+                                      lambda n: self.affine_floor_frac(n, eta))
 
     def phases_many(self, ns, eta=0):
-        """Fractional parts of center*n + eta; the carried radius is ignored,
-        which is harmless for periodic (phase) uses."""
-        ns = np.asarray(ns, dtype=np.int64)
-        A, B, W, _ = self._affine_ints(eta)
-        out = np.empty(ns.size, np.float64)
-        for i, n in enumerate(ns.tolist()):
-            out[i] = ((A * n + B) % W) / W
-        return out
+        """Fractional parts of center*n + eta's center over integer ns.
 
-    def _affine_ints(self, eta):
-        # center*n + eta = (A*n + B) / W exactly, plus eta's own radius if any
-        erad = Fraction(0)
-        if isinstance(eta, PrecisionReal):
-            erad = eta.radius
-            eta = eta.center
-        else:
-            eta = as_exact_ratio(eta)
-        c = self.center
-        W = math.lcm(c.denominator, eta.denominator)
-        return (c.numerator * (W // c.denominator),
-                eta.numerator * (W // eta.denominator), W, erad)
+        They are within |n|*(radius + 2**-128) + eta's radius of the true
+        phases, plus rounding; PrecisionExhausted when that exceeds 1e-12
+        of a turn at the largest |n|.
+        """
+        ns, parts = np.asarray(ns, dtype=np.int64), self.fixed_point(eta)
+        nmax = max(-int(ns.min()), int(ns.max())) if ns.size else 0
+        if nmax * parts[4] + parts[5] > (1 << 128) // 10 ** 12:    # 1e-12 turn
+            raise PrecisionExhausted(f"phases to |n| = {nmax} uncertain beyond 1e-12"
+                                     f" of a turn at radius {float(self.radius)}")
+        center = self._from_interval(self.center, 0)
+        eta = eta.center if isinstance(eta, PrecisionReal) else eta
+        return fixed_point_floor_frac(parts, ns, lambda n: center.affine_floor_frac(n, eta),
+                                      floors=False)[1]
 
     # -- conversions -------------------------------------------------------
 

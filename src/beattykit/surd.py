@@ -8,11 +8,10 @@ is explicitly requested, and the floats we do hand out (fractional parts,
 phases) are accurate to a few ulp because the integer part is removed
 exactly first.
 
-The module also hosts the raw kernels used by the bulk paths.  Vectorised
-callers evaluate ((A*n + B) + (C*n + E)*sqrt(d)) / W in 80-bit extended
-precision and fall back to the exact scalar kernel only for points whose
-fractional part lands inside a guard band around an integer, so returned
-floors are always correct.
+The module also hosts the bulk kernel of both backends: theta and the offset
+as 128-bit fixed-point values, F*n formed exactly, and an error bound of
+n*2**-128 (isqrt truncation), plus n*radius for decimals.  Points within the
+bound of an integer go to the exact scalar kernel, so floors are exact.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = ["QuadraticSurd", "make_real", "squarefree_split", "exact_floor",
-           "exact_floor_frac", "bulk_floor_frac"]
+           "exact_floor_frac", "bulk_floor_frac", "to_fixed_point",
+           "fixed_point_floor_frac"]
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
-# covers the sqrt approximation plus four roundings at 64-bit mantissa
-_LD_EPS_TERM = np.longdouble(5e-19)
-_BASE_GUARD = np.longdouble(1e-13)
+_ONE, _M64, _BLOCK = 1 << 128, (1 << 64) - 1, 1 << 16
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def squarefree_split(d: int):
@@ -104,56 +103,83 @@ def exact_floor_frac(U: int, V: int, W: int, d: int):
     return t, _frac_from_parts(U - t * W, V, W, d)
 
 
-def _sqrt_longdouble(d: int):
-    # 85 guard bits keep the isqrt truncation below the 64-bit mantissa
-    s = math.isqrt(d << 170)
-    return np.longdouble(s) / np.longdouble(1 << 85)
+def to_fixed_point(U: int, V: int, W: int, d: int = 0, bits: int = 128):
+    """(I, F) with I + F/2**bits within 2**-bits of (U + V*sqrt(d))/W, W != 0,
+    taking V*sqrt(d) as the isqrt of V*V*d*4**bits, signed like V."""
+    s = math.isqrt(V * V * d << 2 * bits)
+    return divmod(((U << bits) + (s if V > 0 else -s)) // W, 1 << bits)
+
+
+def _mul_wide(a, b):
+    """(high, low) limbs of the 128-bit products a*b, b a uint64 scalar; the
+    high limb is built from 32-bit halves (Granlund & Montgomery, PLDI 1994)."""
+    a0, a1 = a & _LO32, a >> _S32
+    b0, b1 = b & _LO32, b >> _S32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), a * b
+
+
+def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
+    """(floors, fracs, err) of theta*n + eta over an int64 array.
+
+    parts = (I, F, J, G, e_theta, e_eta) from a backend's fixed_point:
+    theta = I + F/2**128 and eta = J + G/2**128 within e units of 2**-128.
+    F*n + G is formed exactly in uint64 limbs, 2**16 points at a time; a
+    point whose fraction lies within the bound max|n|*e_theta + e_eta units
+    of an integer, or with n < 0, takes (floor, frac) from exact(n).  Floors
+    are exact (ValueError outside int64; None with floors=False); err is the
+    bound plus float rounding.
+    """
+    I, F, J, G, e_theta, e_eta = parts
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.size == 0:
+        return np.empty(0, np.int64) if floors else None, np.empty(0), 0.0
+    lo_i, hi_i = int(ns.argmin()), int(ns.argmax())
+    bound = max(-int(ns[lo_i]), int(ns[hi_i])) * e_theta + e_eta
+    # certified fractions lie in [b, 2**128 - b), empty once b >= 2**127
+    F1, F0, G1, G0, B1, B0 = (np.uint64(x >> k & _M64) for x in
+                              (F, G, min(bound, _ONE >> 1)) for k in (64, 0))
+    carry, fracs = np.empty(ns.size, np.int64), np.empty(ns.size)
+    for s in range(0, ns.size, _BLOCK):
+        nb = ns[s:s + _BLOCK]
+        m = nb.view(np.uint64)
+        # F*m + G = c*2**128 + hi*2**64 + lo, exactly
+        h0, lo = _mul_wide(m, F0)
+        h1, l1 = _mul_wide(m, F1)
+        hi = l1 + h0
+        c = h1 + (hi < l1)
+        lo, hi_g = lo + G0, hi + G1
+        c += hi_g < hi
+        hi = hi_g + (lo < G0)
+        c += hi < hi_g
+        ok = (hi > B1) | ((hi == B1) & (lo >= B0))
+        ok &= (hi < ~B1) | ((hi == ~B1) & (lo <= ~B0))
+        carry[s:s + nb.size] = c.view(np.int64)
+        fracs[s:s + nb.size] = np.minimum(hi * 2.0 ** -64, _ONE_BELOW)
+        for i in np.flatnonzero(~(ok & (nb >= 0))).tolist():
+            n = int(nb[i])
+            fl, fracs[s + i] = exact(n)
+            carry[s + i] = fl - I * n - J
+    # 5e-16 covers float rounding here (2**-53) and in the exact kernels
+    err = bound / _ONE + 5e-16
+    if not floors:
+        return None, fracs, err
+    # floors are monotone in n, so the extreme indices bound them all
+    if not all(-(1 << 63) <= I * int(ns[i]) + J + int(carry[i]) < 1 << 63
+               for i in (lo_i, hi_i)):
+        raise ValueError("floor exceeds the int64 result contract")
+    I64, J64 = (np.uint64(x & _M64).view(np.int64) for x in (I, J))
+    return ns * I64 + J64 + carry, fracs, err
 
 
 def bulk_floor_frac(A: int, B: int, C: int, E: int, W: int, d: int, ns):
-    """Vectorised floor/frac of ((A*n + B) + (C*n + E)*sqrt(d)) / W.
-
-    Returns (floors, fracs, err) where err bounds the absolute error of any
-    frac that was not recomputed exactly.  Floors are always exact: anything
-    inside the guard band around an integer goes through the scalar kernel.
-    """
-    if W < 0:
-        A, B, C, E, W = -A, -B, -C, -E, -W
-    ns = np.asarray(ns, dtype=np.int64)
-    if ns.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64), 0.0
-    lo_n, hi_n = int(ns.min()), int(ns.max())
-    mag = max(abs(A * lo_n + B), abs(A * hi_n + B),
-              abs(C * lo_n + E), abs(C * hi_n + E))
-    if mag >= 1 << 62:
-        # coefficients out of int64 range; do everything exactly
-        fls = []
-        fracs = np.empty(ns.size, np.float64)
-        for i, n in enumerate(ns.tolist()):
-            fl_i, fracs[i] = exact_floor_frac(A * n + B, C * n + E, W, d)
-            fls.append(fl_i)
-        if max(fls) >= 1 << 63 or min(fls) < -(1 << 63):
-            raise ValueError("floor exceeds the int64 result contract")
-        return np.array(fls, np.int64), fracs, 5e-16
-
-    P = A * ns + B
-    Q = C * ns + E
-    sq = _sqrt_longdouble(d)
-    Pl = P.astype(np.longdouble)
-    Ql = Q.astype(np.longdouble)
-    val = (Pl + Ql * sq) / np.longdouble(W)
-    fl = np.floor(val)
-    fr = val - fl
-    err = (np.abs(Pl) + np.abs(Ql) * sq) / np.longdouble(W) * _LD_EPS_TERM
-    guard = 2.0 * err + _BASE_GUARD
-    bad = np.flatnonzero((fr <= guard) | (fr >= 1.0 - guard))
-    floors = fl.astype(np.int64)
-    fracs = fr.astype(np.float64)
-    if bad.size:
-        for i in bad.tolist():
-            n = int(ns[i])
-            floors[i], fracs[i] = exact_floor_frac(A * n + B, C * n + E, W, d)
-    return floors, fracs, float(err.max()) + 2e-16
+    """Vectorised floor/frac of ((A*n + B) + (C*n + E)*sqrt(d)) / W: fracs are
+    within (max|n| + 1)*2**-128 plus rounding, and points that close to an
+    integer (or n < 0) go through exact_floor_frac, so floors are exact."""
+    parts = (*to_fixed_point(A, C, W, d), *to_fixed_point(B, E, W, d), 1, 1)
+    return fixed_point_floor_frac(
+        parts, ns, lambda n: exact_floor_frac(A * n + B, C * n + E, W, d))
 
 
 def _reduce(u: int, v: int, w: int):
@@ -349,36 +375,32 @@ class QuadraticSurd:
         A, B, C, E, W = self.affine_coeffs(eta)
         return exact_floor_frac(A * n + B, C * n + E, W, self.d)
 
-    def affine_floor_frac_many(self, ns, eta=0):
-        """(floors, fracs, frac error bound) of self*n + eta over an integer array."""
+    def fixed_point(self, eta=0):
+        """(I, F, J, G, 1, 1): self and eta to 128 bits by isqrt, one unit off."""
         A, B, C, E, W = self.affine_coeffs(eta)
-        return bulk_floor_frac(A, B, C, E, W, self.d, ns)
+        return (*to_fixed_point(A, C, W, self.d),
+                *to_fixed_point(B, E, W, self.d), 1, 1)
+
+    def affine_floor_frac_many(self, ns, eta=0):
+        """(floors, fracs, frac error bound) of self*n + eta over an integer
+        array, by the fixed-point kernel; see bulk_floor_frac."""
+        return fixed_point_floor_frac(self.fixed_point(eta), ns,
+                                      lambda n: self.affine_floor_frac(n, eta))
 
     def phases_many(self, ns, eta=0):
-        """Fractional parts of self*n + eta via the exact kernel, one n at a time.
-
-        Slower than the bulk path but accurate to a few ulp regardless of the
-        size of n, which is what phase arguments of exponential sums need.
-        """
-        A, B, C, E, W = self.affine_coeffs(eta)
-        d = self.d
-        ns = np.asarray(ns, dtype=np.int64)
-        out = np.empty(ns.size, np.float64)
-        for i, n in enumerate(ns.tolist()):
-            U, V = A * n + B, C * n + E
-            t = exact_floor(U, V, W, d)
-            out[i] = _frac_from_parts(U - t * W, V, W, d)
-        return out
+        """Fractional parts of self*n + eta, each within (|n| + 1)*2**-128
+        plus rounding; points that close to an integer (or n < 0) are exact.
+        No floors are formed, so the integer part may exceed int64."""
+        return fixed_point_floor_frac(self.fixed_point(eta), ns,
+                                      lambda n: self.affine_floor_frac(n, eta),
+                                      floors=False)[1]
 
     # -- conversions ------------------------------------------------------
 
     def approx_fraction(self, bits: int = 128) -> Fraction:
         """A rational within 2**-bits of the exact value."""
-        sh = bits + 4
-        s = math.isqrt((self.v * self.v * self.d) << (2 * sh))
-        if self.v < 0:
-            s = -s
-        return Fraction((self.u << sh) + s, self.w << sh)
+        I, F = to_fixed_point(self.u, self.v, self.w, self.d, bits + 4)
+        return I + Fraction(F, 1 << (bits + 4))
 
     def __float__(self):
         return float(self.approx_fraction(96))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from beattykit import build_table, parse_irrational
 
@@ -24,3 +25,10 @@ def sqrt3():
 @pytest.fixture(scope="session")
 def phi():
     return parse_irrational("quad:1/2+sqrt:5")
+
+
+# differential suites run the same examples every time and stay within a
+# few seconds of tier-1
+settings.register_profile("beattykit", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("beattykit")

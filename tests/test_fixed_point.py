@@ -1,0 +1,230 @@
+"""Differential tests of the 128-bit fixed-point floor/phase kernel.
+
+Both backends run through surd.fixed_point_floor_frac; every output is
+compared with an exact oracle: exact_floor_frac for surds, and for decimals
+the Fraction interval reference below, which decides a floor only when the
+whole carried interval agrees on it.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from beattykit.beatty import BeattyParams, is_member
+from beattykit.errors import AmbiguousFloor, PrecisionExhausted
+from beattykit.expsum import exp_sum_shifted
+from beattykit.irrational import PrecisionReal, parse_irrational
+from beattykit.sieve import ResidueClass, build_table
+from beattykit.surd import (QuadraticSurd, bulk_floor_frac, exact_floor_frac,
+                            fixed_point_floor_frac, make_real)
+
+RADICANDS = (2, 3, 5, 6, 7, 13, 61, 1009)
+N_MAX = 1 << 40
+
+
+def surd_oracle(x, eta, ns):
+    A, B, C, E, W = x.affine_coeffs(eta)
+    return [exact_floor_frac(A * n + B, C * n + E, W, x.d) for n in ns]
+
+
+def decimal_oracle(x, eta, n):
+    """(floor, exact frac of the center), or None when the interval
+    center +- radius at n has points with different floors."""
+    if isinstance(eta, PrecisionReal):
+        c_eta, r_eta = eta.center, eta.radius
+    else:
+        c_eta, r_eta = Fraction(eta), Fraction(0)
+    c = x.center * n + c_eta
+    r = x.radius * abs(n) + r_eta
+    t = math.floor(c - r)
+    if t != math.floor(c + r):
+        return None
+    return t, c - t
+
+
+def check_surd(x, eta, ns):
+    ns = np.array(ns, dtype=np.int64)
+    floors, fracs, err = x.affine_floor_frac_many(ns, eta)
+    for i, (fl, fr) in enumerate(surd_oracle(x, eta, ns.tolist())):
+        assert floors[i] == fl, (x, eta, int(ns[i]))
+        assert abs(fracs[i] - fr) <= err, (x, eta, int(ns[i]))
+    assert np.array_equal(x.phases_many(ns, eta), fracs)
+    assert err < 1e-15
+
+
+limbs = st.one_of(st.integers(0, (1 << 128) - 1),
+                  st.sampled_from([0, 1, (1 << 64) - 1, 1 << 64, (1 << 127) - 1,
+                                   1 << 127, (1 << 128) - 1]))
+
+
+@given(st.integers(-(1 << 40), 1 << 40), limbs, st.integers(-(1 << 40), 1 << 40),
+       limbs, st.lists(st.integers(0, (1 << 63) - 1), min_size=1, max_size=20))
+# F + G = 2**128 + 1000: the low limbs carry into a high limb sum of 2**64 - 1
+@example(0, (1 << 127) + (1 << 64) - 1, 0, ((1 << 63) - 1 << 64) + 1001, [1])
+def test_limb_arithmetic_matches_python_ints(I, F, J, G, ns):
+    # with zero error units every point is certified, so the kernel alone
+    # must reproduce floor((I + F/2**128)*n + J + G/2**128) exactly
+    n_max = max(ns)
+    assume(abs(I) * n_max + abs(J) + n_max + 2 < 1 << 62)
+    floors, fracs, err = fixed_point_floor_frac((I, F, J, G, 0, 0), ns, None)
+    for i, n in enumerate(ns):
+        total = ((I << 128) + F) * n + (J << 128) + G
+        assert floors[i] == total >> 128
+        assert abs(fracs[i] - (total % (1 << 128)) / (1 << 128)) <= err
+
+
+surds = st.builds(
+    lambda u, v, w, d: make_real(u, v, w, d),
+    st.integers(-10 ** 6, 10 ** 6), st.integers(-999, 999).filter(bool),
+    st.integers(1, 10 ** 4), st.sampled_from(RADICANDS),
+).filter(lambda x: isinstance(x, QuadraticSurd))
+
+index_arrays = st.lists(st.integers(-N_MAX, N_MAX), min_size=1, max_size=40)
+offsets = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)
+
+
+@given(surds, offsets, index_arrays)
+def test_surd_rational_offset(x, eta, ns):
+    check_surd(x, eta, ns)
+
+
+@given(surds, st.integers(-10 ** 6, 10 ** 6), st.integers(-99, 99).filter(bool),
+       st.integers(1, 999), index_arrays)
+def test_surd_offset_in_the_field(x, u, v, w, ns):
+    eta = make_real(u, v, w, x.d)
+    assume(isinstance(eta, QuadraticSurd))
+    check_surd(x, eta, ns)
+
+
+@given(st.integers(-64, -1), offsets, index_arrays)
+def test_negative_theta(k, eta, ns):
+    # the frequencies gamma*k of the exponential sums, for negative k
+    check_surd(QuadraticSurd.sqrt(2) * k, eta, ns)
+
+
+@pytest.mark.parametrize("q", [408, 2378, 195025, 470832])
+def test_sqrt2_convergent_denominators(q):
+    # q*sqrt(2) lies within 1/(2q) of an integer
+    x = QuadraticSurd.sqrt(2)
+    ns = [q, 2 * q, 3 * q, q - 1, q + 1, -q, 997 * q, (N_MAX // q) * q]
+    check_surd(x, 0, ns)
+    check_surd(x, Fraction(1, 3), ns)
+
+
+@given(st.integers(-(1 << 20), 1 << 20), st.integers(-(1 << 40), 1 << 40),
+       st.integers(-999, 999).filter(bool), st.integers(-(1 << 40), 1 << 40),
+       st.integers(1 << 22, 1 << 30).map(lambda w: w if w % 3 else -w),
+       st.sampled_from(RADICANDS),
+       st.lists(st.integers(-(1 << 10), 1 << 10), min_size=1, max_size=20))
+def test_coefficients_near_2_62(da, B, C, E, W, d, ns):
+    A = (1 << 62) + da
+    floors, fracs, err = bulk_floor_frac(A, B, C, E, W, d, np.array(ns))
+    for i, n in enumerate(ns):
+        fl, fr = exact_floor_frac(A * n + B, C * n + E, W, d)
+        assert floors[i] == fl
+        assert abs(fracs[i] - fr) <= err
+
+
+def test_rational_values_hit_the_guard_band():
+    # 3n/7 is an integer at every multiple of 7, where the truncated
+    # fixed-point value sits just below it: only the exact kernel gets
+    # the floor right
+    ns = np.arange(-50, 700, dtype=np.int64)
+    floors, fracs, err = bulk_floor_frac(3, 0, 0, 0, 7, 2, ns)
+    assert floors.tolist() == [3 * n // 7 for n in ns.tolist()]
+    assert fracs[ns % 7 == 0].tolist() == [0.0] * int((ns % 7 == 0).sum())
+    assert np.abs(fracs - (3 * ns % 7) / 7).max() <= err
+
+
+def test_floors_beyond_int64_rejected_phases_kept():
+    x = make_real(1 << 62, 1, 3, 2)      # (2**62 + sqrt 2)/3
+    ns = np.array([1, 2, 999], dtype=np.int64)
+    with pytest.raises(ValueError):
+        x.affine_floor_frac_many(ns)
+    want = [fr for _, fr in surd_oracle(x, 0, ns.tolist())]
+    assert np.abs(x.phases_many(ns) - want).max() <= 5e-16
+
+
+decimal_digits = st.builds(
+    lambda i, f: f"{i}.{f}", st.integers(0, 40), st.integers(0, 10 ** 30))
+
+
+def decimal_offsets(bits):
+    rational = st.fractions(max_denominator=1000).filter(lambda f: abs(f) < 100)
+    return st.one_of(rational, st.builds(lambda t: PrecisionReal(t, bits),
+                                         decimal_digits))
+
+
+@st.composite
+def decimal_cases(draw, min_bits, max_bits, n_max):
+    bits = draw(st.integers(min_bits, max_bits))
+    sign = draw(st.sampled_from(["", "-"]))
+    x = PrecisionReal(sign + draw(decimal_digits), bits)
+    eta = draw(decimal_offsets(bits))
+    ns = draw(st.lists(st.integers(-n_max, n_max), min_size=1, max_size=30))
+    return x, eta, ns
+
+
+@given(decimal_cases(100, 240, N_MAX))
+def test_decimal_against_fraction_oracle(case):
+    x, eta, ns = case
+    want = [decimal_oracle(x, eta, n) for n in ns]
+    assume(None not in want)
+    floors, fracs, err = x.affine_floor_frac_many(np.array(ns), eta)
+    for i, (fl, fr) in enumerate(want):
+        assert floors[i] == fl
+        assert abs(fracs[i] - float(fr)) <= err
+
+
+@given(decimal_cases(4, 40, 1 << 12))
+def test_low_bit_decimals_refuse_exactly_the_straddles(case):
+    x, eta, ns = case
+    for n in ns:
+        want = decimal_oracle(x, eta, n)
+        if want is None:
+            with pytest.raises(AmbiguousFloor):
+                x.affine_floor_frac_many(np.array([n]), eta)
+        else:
+            floors, fracs, err = x.affine_floor_frac_many(np.array([n]), eta)
+            assert floors[0] == want[0]
+            assert abs(fracs[0] - float(want[1])) <= err
+    if any(decimal_oracle(x, eta, n) is None for n in ns):
+        with pytest.raises(AmbiguousFloor):
+            x.affine_floor_frac_many(np.array(ns), eta)
+
+
+@given(decimal_cases(160, 240, N_MAX))
+def test_decimal_phases_are_center_fractions(case):
+    x, eta, ns = case
+    ph = x.phases_many(np.array(ns), eta)
+    c_eta = eta.center if isinstance(eta, PrecisionReal) else Fraction(eta)
+    for i, n in enumerate(ns):
+        c = x.center * n + c_eta
+        # the bound of the center alone: 2**-128 per unit of n, plus rounding
+        d = abs(Fraction(ph[i]) - (c - math.floor(c)))
+        assert min(d, 1 - d) <= Fraction(abs(n) + 1, 1 << 128) + Fraction(5, 10 ** 16)
+
+
+def test_decimal_phases_refuse_a_wide_radius():
+    gamma = parse_irrational("dec:1.4142135623@20").inverse()
+    table = build_table(3 * 10 ** 5 + 1)
+    with pytest.raises(PrecisionExhausted):
+        exp_sum_shifted(table, 10 ** 5, ResidueClass(1, 3), gamma, 1)
+    # either side of the n where radius*n reaches 1e-12 of a turn
+    x = PrecisionReal("0.7", 60)
+    edge = int(Fraction(1, 10 ** 12) / x.radius)
+    x.phases_many(np.array([edge - 1]))
+    with pytest.raises(PrecisionExhausted):
+        x.phases_many(np.array([edge + 1]))
+
+
+@pytest.mark.parametrize("alpha", ["sqrt:2", "dec:1.4142135623730950488@200"])
+def test_is_member_at_zero_argument(alpha):
+    # m = beta - 1 makes gamma*(m - beta + 1) exactly 0: not a member
+    params = BeattyParams(parse_irrational(alpha), 1)
+    assert is_member(params, 0) is None
+    assert is_member(params, 2) == 1
