@@ -22,9 +22,8 @@ from .errors import (AlphaNotGreaterThanOne, AlphaNotLessThanOne,
 from .expsum import (PsiDelta, SamplePoints, SubstitutionCheck,
                      bound_ratio_sweep, build_psi_delta, decay_exponent,
                      default_truncation, discrepancy, discrepancy_beatty,
-                     discrepancy_brute, exp_sum_ap, exp_sum_shifted,
-                     progression_sum_bound, psi_indicator,
-                     substitution_identity_check)
+                     exp_sum_ap, exp_sum_shifted, progression_sum_bound,
+                     psi_indicator, substitution_identity_check)
 from .irrational import (ContinuedFraction, Irrational, PrecisionReal,
                          TypeEstimate, as_exact_ratio, best_convergent_below,
                          cf_expand, estimate_type, floor_affine,
@@ -47,7 +46,7 @@ __all__ = [
     "bound_ratio_sweep", "build_psi_delta", "build_table", "bulk_membership",
     "cf_expand", "chebyshev_psi_ap", "count_primes", "decay_exponent",
     "decompose_small_alpha", "default_truncation", "density_prediction",
-    "discrepancy", "discrepancy_beatty", "discrepancy_brute", "estimate_type",
+    "discrepancy", "discrepancy_beatty", "estimate_type",
     "euler_phi", "evaluate", "exp_sum_ap", "exp_sum_shifted", "floor_affine",
     "generate", "is_member", "main_term", "make_real", "parse_irrational",
     "prime_pi_ap", "progression_sum_bound", "psi_indicator",

@@ -32,8 +32,8 @@ __all__ = ["PsiDelta", "SamplePoints", "psi_indicator", "build_psi_delta",
            "exp_sum_shifted", "exp_sum_ap", "substitution_identity_check",
            "SubstitutionCheck", "bound_ratio_sweep", "progression_sum_bound",
            "default_truncation",
-           "BoundRatioRow", "discrepancy", "discrepancy_brute",
-           "discrepancy_beatty", "decay_exponent"]
+           "BoundRatioRow", "discrepancy", "discrepancy_beatty",
+           "decay_exponent"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -76,17 +76,23 @@ class PsiDelta:
         return 1.0 / (math.pi ** 2 * K * self.delta)
 
     def evaluate(self, x, K: Optional[int] = None):
-        """Truncated series at x (scalar or array), using frequencies <= K."""
-        KK = self.K if K is None else min(K, self.K)
-        xs = np.atleast_1d(np.asarray(x, np.float64))
-        acc = np.full(xs.shape, float(self.gamma))
-        for lo in range(0, KK, 2048):
-            ks = np.arange(lo + 1, min(lo + 2048, KK) + 1)
-            for xlo in range(0, xs.size, 4096):
-                chunk = xs[xlo: xlo + 4096]
-                ph = np.exp((2j * math.pi) * np.outer(chunk, ks))
-                acc[xlo: xlo + 4096] += 2.0 * (ph * self.g[ks - 1]).real.sum(axis=1)
-        return acc if np.ndim(x) else float(acc[0])
+        """Truncated series at x (scalar or array), using frequencies <= K.
+
+        gamma + 2 Re sum_{k<=K} g_k z^k with z = e(x): the recurrence
+        e(kx) = e(x)^k, evaluated by Horner's rule in z from k = K down, so
+        the work is O(points * K) and the memory one O(points) accumulator.
+        K is clamped to [0, self.K]; K = 0 gives the mean.  A scalar x
+        gives a float.
+        """
+        KK = self.K if K is None else max(0, min(K, self.K))
+        xs = np.asarray(x, np.float64)
+        z = np.exp((2j * math.pi) * xs)
+        acc = np.zeros(xs.shape, np.complex128)
+        for gk in self.g[:KK][::-1]:
+            acc += gk
+            acc *= z
+        vals = self.gamma + 2.0 * acc.real
+        return vals if np.ndim(x) else float(vals)
 
 
 def build_psi_delta(gamma: float, delta: float, K: int) -> PsiDelta:
@@ -253,8 +259,7 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
 
 def _abs_gt(value, bound: int) -> bool:
     """|value| > bound for a surd/PrecisionReal difference."""
-    from .beatty import _is_positive
-    return _is_positive(value - bound) or _is_positive(-bound - value)
+    return (value - bound).is_positive() or (-bound - value).is_positive()
 
 
 # -- extreme discrepancy ---------------------------------------------------
@@ -282,35 +287,64 @@ def _validated(points) -> np.ndarray:
     return xs
 
 
-def _scaled_values(vals: np.ndarray):
-    """Distinct values as exact integers on a common dyadic grid.
-
-    Doubles are dyadic rationals, so scaling by 2^kmax (kmax the largest
-    denominator exponent present) loses nothing; all interval quantities
-    then live in Z and the supremum is computed without a single rounding.
-    """
-    ratios = [v.as_integer_ratio() for v in vals.tolist()]
-    kmax = max(q.bit_length() - 1 for _, q in ratios)
-    scale = 1 << kmax
-    return [p * (scale // q) for p, q in ratios], scale
-
-
 def discrepancy(points) -> float:
     """Extreme discrepancy over open subintervals (c, d) of [0, 1), exactly.
 
-    The larger of the maximal excess (points captured above interval
-    length) and maximal deficiency, each one linear scan over the sorted
-    distinct values with a running extremum; O(M log M) overall.  All
-    arithmetic is exact integer work on the common grid, so the result is
-    the true supremum rounded once to a double.
+    With M points, distinct values v_i, leq_i points <= v_i and less_i
+    points < v_i, each candidate is a sum of two endpoint terms: excess
+    pairs a_s = leq_s - M*v_s with b_r = M*v_r - less_r (r <= s, v_r > 0),
+    and deficiency pairs b_d with -c_c, c_c = M*v_c - leq_c (c < d); the
+    virtual ends 0 and 1 add the terms -cnt0 (cnt0 zeros) and 0.
+
+    Float filter: with u = 2^-53 and M < 2^53, fl(M*v) is within u*M, each
+    term (at most M in size) within 2u*M and each pair sum (at most 2M)
+    within 6u*M of its exact value, so within e = 8*M*2^-53.  If T is the
+    largest float candidate, the optimum is >= T - e and its float value
+    >= T - 2e (the slack absorbs the rounding of T - 2e), so only indices
+    that end a pair whose float value is >= T - 2e are kept.  The pair of
+    both virtual ends (cnt0) ties the pair from the value 0 to the end 1.
+
+    Exact rescan: the integer scan (running extrema over the sorted values
+    on a common dyadic grid, which doubles lie on exactly) runs over the
+    kept indices with their original counts and both virtual ends.  Their
+    pairs hold the optimum, so the result is the true supremum rounded once
+    to a double.  Near-ties keep more indices, at worst all of them, at the
+    cost of one O(M) scan; the sort makes it O(M log M) overall.
     """
     xs = _validated(points)
     M = int(xs.size)
     vals, cnts = np.unique(xs, return_counts=True)
-    leq = np.cumsum(cnts).tolist()
-    less = [a - b for a, b in zip(leq, cnts.tolist())]
-    iv, scale = _scaled_values(vals)
-    cnt0 = leq[0] - less[0] if iv[0] == 0 else 0
+    leq = np.cumsum(cnts)
+    less = leq - cnts
+    cnt0 = int(cnts[0]) if vals[0] == 0 else 0
+
+    mx = M * vals
+    a = leq - mx
+    b = mx - less
+    c = mx - leq
+    pos = vals > 0
+    b_left = np.where(pos, b, -np.inf)
+    # excess pairs r <= s, the virtual left end included in the prefix
+    pre_b = np.maximum(np.maximum.accumulate(b_left), -cnt0)
+    suf_a = np.maximum.accumulate(a[::-1])[::-1]
+    ex_s, ex_r = a + pre_b, b_left + suf_a
+    # deficiency pairs c < d: prefix minima of c before d, suffix maxima of
+    # b after c, the virtual ends 0 (for v_d > 0) and 1 (term 0) included
+    pre_c = np.concatenate(([np.inf], np.minimum.accumulate(c)[:-1]))
+    suf_b = np.concatenate((np.maximum.accumulate(b[:0:-1])[::-1], [0.0]))
+    de_d = b - np.where(pos, np.minimum(pre_c, -cnt0), pre_c)
+    de_c = np.maximum(suf_b, 0.0) - c
+    top = max(ex_s.max(), de_d.max(), de_c.max())
+    cut = top - 16.0 * M * 2.0 ** -53
+    keep = np.flatnonzero((ex_s >= cut) | (ex_r >= cut) |
+                          (de_d >= cut) | (de_c >= cut))
+
+    # a common dyadic grid: the denominators are powers of two
+    ratios = [v.as_integer_ratio() for v in vals[keep].tolist()]
+    scale = max(q for _, q in ratios)
+    iv = [p * (scale // q) for p, q in ratios]
+    leq = leq[keep].tolist()
+    less = less[keep].tolist()
     best = 0
 
     # excess: intervals shrinking onto a run of consecutive values; the
@@ -345,39 +379,6 @@ def discrepancy(points) -> float:
     t = -min(best_c, virt_c)   # d = 1 endpoint
     if t > best:
         best = t
-    return float(Fraction(best, M * scale)) if best > 0 else 0.0
-
-
-def discrepancy_brute(points) -> float:
-    """All-pairs evaluation of the same supremum; O(R^2) in the number of
-    distinct values.  Kept as an independent oracle for the scan version;
-    both work on the identical exact grid, so agreement is bit-for-bit."""
-    xs = _validated(points)
-    M = int(xs.size)
-    vals, cnts = np.unique(xs, return_counts=True)
-    leq = np.cumsum(cnts).tolist()
-    less = [a - b for a, b in zip(leq, cnts.tolist())]
-    iv, scale = _scaled_values(vals)
-    R = len(iv)
-    cnt0 = leq[0] - less[0] if iv[0] == 0 else 0
-    best = 0
-    for s in range(R):
-        t = (leq[s] - cnt0) * scale - M * iv[s]
-        if t > best:
-            best = t
-        for r_i in range(s + 1):
-            if iv[r_i] > 0:
-                t = (leq[s] - less[r_i]) * scale - M * (iv[s] - iv[r_i])
-                if t > best:
-                    best = t
-    c_list = [(0, cnt0)] + [(iv[i], leq[i]) for i in range(R)]
-    d_list = [(iv[i], less[i]) for i in range(R)] + [(scale, M)]
-    for ic, gc in c_list:
-        for idd, hd in d_list:
-            if idd > ic:
-                t = M * (idd - ic) - (hd - gc) * scale
-                if t > best:
-                    best = t
     return float(Fraction(best, M * scale)) if best > 0 else 0.0
 
 

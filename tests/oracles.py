@@ -1,0 +1,66 @@
+"""Reference implementations the tests compare the package against.
+
+They are slow and simple on purpose, and the package does not use them.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from beattykit.expsum import _validated
+
+
+def _scaled_values(vals: np.ndarray):
+    """Distinct values as exact integers on a common dyadic grid.
+
+    Doubles are dyadic rationals, so scaling by 2^kmax (kmax the largest
+    denominator exponent present) loses nothing; all interval quantities
+    then live in Z and the supremum is computed without a single rounding.
+    """
+    ratios = [v.as_integer_ratio() for v in vals.tolist()]
+    kmax = max(q.bit_length() - 1 for _, q in ratios)
+    scale = 1 << kmax
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def discrepancy_brute(points) -> float:
+    """All-pairs evaluation of the same supremum; O(R^2) in the number of
+    distinct values.  Kept as an independent oracle for the scan version;
+    both work on the identical exact grid, so agreement is bit-for-bit."""
+    xs = _validated(points)
+    M = int(xs.size)
+    vals, cnts = np.unique(xs, return_counts=True)
+    leq = np.cumsum(cnts).tolist()
+    less = [a - b for a, b in zip(leq, cnts.tolist())]
+    iv, scale = _scaled_values(vals)
+    R = len(iv)
+    cnt0 = leq[0] - less[0] if iv[0] == 0 else 0
+    best = 0
+    for s in range(R):
+        t = (leq[s] - cnt0) * scale - M * iv[s]
+        if t > best:
+            best = t
+        for r_i in range(s + 1):
+            if iv[r_i] > 0:
+                t = (leq[s] - less[r_i]) * scale - M * (iv[s] - iv[r_i])
+                if t > best:
+                    best = t
+    c_list = [(0, cnt0)] + [(iv[i], leq[i]) for i in range(R)]
+    d_list = [(iv[i], less[i]) for i in range(R)] + [(scale, M)]
+    for ic, gc in c_list:
+        for idd, hd in d_list:
+            if idd > ic:
+                t = M * (idd - ic) - (hd - gc) * scale
+                if t > best:
+                    best = t
+    return float(Fraction(best, M * scale)) if best > 0 else 0.0
+
+
+def smoothed_indicator(x, gamma, delta):
+    """Exact box-smoothed indicator of (0, gamma] mod 1 at x in [0, 1)."""
+    lo, hi = x - delta, x + delta
+    cover = 0.0
+    for shift in (-1.0, 0.0, 1.0):
+        cover = cover + np.clip(np.minimum(hi, shift + gamma)
+                                - np.maximum(lo, shift), 0.0, None)
+    return cover / (2.0 * delta)

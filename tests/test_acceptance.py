@@ -25,12 +25,12 @@ from beattykit.counting import (density_prediction, count_primes,
                                 verify_sweep, weighted_S, weighted_T)
 from beattykit.expsum import (progression_sum_bound, bound_ratio_sweep,
                               build_psi_delta, decay_exponent, discrepancy,
-                              discrepancy_beatty, discrepancy_brute,
-                              exp_sum_shifted, psi_indicator,
-                              substitution_identity_check)
+                              discrepancy_beatty, exp_sum_shifted,
+                              psi_indicator, substitution_identity_check)
 from beattykit.irrational import as_exact_ratio, parse_irrational
 from beattykit.sieve import (ResidueClass, chebyshev_psi_ap, euler_phi,
                              prime_pi_ap)
+from oracles import discrepancy_brute
 
 LIMIT = 10 ** 6
 

@@ -8,8 +8,9 @@ import pytest
 
 from beattykit.errors import PointOutOfRange
 from beattykit.expsum import (SamplePoints, decay_exponent, discrepancy,
-                              discrepancy_beatty, discrepancy_brute)
+                              discrepancy_beatty)
 from beattykit.irrational import parse_irrational
+from oracles import discrepancy_brute
 
 
 def tiny_oracle(points):

@@ -14,6 +14,7 @@ from beattykit.expsum import (progression_sum_bound, bound_ratio_sweep,
                               substitution_identity_check)
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table, chebyshev_psi_ap
+from oracles import smoothed_indicator
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,35 @@ class TestPsiDelta:
         pd = build_psi_delta(0.5, 0.05, 10_000)
         assert abs(pd.evaluate(0.25) - 1.0) <= 1e-3
         assert abs(pd.evaluate(0.75) - 0.0) <= 1e-3
+
+    def test_evaluate_truncation_edges(self):
+        pd = build_psi_delta(0.37, 0.03, 64)
+        xs = np.linspace(0.0, 1.0, 9, endpoint=False)
+        assert pd.evaluate(0.2, K=0) == pd.mean
+        assert np.array_equal(pd.evaluate(xs, K=0), np.full(9, pd.mean))
+        assert np.array_equal(pd.evaluate(xs, K=10 ** 6), pd.evaluate(xs))
+        assert pd.evaluate(0.2, K=1) == pytest.approx(
+            pd.mean + 2 * (pd.g[0] * cmath.exp(0.4j * math.pi)).real,
+            abs=1e-15)
+        assert isinstance(pd.evaluate(0.2), float)
+        assert isinstance(pd.evaluate(np.float64(0.2)), float)
+        assert pd.evaluate(xs.reshape(3, 3)).shape == (3, 3)
+
+    def test_evaluate_within_tail_of_closed_form(self):
+        # the box-smoothed indicator is piecewise linear; the truncated
+        # series must stay within the tail bound everywhere, including
+        # across the ramps of half-width delta around 0, gamma and 1
+        for gamma, delta, K in ((0.37, 0.03, 300), (0.5, 0.01, 4096),
+                                (0.75, 0.1, 40)):
+            pd = build_psi_delta(gamma, delta, K)
+            ramps = np.concatenate([
+                c + delta * np.linspace(-1.5, 1.5, 301)
+                for c in (0.0, gamma, 1.0)])
+            xs = np.concatenate((np.linspace(0.0, 1.0, 2001, endpoint=False),
+                                 ramps[(ramps >= 0.0) & (ramps < 1.0)]))
+            exact = smoothed_indicator(xs, gamma, delta)
+            dev = np.abs(pd.evaluate(xs) - exact)
+            assert dev.max() <= pd.tail_bound() + 1e-12
 
     def test_tail_bound_formula(self):
         pd = build_psi_delta(0.5, 0.05, 123)
