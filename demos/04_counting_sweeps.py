@@ -8,7 +8,7 @@ the Beatty values were plain integers thinned by 1/alpha.  verify_sweep
 runs the comparison over an N-grid and grades the error decay.
 """
 
-from beattykit import (BeattyParams, build_table, count_primes, main_term,
+from beattykit import (BeattyParams, beatty_sums, build_table, main_terms,
                        parse_irrational, ResidueClass, verify_sweep)
 
 p = BeattyParams(parse_irrational("sqrt:2"), 0)
@@ -40,7 +40,7 @@ for row in rep3.rows:
 # raw prime counts, no weights: primes of the form 2*floor(sqrt2 n) + 1,
 # against (1/alpha) * pi(2 floor(sqrt2 N) + 1; 2, 1)
 N = 10 ** 5
-c = count_primes(p, r, N, table, mode="N")
-m = main_term(p, r, N, table, mode="N")
+c = int(beatty_sums(p, r, [N], "N", table)[0])
+m = main_terms(p, r, [N], "N", table)[0]
 print(f"\nprimes 2*floor(sqrt2 n)+1 over n <= {N}: {c}")
 print(f"main term: {m:.1f}  (ratio {c / m:.4f})")

@@ -11,9 +11,8 @@ to call.
 from .beatty import (BeattyParams, SmallAlphaDecomposition, SmallAlphaPart,
                      bulk_membership, decompose_small_alpha, generate,
                      is_member)
-from .counting import (SumSpec, VerificationReport, count_primes,
-                       density_prediction, evaluate, main_term, verify_sweep,
-                       weighted_S, weighted_T)
+from .counting import (VerificationReport, beatty_sums, density_prediction,
+                       main_terms, verify_sweep)
 from .errors import (AlphaNotGreaterThanOne, AlphaNotLessThanOne,
                      AmbiguousFloor, BeattyKitError, DeltaOutOfRange,
                      IrrationalParseError, LimitTooLarge, NotPositive,
@@ -41,15 +40,14 @@ __all__ = [
     "NotPositive", "PointOutOfRange", "PrecisionExhausted", "PrecisionReal",
     "PsiDelta", "QuadraticSurd", "ResidueClass", "SamplePoints",
     "SmallAlphaDecomposition", "SmallAlphaPart", "SubstitutionCheck",
-    "SumSpec", "TableTooSmall", "TypeEstimate", "UsageError",
-    "VerificationReport", "as_exact_ratio", "best_convergent_below",
+    "TableTooSmall", "TypeEstimate", "UsageError", "VerificationReport",
+    "as_exact_ratio", "beatty_sums", "best_convergent_below",
     "bound_ratio_sweep", "build_psi_delta", "build_table", "bulk_membership",
-    "cf_expand", "chebyshev_psi_ap", "count_primes", "decay_exponent",
+    "cf_expand", "chebyshev_psi_ap", "decay_exponent",
     "decompose_small_alpha", "default_truncation", "density_prediction",
-    "discrepancy", "discrepancy_beatty", "estimate_type",
-    "euler_phi", "evaluate", "exp_sum_ap", "exp_sum_shifted", "floor_affine",
-    "generate", "is_member", "main_term", "make_real", "parse_irrational",
-    "prime_pi_ap", "progression_sum_bound", "psi_indicator",
-    "squarefree_split", "substitution_identity_check", "verify_sweep",
-    "weighted_S", "weighted_T",
+    "discrepancy", "discrepancy_beatty", "estimate_type", "euler_phi",
+    "exp_sum_ap", "exp_sum_shifted", "floor_affine", "generate", "is_member",
+    "main_terms", "make_real", "parse_irrational", "prime_pi_ap",
+    "progression_sum_bound", "psi_indicator", "squarefree_split",
+    "substitution_identity_check", "verify_sweep",
 ]

@@ -14,8 +14,15 @@ heuristic being that a fraction 1/alpha of all m survive the Beatty
 membership sieve.  Densities q/phi(q) (for S) and 1/phi(q) (for T) give the
 cruder closed-form predictions.
 
-Sums are accumulated with math.fsum, so equal multisets of terms produce
-bit-identical totals no matter how the index set was partitioned.
+Every sum is exact until one final rounding.  A table's Lambda values are
+doubles log p with log 2 <= log p < 2**6: log p >= log 2 > 1/2 makes each a
+multiple of 2**-53, so Lambda * 2**53 is an integer below 2**59 and fits an
+int64.  Such integers are summed in two limbs below 2**30 each, so a
+segment's int64 limb sums could overflow only past 2**33 values, and the
+integer total is rounded once, float(total) * 2**-53: the correctly
+rounded sum of the exact values.  Equal multisets of terms thus give
+bit-identical totals however the index set is ordered or cut (Demmel and
+Nguyen, ARITH 2013).
 """
 
 from __future__ import annotations
@@ -26,133 +33,78 @@ from typing import Optional
 
 import numpy as np
 
-from .beatty import BeattyParams, decompose_small_alpha
-from .errors import TableTooSmall
+from .beatty import BeattyParams, generate
 from .irrational import floor_affine
-from .sieve import MangoldtTable, ResidueClass, euler_phi, prime_pi_ap
+from .sieve import MangoldtTable, ResidueClass, euler_phi
 
-__all__ = ["SumSpec", "SweepRow", "VerificationReport", "weighted_S",
-           "weighted_T", "count_primes", "main_term", "density_prediction",
-           "verify_sweep", "MODES"]
+__all__ = ["SweepRow", "VerificationReport", "beatty_sums", "main_terms",
+           "density_prediction", "verify_sweep", "MODES"]
 
 MODES = ("S", "T", "N", "M")
+_LIMB = 30
 
 
-@dataclass(frozen=True)
-class SumSpec:
-    """One evaluation request: parameters, class, index bound, and mode."""
-    params: BeattyParams
-    residue: ResidueClass
-    N: int
-    mode: str = "S"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-
-
-def evaluate(spec: SumSpec, table: MangoldtTable) -> float:
-    if spec.mode == "S":
-        return weighted_S(spec.params, spec.residue, spec.N, table)
-    if spec.mode == "T":
-        return weighted_T(spec.params, spec.residue, spec.N, table)
-    return float(count_primes(spec.params, spec.residue, spec.N, table, spec.mode))
-
-
-def _term_arrays(params: BeattyParams, N: int):
-    """Yield term arrays covering indices 1..N.
-
-    alpha > 1 evaluates directly; 0 < alpha < 1 goes through the
-    decomposition into big-modulus subsequences, which covers the same
-    index multiset exactly.
-    """
-    if params.alpha_gt_one():
-        if N:
-            yield params.terms(np.arange(1, N + 1, dtype=np.int64))
-        return
-    for part in decompose_small_alpha(params).parts:
-        ks = part.index_range(N)
-        if ks.size:
-            yield part.params.terms(ks)
-
-
-def weighted_S(params: BeattyParams, r: ResidueClass, N: int,
-               table: MangoldtTable) -> float:
-    """Sum of Lambda(q*floor(alpha*n + beta) + a) over n <= N."""
-    vals = []
-    for terms in _term_arrays(params, N):
-        v = r.q * terms + r.a
-        if v.size:
-            table.require(int(v.max()))
-        good = v >= 2
-        vals.extend(table.mangoldt_values(v[good]).tolist())
-    return math.fsum(vals)
-
-
-def weighted_T(params: BeattyParams, r: ResidueClass, N: int,
-               table: MangoldtTable) -> float:
-    """Sum of Lambda(floor(alpha*n + beta)) over n <= N with the term in class a mod q."""
-    vals = []
-    for terms in _term_arrays(params, N):
-        if terms.size:
-            table.require(int(terms.max()))
-        sel = (terms >= 2) & (terms % r.q == r.a)
-        vals.extend(table.mangoldt_values(terms[sel]).tolist())
-    return math.fsum(vals)
-
-
-def count_primes(params: BeattyParams, r: ResidueClass, N: int,
-                 table: MangoldtTable, mode: str = "N") -> int:
-    """Unweighted N-mode / M-mode prime counts over indices n <= N."""
-    if mode not in ("N", "M"):
-        raise ValueError("count mode is 'N' or 'M'")
-    total = 0
-    for terms in _term_arrays(params, N):
-        if mode == "N":
-            v = r.q * terms + r.a
-        else:
-            v = terms[terms % r.q == r.a]
-        if v.size:
-            table.require(int(v.max()))
-        v = v[v >= 2]
-        total += int(np.count_nonzero(table.is_prime[v]))
-    return total
-
-
-def main_term(params: BeattyParams, r: ResidueClass, N: int,
-              table: MangoldtTable, mode: str = "S") -> float:
-    """1/alpha times the all-integers analogue up to M = floor(alpha*N + beta).
-
-    S: (1/alpha) * sum_{m <= M} Lambda(q m + a)
-    T: (1/alpha) * sum_{m <= M, m == a (q)} Lambda(m)
-    N: (1/alpha) * pi(q M + a; q, a)
-    M: (1/alpha) * pi(M; q, a)
-    """
+def _checked_grid(grid, mode: str) -> list:
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    M = floor_affine(params.alpha, N, params.beta)[0] if N else 0
-    if M < 1:
-        return 0.0
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    grid = [int(x) for x in grid]
+    if not grid or grid[0] < 1:
+        raise ValueError("N grid must be nonempty with every N >= 1")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("N grid must be strictly ascending")
+    return grid
+
+
+def _prefix_sums(values: np.ndarray, r: ResidueClass, mode: str,
+                 table: MangoldtTable, cuts) -> list:
+    """The mode's sum over values[:c] for each nondecreasing cut c, a value
+    m weighing what a term m(n) weighs in the module docstring.  Segments
+    between cuts are summed exactly, so no prefix array is formed."""
+    shifted = mode in ("S", "N")
+    if values.size:
+        top = int(values.max())
+        table.require(r.q * top + r.a if shifted else top)
+    out, total, lo = [], 0, 0
+    for hi in cuts:
+        seg = values[lo:hi]
+        lo = hi
+        seg = r.q * seg + r.a if shifted else seg[seg % r.q == r.a]
+        seg = seg[seg >= 2]
+        if mode in ("N", "M"):
+            total += int(np.count_nonzero(table.is_prime[seg]))
+            out.append(float(total))
+            continue
+        fixed = (table.mangoldt_values(seg) * 2.0 ** 53).astype(np.int64)
+        total += (int((fixed >> _LIMB).sum()) << _LIMB) + \
+            int((fixed & ((1 << _LIMB) - 1)).sum())
+        out.append(float(total) * 2.0 ** -53)
+    return out
+
+
+def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
+                table: MangoldtTable) -> list:
+    """The mode's sum over n <= N of its weight at m(n), for each N of a
+    strictly ascending grid, from one term array up to the last N."""
+    grid = _checked_grid(grid, mode)
+    return _prefix_sums(generate(params, grid[-1]), r, mode, table, grid)
+
+
+def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
+               table: MangoldtTable) -> list:
+    """gamma times the same sum over the integers m = 1..M(N), with
+    M(N) = max(floor(alpha*N + beta), 0):
+
+    S: gamma * sum_{m <= M} Lambda(q m + a)
+    T: gamma * sum_{m <= M, m == a (q)} Lambda(m)
+    N: gamma * #{m <= M : q m + a prime}
+    M: gamma * pi(M; q, a)
+    """
+    grid = _checked_grid(grid, mode)
+    cuts = [max(floor_affine(params.alpha, N, params.beta)[0], 0)
+            for N in grid]
+    ms = np.arange(1, cuts[-1] + 1, dtype=np.int64)
     gf = float(params.gamma)
-    if mode == "S":
-        table.require(r.q * M + r.a)
-        ms = np.arange(1, M + 1, dtype=np.int64)
-        lam = table.mangoldt_values(r.q * ms + r.a)
-        return gf * math.fsum(lam.tolist())
-    if mode == "T":
-        power, log_base = table.records_upto(M)
-        sel = power % r.q == r.a
-        return gf * math.fsum(log_base[sel].tolist())
-    if mode == "N":
-        # primes q*m + a with 1 <= m <= M
-        table.require(r.q * M + r.a)
-        primes = table.primes
-        cut = np.searchsorted(primes, r.q * M + r.a, side="right")
-        sub = primes[:cut]
-        return gf * int(np.count_nonzero((sub % r.q == r.a) & (sub >= r.q + r.a)))
-    return gf * prime_pi_ap(table, M, r)
+    return [gf * s for s in _prefix_sums(ms, r, mode, table, cuts)]
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,
@@ -209,23 +161,18 @@ def verify_sweep(params: BeattyParams, r: ResidueClass, grid, mode: str,
     """Evaluate lhs and main term over an N-grid and grade the error decay."""
     if target not in ("main", "density"):
         raise ValueError("target is 'main' or 'density'")
-    if not grid:
-        raise ValueError("empty N grid")
-    grid = [int(x) for x in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("N grid must be strictly ascending")
+    grid = _checked_grid(grid, mode)
+    lhs = beatty_sums(params, r, grid, mode, table)
+    if target == "main":
+        main = main_terms(params, r, grid, mode, table)
+    else:
+        main = [density_prediction(params, r, N, mode) for N in grid]
     normalize = "N" if target == "main" else "prediction"
     rows = []
-    for N in grid:
-        spec = SumSpec(params, r, N, mode)
-        lhs = evaluate(spec, table)
-        if target == "main":
-            main = main_term(params, r, N, table, mode)
-        else:
-            main = density_prediction(params, r, N, mode)
-        err = abs(lhs - main)
-        scale = N if normalize == "N" else abs(main)
-        rows.append(SweepRow(N, lhs, main, err, err / scale if scale else math.inf))
+    for N, s, m in zip(grid, lhs, main):
+        err = abs(s - m)
+        scale = N if normalize == "N" else abs(m)
+        rows.append(SweepRow(N, s, m, err, err / scale if scale else math.inf))
     report = VerificationReport(mode, target, normalize, tol, rows)
     fit_pts = [(math.log(row.N), math.log(row.abs_err))
                for row in rows if row.abs_err > 0 and row.N > 1]

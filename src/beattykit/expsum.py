@@ -48,14 +48,13 @@ def psi_indicator(x, gamma) -> float:
 class PsiDelta:
     """Truncated Fourier data of the smoothed indicator.
 
-    g[k-1] multiplies e(k x) and h[k-1] multiplies e(-k x); by construction
-    h = conj(g), and the mean value (the k = 0 coefficient) is gamma.
+    g[k-1] multiplies e(k x) and conj(g[k-1]) multiplies e(-k x); the mean
+    value (the k = 0 coefficient) is gamma.
     """
     gamma: float
     delta: float
     K: int
     g: np.ndarray
-    h: np.ndarray
 
     @property
     def mean(self) -> float:
@@ -111,7 +110,7 @@ def build_psi_delta(gamma: float, delta: float, K: int) -> PsiDelta:
     y = _TWO_PI * k * delta
     box = np.sin(y) / y
     g = ind * box
-    return PsiDelta(gamma, float(delta), K, g, np.conj(g))
+    return PsiDelta(gamma, float(delta), K, g)
 
 
 # -- exponential sums over primes ------------------------------------------

@@ -3,11 +3,13 @@
 They are slow and simple on purpose, and the package does not use them.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from beattykit.expsum import _validated
+from beattykit.irrational import floor_affine
 
 
 def _scaled_values(vals: np.ndarray):
@@ -64,3 +66,68 @@ def smoothed_indicator(x, gamma, delta):
         cover = cover + np.clip(np.minimum(hi, shift + gamma)
                                 - np.maximum(lo, shift), 0.0, None)
     return cover / (2.0 * delta)
+
+
+# -- counting: direct per-index loops through the exact scalar floor --------
+
+def oracle_S(p, r, N, table):
+    vals = []
+    for n in range(1, N + 1):
+        m = p.term(n)
+        arg = r.q * m + r.a
+        if 2 <= arg <= table.limit:
+            v = table.mangoldt_values(np.array([arg], dtype=np.int64))[0]
+            if v:
+                vals.append(float(v))
+    return math.fsum(vals)
+
+
+def oracle_T(p, r, N, table):
+    vals = []
+    for n in range(1, N + 1):
+        m = p.term(n)
+        if m >= 2 and m % r.q == r.a:
+            v = table.mangoldt_values(np.array([m], dtype=np.int64))[0]
+            if v:
+                vals.append(float(v))
+    return math.fsum(vals)
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _mangoldt(n: int, table) -> float:
+    if n < 2:
+        return 0.0
+    return float(table.mangoldt_values(np.array([n], dtype=np.int64))[0])
+
+
+def oracle_weight(m: int, r, mode: str, table) -> float:
+    """The weight of one sequence value m in mode S, T, N or M."""
+    if mode == "S":
+        return _mangoldt(r.q * m + r.a, table)
+    if mode == "T":
+        return _mangoldt(m, table) if m % r.q == r.a else 0.0
+    if mode == "N":
+        return float(_is_prime(r.q * m + r.a))
+    return float(_is_prime(m) and m % r.q == r.a)
+
+
+def oracle_N(p, r, N, table):
+    """Count of n <= N with q*floor(alpha*n + beta) + a prime."""
+    return math.fsum(oracle_weight(p.term(n), r, "N", table)
+                     for n in range(1, N + 1))
+
+
+def oracle_M(p, r, N, table):
+    """Count of n <= N with floor(alpha*n + beta) prime and == a mod q."""
+    return math.fsum(oracle_weight(p.term(n), r, "M", table)
+                     for n in range(1, N + 1))
+
+
+def oracle_main(p, r, N, mode, table):
+    """gamma times the mode's weights over m = 1..floor(alpha*N + beta)."""
+    M = floor_affine(p.alpha, N, p.beta)[0]
+    return float(p.gamma) * math.fsum(oracle_weight(m, r, mode, table)
+                                      for m in range(1, M + 1))

@@ -21,8 +21,7 @@ import pytest
 
 from beattykit.beatty import BeattyParams, bulk_membership, generate
 from beattykit.cli import main as cli_main
-from beattykit.counting import (density_prediction, count_primes,
-                                verify_sweep, weighted_S, weighted_T)
+from beattykit.counting import beatty_sums, density_prediction, verify_sweep
 from beattykit.expsum import (progression_sum_bound, bound_ratio_sweep,
                               build_psi_delta, decay_exponent, discrepancy,
                               discrepancy_beatty, exp_sum_shifted,
@@ -117,7 +116,8 @@ def test_criterion_03_truncated_decomposition(big_table):
             sp = exp_sum_shifted(big_table, M, r, gam, i + 1)
             sm = exp_sum_shifted(big_table, M, r, gam, -(i + 1))
             ep = cmath.exp(2j * math.pi * dph[i])
-            acc += (pd.g[i] * ep * sp + pd.h[i] * ep.conjugate() * sm).real
+            acc += (pd.g[i] * ep * sp
+                    + pd.g[i].conjugate() * ep.conjugate() * sm).real
         return abs(lhs - (rhs + acc)) / (1.0 + abs(lhs))
 
     cases = [(2, 1, "sqrt:2", 0, 1000, 1000),
@@ -183,10 +183,12 @@ def test_criterion_06_density_predictions(big_table):
     worst_s = worst_t = 0.0
     for r in _coprime_classes(10):
         pred_s = density_prediction(p, r, LIMIT, "S")
-        dev = abs(weighted_S(p, r, LIMIT, big_table) - pred_s) / pred_s
+        lhs = beatty_sums(p, r, [LIMIT], "S", big_table)[0]
+        dev = abs(lhs - pred_s) / pred_s
         worst_s = max(worst_s, dev)
         pred_t = density_prediction(p, r, LIMIT, "T")
-        dev = abs(weighted_T(p, r, LIMIT, big_table) - pred_t) / pred_t
+        lhs = beatty_sums(p, r, [LIMIT], "T", big_table)[0]
+        dev = abs(lhs - pred_t) / pred_t
         worst_t = max(worst_t, dev)
     ok = worst_s <= 0.03 and worst_t <= 0.03
     assert _verdict(6, ok,
@@ -200,7 +202,7 @@ def test_criterion_07_prime_density_in_progression(big_table):
     N = 353553
     assert 2 * int(p.terms(np.array([N]))[0]) + 1 <= LIMIT
     assert 2 * int(p.terms(np.array([N + 1]))[0]) + 1 > LIMIT
-    count = count_primes(p, ResidueClass(1, 2), N, big_table, mode="N")
+    count = int(beatty_sums(p, ResidueClass(1, 2), [N], "N", big_table)[0])
     pi_x = prime_pi_ap(big_table, LIMIT, (0, 1))
     ratio = count / pi_x
     inv = 1.0 / math.sqrt(2.0)

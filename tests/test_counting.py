@@ -8,39 +8,16 @@ import numpy as np
 import pytest
 
 from beattykit.beatty import BeattyParams
-from beattykit.counting import (SumSpec, density_prediction, count_primes,
-                                evaluate, main_term, verify_sweep, weighted_S,
-                                weighted_T)
+from beattykit.counting import (beatty_sums, density_prediction, main_terms,
+                                verify_sweep)
 from beattykit.irrational import floor_affine, parse_irrational
 from beattykit.sieve import ResidueClass, build_table, euler_phi, prime_pi_ap
+from oracles import oracle_S, oracle_T
 
 
 @pytest.fixture(scope="module")
 def table():
     return build_table(50_000)
-
-
-def oracle_S(p, r, N, table):
-    vals = []
-    for n in range(1, N + 1):
-        m = p.term(n)
-        arg = r.q * m + r.a
-        if 2 <= arg <= table.limit:
-            v = table.mangoldt_values(np.array([arg], dtype=np.int64))[0]
-            if v:
-                vals.append(float(v))
-    return math.fsum(vals)
-
-
-def oracle_T(p, r, N, table):
-    vals = []
-    for n in range(1, N + 1):
-        m = p.term(n)
-        if m >= 2 and m % r.q == r.a:
-            v = table.mangoldt_values(np.array([m], dtype=np.int64))[0]
-            if v:
-                vals.append(float(v))
-    return math.fsum(vals)
 
 
 @pytest.mark.parametrize("name,beta,q,a", [
@@ -52,19 +29,21 @@ def test_weighted_sums_match_oracle(table, name, beta, q, a):
     p = BeattyParams(parse_irrational(name), beta)
     r = ResidueClass(a, q)
     for N in (1, 10, 500):
-        assert weighted_S(p, r, N, table) == oracle_S(p, r, N, table)
-        assert weighted_T(p, r, N, table) == oracle_T(p, r, N, table)
+        assert beatty_sums(p, r, [N], "S", table)[0] == \
+            oracle_S(p, r, N, table)
+        assert beatty_sums(p, r, [N], "T", table)[0] == \
+            oracle_T(p, r, N, table)
 
 
 def test_weighted_sums_small_alpha(table):
-    # alpha < 1 goes through the splitting; same answers as the direct loop
+    # alpha < 1 runs the same direct kernel; same answers as the index loop
     p = BeattyParams(parse_irrational("quad:0/2+sqrt:2"), 0.3)
     r = ResidueClass(1, 2)
     for N in (1, 7, 400):
-        assert weighted_S(p, r, N, table) == pytest.approx(
-            oracle_S(p, r, N, table), abs=1e-9)
-        assert weighted_T(p, r, N, table) == pytest.approx(
-            oracle_T(p, r, N, table), abs=1e-9)
+        assert beatty_sums(p, r, [N], "S", table)[0] == \
+            oracle_S(p, r, N, table)
+        assert beatty_sums(p, r, [N], "T", table)[0] == \
+            oracle_T(p, r, N, table)
 
 
 def test_count_primes_matches_oracle(table, sqrt2):
@@ -80,25 +59,19 @@ def test_count_primes_matches_oracle(table, sqrt2):
             n_count += 1
         if m >= 2 and m % 2 == 1 and bool(table.is_prime[m]):
             m_count += 1
-    assert count_primes(p, r, N, table, mode="N") == n_count
-    assert count_primes(p, r, N, table, mode="M") == m_count
+    assert beatty_sums(p, r, [N], "N", table)[0] == n_count
+    assert beatty_sums(p, r, [N], "M", table)[0] == m_count
 
 
-def test_evaluate_dispatch(table, sqrt2):
-    p = BeattyParams(sqrt2)
-    r = ResidueClass(1, 2)
-    assert evaluate(SumSpec(p, r, 300, "S"), table) == weighted_S(p, r, 300, table)
-    assert evaluate(SumSpec(p, r, 300, "T"), table) == weighted_T(p, r, 300, table)
-    assert evaluate(SumSpec(p, r, 300, "N"), table) == count_primes(p, r, 300, table, mode="N")
-
-
-def test_spec_validation(sqrt2):
+def test_spec_validation(table, sqrt2):
     p = BeattyParams(sqrt2)
     r = ResidueClass(1, 2)
     with pytest.raises(ValueError):
-        SumSpec(p, r, 0, "S")
+        beatty_sums(p, r, [0], "S", table)
     with pytest.raises(ValueError):
-        SumSpec(p, r, 10, "X")
+        beatty_sums(p, r, [100, 10], "S", table)
+    with pytest.raises(ValueError):
+        beatty_sums(p, r, [10], "X", table)
 
 
 def test_main_term_is_scaled_progression_sum(table, sqrt2):
@@ -109,20 +82,23 @@ def test_main_term_is_scaled_progression_sum(table, sqrt2):
     gf = float(p.gamma)
     ms = np.arange(1, M + 1, dtype=np.int64)
     want = gf * math.fsum(table.mangoldt_values(3 * ms + 1).tolist())
-    assert main_term(p, r, N, table, mode="S") == pytest.approx(want, rel=1e-14)
+    assert main_terms(p, r, [N], "S", table)[0] == \
+        pytest.approx(want, rel=1e-14)
     # T: progression restricted to m <= M itself
     sel = ms[ms % 3 == 1]
     sel = sel[sel >= 2]
     want_t = gf * math.fsum(table.mangoldt_values(sel).tolist())
-    assert main_term(p, r, N, table, mode="T") == pytest.approx(want_t, rel=1e-14)
+    assert main_terms(p, r, [N], "T", table)[0] == \
+        pytest.approx(want_t, rel=1e-14)
     # M-mode counts primes in the class up to M
     want_m = gf * prime_pi_ap(table, M, r)
-    assert main_term(p, r, N, table, mode="M") == pytest.approx(want_m, rel=1e-14)
+    assert main_terms(p, r, [N], "M", table)[0] == \
+        pytest.approx(want_m, rel=1e-14)
 
 
 def test_main_term_empty_range(table, sqrt2):
     p = BeattyParams(sqrt2, -1.7)
-    assert main_term(p, ResidueClass(1, 2), 1, table, mode="S") == 0.0
+    assert main_terms(p, ResidueClass(1, 2), [1], "S", table)[0] == 0.0
 
 
 def test_density_prediction(sqrt2):

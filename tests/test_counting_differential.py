@@ -1,0 +1,59 @@
+"""beatty_sums and main_terms against the per-index oracles, with exact ==.
+
+The oracles walk n = 1..N (or m = 1..M) one term at a time through the exact
+scalar floor and sum with math.fsum; the engine generates one term array and
+sums segments exactly in integers.  Both round once, so they agree bit for
+bit, for surd and dec: alphas on both sides of 1, negative beta (negative
+terms), q = 1, one-point grids and grids where M(N) <= 0.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from beattykit.beatty import BeattyParams
+from beattykit.counting import MODES, beatty_sums, main_terms
+from beattykit.irrational import parse_irrational
+from beattykit.sieve import ResidueClass, build_table
+from oracles import oracle_M, oracle_N, oracle_S, oracle_T, oracle_main
+
+ALPHAS = {name: parse_irrational(name) for name in (
+    "sqrt:2", "quad:1/2+sqrt:5", "sqrt:7",
+    "quad:0/2+sqrt:2", "quad:-1/2+sqrt:5", "quad:0/5+sqrt:2",
+    "dec:3.141592653589793238462643383279502884197@200",
+    "dec:0.7390851332151606416553120876738734040134@200",
+)}
+ORACLES = {"S": oracle_S, "T": oracle_T, "N": oracle_N, "M": oracle_M}
+
+classes = st.integers(1, 12).flatmap(lambda q: st.sampled_from(
+    [ResidueClass(a, q) for a in range(q) if gcd(a, q) == 1]))
+grids = st.lists(st.integers(1, 300), min_size=1, max_size=4,
+                 unique=True).map(sorted)
+
+
+@pytest.fixture(scope="module")
+def table():
+    # above q*m + a for q <= 12 and every term alpha*300 + 4 reaches
+    return build_table(20_000)
+
+
+@given(st.sampled_from(sorted(ALPHAS)),
+       st.fractions(-4, 4, max_denominator=12), classes, grids,
+       st.sampled_from(MODES))
+@example("quad:0/5+sqrt:2", Fraction(-4), ResidueClass(1, 2), [1, 5, 14],
+         "S")                                      # every M(N) <= 0
+@example("quad:0/5+sqrt:2", Fraction(-4), ResidueClass(1, 3), [1, 14, 300],
+         "T")                                      # M(N) <= 0, then > 0
+@example("sqrt:2", Fraction(-3, 2), ResidueClass(0, 1), [1], "N")   # q = 1
+@example("dec:0.7390851332151606416553120876738734040134@200",
+         Fraction(-7, 3), ResidueClass(0, 1), [250], "M")
+def test_engine_equals_oracles(table, alpha, beta, r, grid, mode):
+    p = BeattyParams(ALPHAS[alpha], beta)
+    oracle = ORACLES[mode]
+    assert beatty_sums(p, r, grid, mode, table) == \
+        [oracle(p, r, N, table) for N in grid]
+    assert main_terms(p, r, grid, mode, table) == \
+        [oracle_main(p, r, N, mode, table) for N in grid]

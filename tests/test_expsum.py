@@ -47,7 +47,6 @@ class TestPsiDelta:
         for gamma in (0.5, 0.37, 1 / 2 ** 0.5):
             pd = build_psi_delta(gamma, 0.05, 2000)
             assert pd.max_bound_ratio() <= 1.0 + 1e-12
-            assert np.array_equal(pd.h, np.conj(pd.g))
             assert pd.mean == gamma
 
     def test_bound_is_sharp_at_odd_k_for_half(self):

@@ -8,8 +8,9 @@ import pytest
 import sympy
 
 from beattykit.errors import LimitTooLarge, TableTooSmall
-from beattykit.sieve import (MangoldtTable, ResidueClass, build_table,
-                             chebyshev_psi_ap, euler_phi, prime_pi_ap)
+from beattykit.sieve import (MAX_LIMIT, MangoldtTable, ResidueClass,
+                             build_table, chebyshev_psi_ap, euler_phi,
+                             prime_pi_ap)
 
 
 def mangoldt_trial(n: int) -> float:
@@ -118,6 +119,16 @@ def test_segment_size_independence():
         assert np.array_equal(a.power, other.power)
         assert np.array_equal(a.base, other.base)
         assert a.log_base.tobytes() == other.log_base.tobytes()
+
+
+def test_log_base_is_an_integer_multiple_of_2_pow_minus_53():
+    # counting sums Lambda exactly as int64 multiples of 2**-53: every log p
+    # is >= log 2 > 1/2, so a multiple of 2**-53, and stays below 2**6
+    t = build_table(1_000_000)
+    fixed = t.log_base * 2.0 ** 53
+    assert np.array_equal(fixed, np.floor(fixed))
+    assert fixed.max() < 2 ** 59
+    assert math.log(MAX_LIMIT) < 2 ** 6
 
 
 def test_residue_class_validation():
