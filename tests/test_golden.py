@@ -18,7 +18,7 @@ from beattykit.cli import main
 from beattykit.counting import verify_sweep
 from beattykit.expsum import discrepancy_beatty
 from beattykit.irrational import parse_irrational
-from beattykit.sieve import ResidueClass, build_table
+from beattykit.sieve import ResidueClass, build_table, chebyshev_psi_ap
 
 GOLDEN = Path(__file__).parent / "golden"
 PI = "dec:3.14159265358979323846@200"
@@ -74,3 +74,53 @@ def test_count_sweep_report_bytes(tmp_path, sweep_table, name, alpha, mode,
                        target=target)
     assert [row.lhs.hex() for row in rep.rows] == pin["lhs"]
     assert [row.main.hex() for row in rep.rows] == pin["main"]
+
+
+# every other subcommand: (golden file, expected exit code, argv)
+OTHER = [
+    ("cfrac_sqrt7.csv", 0, ["cfrac", "--alpha", "sqrt:7", "--K", "12"]),
+    ("cfrac_pi.csv", 0, ["cfrac", "--alpha", PI, "--K", "10"]),
+    ("type_estimate_phi.csv", 0,
+     ["type-estimate", "--alpha", "quad:1/2+sqrt:5"]),
+    ("beatty_generate.csv", 0,
+     ["beatty", "generate", "--alpha", "sqrt:2", "--beta=-17/10",
+      "--N", "40"]),
+    ("beatty_member_true.csv", 0,
+     ["beatty", "member", "--alpha", "quad:1/2+sqrt:5", "--m", "832040"]),
+    ("beatty_member_false.csv", 0,
+     ["beatty", "member", "--alpha", "quad:1/2+sqrt:5", "--m", "832042"]),
+    ("sieve_psi.csv", 0,
+     ["sieve", "psi", "--q", "7", "--a", "3", "--grid", "1e3,1e4,1e5"]),
+    ("sieve_pi.json", 0,
+     ["sieve", "pi", "--q", "7", "--a", "3", "--grid", "1e3,1e4,1e5",
+      "--format", "json"]),
+    ("expsum_eval.csv", 0,
+     ["expsum", "eval", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
+      "--M", "5000", "--K", "4"]),
+    ("expsum_identity_check.csv", 0,
+     ["expsum", "identity-check", "--alpha", "sqrt:3", "--q", "5",
+      "--a", "2", "--M", "4000", "--k", "2"]),
+    ("expsum_bound_ratio.csv", 0,
+     ["expsum", "bound-ratio", "--alpha", "sqrt:2", "--q", "5", "--a", "2",
+      "--M", "2000", "--den-max", "50"]),
+    ("psi_delta_inspect.csv", 0,
+     ["psi-delta", "inspect", "--alpha", "quad:0/2+sqrt:2",
+      "--delta", "0.05", "--K", "12"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", OTHER,
+                         ids=[case[0] for case in OTHER])
+def test_subcommand_report_bytes(tmp_path, name, code, argv):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_sieve_psi_totals_pinned():
+    # full-precision values behind sieve_psi.csv
+    table = build_table(100_000)
+    assert [chebyshev_psi_ap(table, L, ResidueClass(3, 7)).hex()
+            for L in (1000, 10_000, 100_000)] == [
+        "0x1.50a4563bdc11ep+7", "0x1.a404df836d940p+10",
+        "0x1.05e46f5ff1e95p+14"]
