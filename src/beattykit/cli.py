@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Grammar: `beattykit COMMAND [ACTION] FLAGS`.  Every command is its own
+argparse subparser (`beattykit COMMAND -h` lists its flags); beatty, sieve,
+count, expsum and psi-delta take a required action word.  A command declares
+only the flags it reads: a flag it cannot run without is required, its
+defaults are its own, and any other flag is a usage error.
+
 Every subcommand emits a self-describing report: a comment header holding
 the fully resolved configuration (defaults included), one fixed column
 line, then data rows at 12 significant digits with LF endings.  Identical
@@ -22,51 +28,14 @@ from typing import Optional
 import numpy as np
 
 from .beatty import BeattyParams, generate, is_member
-from .counting import verify_sweep
+from .counting import MODES, verify_sweep
 from .errors import BeattyKitError, UsageError
 from .expsum import (bound_ratio_sweep, build_psi_delta, decay_exponent,
                      discrepancy_beatty, exp_sum_shifted,
                      substitution_identity_check)
 from .irrational import cf_expand, estimate_type, floor_affine, parse_irrational
 from .sieve import (DEFAULT_SEGMENT, MAX_LIMIT, ResidueClass, build_table,
-                    chebyshev_psi_ap, euler_phi, prime_pi_ap)
-
-_COMMANDS = {
-    "cfrac": (None,),
-    "type-estimate": (None,),
-    "beatty": ("generate", "member"),
-    "sieve": ("psi", "pi"),
-    "count": ("sweep",),
-    "expsum": ("eval", "identity-check", "bound-ratio"),
-    "psi-delta": ("inspect",),
-    "discrepancy": (None,),
-}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved invocation: command plus every flag value."""
-    command: str
-    action: Optional[str] = None
-    alpha: object = None
-    alpha_text: str = ""
-    beta: Fraction = Fraction(0)
-    residue: Optional[ResidueClass] = None
-    grid: tuple = ()
-    mode: str = "S"
-    target: str = "main"
-    delta: Optional[Fraction] = None
-    K: Optional[int] = None
-    precision: int = 160
-    segment: int = DEFAULT_SEGMENT
-    tol: Optional[float] = None
-    out: Optional[str] = None
-    format: str = "csv"
-    N: Optional[int] = None
-    M: Optional[int] = None
-    m: Optional[int] = None
-    k: int = 1
-    den_max: Optional[int] = None
+                    chebyshev_psi_ap, euler_phi, lambda_units, prime_pi_ap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,113 +43,86 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="beattykit", add_help=True, description=__doc__)
-    a = p.add_argument
-    a("--alpha", help="irrational: sqrt:d, quad:p/q+sqrt:d, or dec:digits[@bits]")
-    a("--beta", default="0", help="shift, as a decimal or p/q")
-    a("--q", type=int)
-    a("--a", type=int)
-    a("--grid", help="comma-separated N values, strictly ascending")
-    a("--mode", choices=["S", "T", "N", "M"], default="S")
-    a("--target", choices=["main", "density"], default="main")
-    a("--delta", help="smoothing half-width, or the shift in {gamma m + delta}")
-    a("--K", type=int)
-    a("--precision", type=int, default=160)
-    a("--segment", type=int, default=DEFAULT_SEGMENT)
-    a("--tol", type=float)
-    a("--out")
-    a("--format", choices=["csv", "json"], default="csv")
-    a("--N", type=int)
-    a("--M", type=int)
-    a("--m", type=int)
-    a("--k", type=int, default=1)
-    a("--den-max", dest="den_max", type=int)
-    return p
+# -- flag types: argparse names the flag in the message they raise ----------
+
+def _int_where(ok, rule: str):
+    def parse(text):
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
 
 
-def parse_config(argv) -> RunConfig:
-    """Total parse of [command [action]] plus flags into a RunConfig.
+def _at_least(lo: int):
+    return _int_where(lambda value: value >= lo, f">= {lo}")
 
-    Diagnostics name the offending flag; a missing command defaults to
-    `count sweep`, so a bare flag list is still a valid configuration.
-    """
-    argv = list(argv)
-    words = []
-    while argv and not argv[0].startswith("-") and len(words) < 2:
-        words.append(argv.pop(0))
-    command = words[0] if words else "count"
-    if command not in _COMMANDS:
-        raise UsageError(f"unknown command {command!r}")
-    actions = _COMMANDS[command]
-    if actions == (None,):
-        if len(words) > 1:
-            raise UsageError(f"{command} takes no action word, got {words[1]!r}")
-        action = None
-    else:
-        action = words[1] if len(words) > 1 else actions[0]
-        if action not in actions:
-            raise UsageError(f"unknown action {action!r} for {command}; "
-                             f"expected one of {', '.join(actions)}")
-    ns = _build_parser().parse_args(argv)
 
-    cfg = RunConfig(command=command, action=action)
-    cfg.mode, cfg.target, cfg.format = ns.mode, ns.target, ns.format
-    cfg.out, cfg.tol, cfg.k = ns.out, ns.tol, ns.k
-    cfg.N, cfg.M, cfg.m, cfg.den_max = ns.N, ns.M, ns.m, ns.den_max
-
-    if ns.precision < 16:
-        raise UsageError("--precision: need at least 16 bits")
-    cfg.precision = ns.precision
-    if ns.segment < 1024:
-        raise UsageError("--segment: need at least 1024")
-    cfg.segment = ns.segment
-    if ns.K is not None:
-        if ns.K < 1:
-            raise UsageError("--K: must be >= 1")
-        cfg.K = ns.K
-
-    if ns.alpha is not None:
-        cfg.alpha_text = ns.alpha
-        try:
-            cfg.alpha = parse_irrational(ns.alpha, default_bits=cfg.precision)
-        except BeattyKitError as exc:
-            raise UsageError(f"--alpha: {exc}")
+def _fraction(text):
     try:
-        cfg.beta = Fraction(ns.beta)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--beta: {exc}")
-    if ns.delta is not None:
-        try:
-            cfg.delta = Fraction(ns.delta)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"--delta: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
 
-    if (ns.q is None) != (ns.a is None):
-        raise UsageError("--q/--a: provide both or neither")
-    if ns.q is not None:
-        if ns.q < 1:
-            raise UsageError("--q: modulus must be >= 1")
-        if not 0 <= ns.a < ns.q:
-            raise UsageError("--a: need 0 <= a < q")
-        if math.gcd(ns.a, ns.q) != 1:
-            raise UsageError(f"--q/--a: gcd({ns.a}, {ns.q}) != 1")
-        cfg.residue = ResidueClass(ns.a, ns.q)
 
-    if ns.grid is not None:
-        try:
-            grid = tuple(int(float(tok)) for tok in ns.grid.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--grid: {exc}")
-        if not grid or any(n < 1 for n in grid):
-            raise UsageError("--grid: values must be positive integers")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise UsageError("--grid: values must be strictly ascending")
-        if grid[-1] > MAX_LIMIT:
-            raise UsageError(f"--grid: {grid[-1]} exceeds the sieve budget "
-                             f"({MAX_LIMIT})")
-        cfg.grid = grid
-    return cfg
+def _grid(text):
+    try:
+        grid = tuple(int(float(tok)) for tok in text.split(","))
+    except (ValueError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if any(n < 1 for n in grid):
+        raise argparse.ArgumentTypeError("values must be positive integers")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError("values must be strictly ascending")
+    if grid[-1] > MAX_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"{grid[-1]} exceeds the sieve budget ({MAX_LIMIT})")
+    return grid
+
+
+_DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
+_FLAGS = {
+    "alpha": dict(required=True,
+                  help="irrational: sqrt:d, quad:p/q+sqrt:d, or dec:digits[@bits]"),
+    "precision": dict(type=_at_least(16), default=160,
+                      help="bits carried for dec: alphas" + _DEFAULT),
+    "beta": dict(type=_fraction, default=Fraction(0),
+                 help="shift, as a decimal or p/q" + _DEFAULT),
+    "q": dict(type=_at_least(1), required=True, help="modulus"),
+    "a": dict(type=int, required=True, help="residue, 0 <= a < q, coprime to q"),
+    "grid": dict(type=_grid,
+                 help="comma-separated N values, strictly ascending" + _DEFAULT),
+    "mode": dict(choices=MODES, default="S", help="counting sum" + _DEFAULT),
+    "target": dict(choices=("main", "density"), default="main", help=_DEFAULT),
+    "delta": dict(type=_fraction, required=True, help="smoothing half-width"),
+    "K": dict(type=_at_least(1), help="number of terms or frequencies" + _DEFAULT),
+    "segment": dict(type=_at_least(1024), default=DEFAULT_SEGMENT,
+                    help="sieve segment length" + _DEFAULT),
+    "tol": dict(type=float, help="verdict tolerance" + _DEFAULT),
+    "N": dict(type=_at_least(0), required=True, help="number of terms"),
+    "M": dict(type=_at_least(1), required=True, help="summation length"),
+    "m": dict(type=int, required=True, help="integer to test"),
+    "k": dict(type=_int_where(bool, "nonzero"), default=1,
+              help="frequency multiplier" + _DEFAULT),
+    "den-max": dict(type=_at_least(1), help="largest denominator (default: M)"),
+    "out": dict(help="report path (default: stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv", help=_DEFAULT),
+}
+
+
+def _command(group, name, run, text, flags, **override):
+    """A subparser reading exactly the space-separated flags plus --out and
+    --format; override maps a flag to changes of its _FLAGS entry."""
+    sub = group.add_parser(name, help=text, description=text)
+    sub.set_defaults(run=run)
+    for flag in flags.split() + ["out", "format"]:
+        sub.add_argument("--" + flag, **{**_FLAGS[flag], **override.get(flag, {})})
+
+
+def _actions(group, name, text):
+    sub = group.add_parser(name, help=text, description=text)
+    return sub.add_subparsers(dest="action", required=True, metavar="ACTION")
 
 
 # -- report emission -------------------------------------------------------
@@ -249,90 +191,71 @@ def emit_report(report: Report, path: Optional[str], fmt: str = "csv"):
 
 # -- subcommand bodies -----------------------------------------------------
 
-def _need(cfg: RunConfig, **flags):
-    for name, val in flags.items():
-        if val is None:
-            raise UsageError(f"--{name} is required for {cfg.command}"
-                             + (f" {cfg.action}" if cfg.action else ""))
-        yield val
+def _base_params(ns) -> list:
+    return [("alpha", ns.alpha_text), ("precision", ns.precision)]
 
 
-def _base_params(cfg: RunConfig) -> list:
-    out = [("precision", cfg.precision)]
-    if cfg.alpha is not None:
-        out.insert(0, ("alpha", cfg.alpha_text))
-    return out
-
-
-def _run_cfrac(cfg: RunConfig) -> Report:
-    (alpha,) = _need(cfg, alpha=cfg.alpha)
-    K = cfg.K if cfg.K is not None else 8
-    cf = cf_expand(alpha, K)
-    params = _base_params(cfg) + [("K", K)]
+def _run_cfrac(ns) -> Report:
+    cf = cf_expand(ns.alpha, ns.K)
+    params = _base_params(ns) + [("K", ns.K)]
     if cf.period is not None:
-        params.append(("period_start", cf.period[0]))
-        params.append(("period_length", cf.period[1]))
+        params += [("period_start", cf.period[0]),
+                   ("period_length", cf.period[1])]
     rows = [(i, q, cf.convergents[i][0], cf.convergents[i][1])
             for i, q in enumerate(cf.quotients)]
     return Report("cfrac", params, ("i", "quotient", "num", "den"), rows)
 
 
-def _run_type_estimate(cfg: RunConfig) -> Report:
-    (alpha,) = _need(cfg, alpha=cfg.alpha)
-    est = estimate_type(alpha, K=cfg.K)
-    params = _base_params(cfg) + [("depth", est.depth),
-                                  ("tau_hat", est.tau_hat)]
+def _run_type_estimate(ns) -> Report:
+    est = estimate_type(ns.alpha, K=ns.K)
+    params = _base_params(ns) + [("depth", est.depth),
+                                 ("tau_hat", est.tau_hat)]
     rows = [(q, e) for q, e in est.samples]
     return Report("type-estimate", params, ("den", "exponent"), rows)
 
 
-def _run_beatty(cfg: RunConfig) -> Report:
-    (alpha,) = _need(cfg, alpha=cfg.alpha)
-    bp = BeattyParams(alpha, cfg.beta)
-    params = _base_params(cfg) + [("beta", str(cfg.beta))]
-    if cfg.action == "generate":
-        (N,) = _need(cfg, N=cfg.N)
-        terms = generate(bp, N)
-        rows = [(n, int(t)) for n, t in enumerate(terms.tolist(), start=1)]
-        return Report("beatty-generate", params + [("N", N)],
-                      ("n", "term"), rows)
-    (m,) = _need(cfg, m=cfg.m)
-    n = is_member(bp, m)
-    rows = [(m, n is not None, 0 if n is None else n)]
-    return Report("beatty-member", params + [("m", m)],
+def _beatty_params(ns) -> list:
+    return _base_params(ns) + [("beta", str(ns.beta))]
+
+
+def _run_generate(ns) -> Report:
+    terms = generate(BeattyParams(ns.alpha, ns.beta), ns.N)
+    rows = [(n, int(t)) for n, t in enumerate(terms.tolist(), start=1)]
+    return Report("beatty-generate", _beatty_params(ns) + [("N", ns.N)],
+                  ("n", "term"), rows)
+
+
+def _run_member(ns) -> Report:
+    n = is_member(BeattyParams(ns.alpha, ns.beta), ns.m)
+    rows = [(ns.m, n is not None, 0 if n is None else n)]
+    return Report("beatty-member", _beatty_params(ns) + [("m", ns.m)],
                   ("m", "member", "witness"), rows)
 
 
-def _run_sieve(cfg: RunConfig) -> Report:
-    (r,) = _need(cfg, q=cfg.residue)
-    grid = cfg.grid or ((10 ** 6,))
-    table = build_table(grid[-1], segment_size=cfg.segment)
-    params = [("q", r.q), ("a", r.a), ("segment", cfg.segment)]
+def _run_sieve(ns) -> Report:
+    table = build_table(ns.grid[-1], segment_size=ns.segment)
+    params = [("q", ns.q), ("a", ns.a), ("segment", ns.segment)]
+    if ns.action == "pi":
+        rows = [(x, prime_pi_ap(table, x, ns.residue)) for x in ns.grid]
+        return Report("sieve-pi", params, ("x", "count"), rows)
     rows = []
-    if cfg.action == "psi":
-        for L in grid:
-            val = chebyshev_psi_ap(table, L, r)
-            mainv = L / euler_phi(r.q)
-            rows.append((L, val, mainv, abs(val - mainv) / L))
-        return Report("sieve-psi", params, ("L", "psi", "main", "rel_dev"), rows)
-    for x in grid:
-        rows.append((x, prime_pi_ap(table, x, r)))
-    return Report("sieve-pi", params, ("x", "count"), rows)
+    for L in ns.grid:
+        val = chebyshev_psi_ap(table, L, ns.residue)
+        mainv = L / euler_phi(ns.q)
+        rows.append((L, val, mainv, abs(val - mainv) / L))
+    return Report("sieve-psi", params, ("L", "psi", "main", "rel_dev"), rows)
 
 
-def _run_count(cfg: RunConfig) -> Report:
-    (alpha, r) = _need(cfg, alpha=cfg.alpha, q=cfg.residue)
-    grid = cfg.grid or (10 ** 4, 10 ** 5, 10 ** 6)
-    bp = BeattyParams(alpha, cfg.beta)
-    cap = floor_affine(alpha, grid[-1], cfg.beta)[0]
-    table = build_table(max(r.q * cap + r.a, 100), segment_size=cfg.segment)
-    tol = cfg.tol if cfg.tol is not None else 0.03
-    rep = verify_sweep(bp, r, grid, cfg.mode, table, target=cfg.target, tol=tol)
-    params = _base_params(cfg) + [
-        ("beta", str(cfg.beta)), ("q", r.q), ("a", r.a), ("mode", cfg.mode),
-        ("target", cfg.target), ("tol", tol), ("segment", cfg.segment)]
-    for key, val in rep.observed.items():
-        params.append((key, val))
+def _run_count(ns) -> Report:
+    r = ns.residue
+    cap = floor_affine(ns.alpha, ns.grid[-1], ns.beta)[0]
+    table = build_table(max(r.q * cap + r.a, 100), segment_size=ns.segment)
+    rep = verify_sweep(BeattyParams(ns.alpha, ns.beta), r, ns.grid, ns.mode,
+                       table, target=ns.target, tol=ns.tol)
+    params = _beatty_params(ns) + [
+        ("q", r.q), ("a", r.a), ("mode", ns.mode), ("target", ns.target),
+        ("tol", ns.tol), ("segment", ns.segment)]
+    params.extend(rep.observed.items())
     rows = [(row.N, row.lhs, row.main, row.abs_err, row.rel_err)
             for row in rep.rows]
     return Report("count-sweep", params,
@@ -340,103 +263,144 @@ def _run_count(cfg: RunConfig) -> Report:
                   rows, verdict=rep.passed)
 
 
-def _expsum_table(cfg: RunConfig, limit: int):
-    return build_table(max(limit, 100), segment_size=cfg.segment)
+def _expsum_params(ns) -> list:
+    return _base_params(ns) + [("q", ns.q), ("a", ns.a), ("M", ns.M)]
 
 
-def _run_expsum(cfg: RunConfig) -> Report:
-    (alpha, r) = _need(cfg, alpha=cfg.alpha, q=cfg.residue)
-    (M,) = _need(cfg, M=cfg.M)
-    params = _base_params(cfg) + [("q", r.q), ("a", r.a), ("M", M)]
-    if cfg.action == "eval":
-        K = cfg.K if cfg.K is not None else 8
-        table = _expsum_table(cfg, r.q * M + r.a)
-        ns = np.arange(1, M + 1, dtype=np.int64)
-        lam_sum = math.fsum(table.mangoldt_values(r.q * ns + r.a).tolist())
-        rows = []
-        for k in range(1, K + 1):
-            s = exp_sum_shifted(table, M, r, alpha, k)
-            ratio = abs(s) / lam_sum if lam_sum else 0.0
-            rows.append((k, s.real, s.imag, abs(s), lam_sum, ratio))
-        return Report("expsum-eval", params + [("K", K)],
-                      ("k", "re", "im", "abs", "bound", "ratio"), rows)
-    if cfg.action == "identity-check":
-        if cfg.k == 0:
-            raise UsageError("--k: must be nonzero")
-        table = _expsum_table(cfg, r.q * M + r.a)
-        chk = substitution_identity_check(table, M, r, alpha, cfg.k)
-        tol = cfg.tol if cfg.tol is not None else 1e-9
-        rows = [(cfg.k, chk.lhs.real, chk.lhs.imag, chk.rhs.real, chk.rhs.imag,
-                 chk.residual, chk.relative)]
-        return Report("expsum-identity-check", params + [("tol", tol)],
-                      ("k", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-                       "residual", "relative"),
-                      rows, verdict=chk.relative <= tol)
-    # bound-ratio: progression sum over n <= M against the generic bound
-    if cfg.k == 0:
-        raise UsageError("--k: must be nonzero")
-    theta = (alpha * cfg.k) / r.q
-    table = _expsum_table(cfg, M)
-    rows_raw = bound_ratio_sweep(table, M, r, theta, max_den=cfg.den_max)
+def _run_eval(ns) -> Report:
+    r, M = ns.residue, ns.M
+    table = build_table(max(r.q * M + r.a, 100), segment_size=ns.segment)
+    idx = np.arange(1, M + 1, dtype=np.int64)
+    lam_sum = float(lambda_units(table.mangoldt_values(r.q * idx + r.a))) \
+        * 2.0 ** -53
+    rows = []
+    for k in range(1, ns.K + 1):
+        s = exp_sum_shifted(table, M, r, ns.alpha, k)
+        ratio = abs(s) / lam_sum if lam_sum else 0.0
+        rows.append((k, s.real, s.imag, abs(s), lam_sum, ratio))
+    return Report("expsum-eval", _expsum_params(ns) + [("K", ns.K)],
+                  ("k", "re", "im", "abs", "bound", "ratio"), rows)
+
+
+def _run_identity_check(ns) -> Report:
+    r, k = ns.residue, ns.k
+    table = build_table(max(r.q * ns.M + r.a, 100), segment_size=ns.segment)
+    chk = substitution_identity_check(table, ns.M, r, ns.alpha, k)
+    rows = [(k, chk.lhs.real, chk.lhs.imag, chk.rhs.real, chk.rhs.imag,
+             chk.residual, chk.relative)]
+    return Report("expsum-identity-check", _expsum_params(ns) + [("tol", ns.tol)],
+                  ("k", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+                   "residual", "relative"),
+                  rows, verdict=chk.relative <= ns.tol)
+
+
+def _run_bound_ratio(ns) -> Report:
+    # progression sum over n <= M against the generic bound
+    theta = (ns.alpha * ns.k) / ns.q
+    table = build_table(max(ns.M, 100), segment_size=ns.segment)
+    rows_raw = bound_ratio_sweep(table, ns.M, ns.residue, theta,
+                                 max_den=ns.den_max)
     rows = [(row.den, row.num, row.abs_sum, row.bound, row.ratio,
              row.hypothesis_ok) for row in rows_raw]
     best = min(rows_raw, key=lambda row: row.bound)
     return Report("expsum-bound-ratio",
-                  params + [("k", cfg.k), ("min_bound_den", best.den)],
+                  _expsum_params(ns) + [("k", ns.k), ("min_bound_den", best.den)],
                   ("den", "num", "abs", "bound", "ratio", "hyp_ok"), rows)
 
 
-def _run_psi_delta(cfg: RunConfig) -> Report:
-    (alpha,) = _need(cfg, alpha=cfg.alpha)
-    gamma = float(alpha)
-    if cfg.delta is None:
-        raise UsageError("--delta is required for psi-delta inspect")
-    K = cfg.K if cfg.K is not None else 64
-    pd = build_psi_delta(gamma, float(cfg.delta), K)
-    bounds = pd.coefficient_bounds()
-    rows = []
-    worst = 0.0
-    for i in range(K):
-        mag = abs(pd.g[i])
-        ratio = mag / bounds[i]
-        worst = max(worst, ratio)
-        rows.append((i + 1, pd.g[i].real, pd.g[i].imag, mag, bounds[i], ratio))
-    params = _base_params(cfg) + [
-        ("delta", float(cfg.delta)), ("K", K), ("mean", pd.mean),
+def _run_psi_delta(ns) -> Report:
+    gamma = float(ns.alpha)
+    if not 0.0 < gamma < 1.0:
+        raise UsageError("--alpha: psi-delta needs 0 < alpha < 1")
+    pd = build_psi_delta(gamma, float(ns.delta), ns.K)
+    g, bounds = pd.g, pd.coefficient_bounds()
+    rows = [(i + 1, g[i].real, g[i].imag, abs(g[i]), bounds[i],
+             abs(g[i]) / bounds[i]) for i in range(ns.K)]
+    params = _base_params(ns) + [
+        ("delta", float(ns.delta)), ("K", ns.K), ("mean", pd.mean),
         ("tail_bound", pd.tail_bound())]
     return Report("psi-delta", params,
                   ("k", "g_re", "g_im", "abs", "bound", "ratio"),
-                  rows, verdict=worst <= 1.0 + 1e-12)
+                  rows, verdict=max(row[-1] for row in rows) <= 1.0 + 1e-12)
 
 
-def _run_discrepancy(cfg: RunConfig) -> Report:
-    (alpha, M) = _need(cfg, alpha=cfg.alpha, M=cfg.M)
-    shift = cfg.delta if cfg.delta is not None else Fraction(0)
-    D = discrepancy_beatty(alpha, shift, M)
-    expo = decay_exponent(D, M)
-    params = _base_params(cfg) + [("delta", str(shift)), ("M", M)]
-    rows = [(M, D, expo)]
-    return Report("discrepancy", params, ("M", "D", "exponent"), rows)
+def _run_discrepancy(ns) -> Report:
+    D = discrepancy_beatty(ns.alpha, ns.delta, ns.M)
+    params = _base_params(ns) + [("delta", str(ns.delta)), ("M", ns.M)]
+    return Report("discrepancy", params, ("M", "D", "exponent"),
+                  [(ns.M, D, decay_exponent(D, ns.M))])
 
 
-_RUNNERS = {
-    "cfrac": _run_cfrac,
-    "type-estimate": _run_type_estimate,
-    "beatty": _run_beatty,
-    "sieve": _run_sieve,
-    "count": _run_count,
-    "expsum": _run_expsum,
-    "psi-delta": _run_psi_delta,
-    "discrepancy": _run_discrepancy,
-}
+# -- grammar ---------------------------------------------------------------
+
+def build_parser() -> _Parser:
+    p = _Parser(prog="beattykit", description=__doc__)
+    cmd = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    _command(cmd, "cfrac", _run_cfrac, "continued fraction of --alpha",
+             "alpha precision K", K={"default": 8})
+    _command(cmd, "type-estimate", _run_type_estimate,
+             "finite-depth irrationality-type estimate", "alpha precision K",
+             K={"help": "expansion depth (default: until q_K >= 1e6)"})
+    beatty = _actions(cmd, "beatty", "the Beatty sequence floor(alpha*n + beta)")
+    _command(beatty, "generate", _run_generate,
+             "terms floor(alpha*n + beta) for n <= --N", "alpha precision beta N")
+    _command(beatty, "member", _run_member,
+             "membership + witness for a single --m", "alpha precision beta m")
+    sieve = _actions(cmd, "sieve", "Chebyshev psi / prime counts in a progression")
+    for name in ("psi", "pi"):
+        _command(sieve, name, _run_sieve, f"{name}(L; q, a) at each --grid value",
+                 "q a grid segment", grid={"default": (10 ** 6,)})
+    count = _actions(cmd, "count", "counting sums along a Beatty sequence")
+    _command(count, "sweep", _run_count,
+             "S/T/N/M counting sums vs main term over an --grid",
+             "alpha precision beta q a grid mode target tol segment",
+             grid={"default": (10 ** 4, 10 ** 5, 10 ** 6)}, tol={"default": 0.03})
+    expsum = _actions(cmd, "expsum", "exponential sums over primes")
+    _command(expsum, "eval", _run_eval, "shifted exponential sums for k = 1..K",
+             "alpha precision q a M K segment", K={"default": 8})
+    _command(expsum, "identity-check", _run_identity_check,
+             "reindexing identity residual (PASS/FAIL)",
+             "alpha precision q a M k tol segment", tol={"default": 1e-9})
+    _command(expsum, "bound-ratio", _run_bound_ratio,
+             "progression-sum bound sweep over denominators",
+             "alpha precision q a M k den-max segment",
+             M={"type": _at_least(3)})
+    psi_delta = _actions(cmd, "psi-delta", "the smoothed indicator of [0, alpha)")
+    _command(psi_delta, "inspect", _run_psi_delta,
+             "smoothed-indicator coefficients vs their bound",
+             "alpha precision delta K", K={"default": 64})
+    _command(cmd, "discrepancy", _run_discrepancy,
+             "extreme discrepancy of {gamma*m + delta}", "alpha precision delta M",
+             delta={"required": False, "default": Fraction(0),
+                    "help": "shift in {gamma*m + delta}" + _DEFAULT})
+    return p
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse a command line; the runner is ns.run.  After argparse, --alpha
+    is read at --precision bits and --q/--a become ns.residue."""
+    ns = build_parser().parse_args(list(argv))
+    if "alpha" in ns:
+        ns.alpha_text = ns.alpha
+        try:
+            ns.alpha = parse_irrational(ns.alpha, default_bits=ns.precision)
+        except BeattyKitError as exc:
+            raise UsageError(f"--alpha: {exc}")
+    if "q" in ns:
+        if not 0 <= ns.a < ns.q:
+            raise UsageError("--a: need 0 <= a < q")
+        if math.gcd(ns.a, ns.q) != 1:
+            raise UsageError(f"--q/--a: gcd({ns.a}, {ns.q}) != 1")
+        ns.residue = ResidueClass(ns.a, ns.q)
+    return ns
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
-        report = _RUNNERS[cfg.command](cfg)
-        emit_report(report, cfg.out, cfg.format)
+        ns = parse_args(argv)
+        report = ns.run(ns)
+        emit_report(report, ns.out, ns.format)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -446,9 +410,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    if report.verdict is False:
-        return 2
-    return 0
+    return 2 if report.verdict is False else 0
 
 
 if __name__ == "__main__":

@@ -14,15 +14,9 @@ heuristic being that a fraction 1/alpha of all m survive the Beatty
 membership sieve.  Densities q/phi(q) (for S) and 1/phi(q) (for T) give the
 cruder closed-form predictions.
 
-Every sum is exact until one final rounding.  A table's Lambda values are
-doubles log p with log 2 <= log p < 2**6: log p >= log 2 > 1/2 makes each a
-multiple of 2**-53, so Lambda * 2**53 is an integer below 2**59 and fits an
-int64.  Such integers are summed in two limbs below 2**30 each, so a
-segment's int64 limb sums could overflow only past 2**33 values, and the
-integer total is rounded once, float(total) * 2**-53: the correctly
-rounded sum of the exact values.  Equal multisets of terms thus give
-bit-identical totals however the index set is ordered or cut (Demmel and
-Nguyen, ARITH 2013).
+Every sum is exact until one final rounding: Lambda values are summed as
+integer counts of 2**-53 (sieve.lambda_units), so equal multisets of terms
+give bit-identical totals however the index set is ordered or cut.
 """
 
 from __future__ import annotations
@@ -35,13 +29,12 @@ import numpy as np
 
 from .beatty import BeattyParams, generate
 from .irrational import floor_affine
-from .sieve import MangoldtTable, ResidueClass, euler_phi
+from .sieve import MangoldtTable, ResidueClass, euler_phi, lambda_units
 
 __all__ = ["SweepRow", "VerificationReport", "beatty_sums", "main_terms",
            "density_prediction", "verify_sweep", "MODES"]
 
 MODES = ("S", "T", "N", "M")
-_LIMB = 30
 
 
 def _checked_grid(grid, mode: str) -> list:
@@ -74,9 +67,7 @@ def _prefix_sums(values: np.ndarray, r: ResidueClass, mode: str,
             total += int(np.count_nonzero(table.is_prime[seg]))
             out.append(float(total))
             continue
-        fixed = (table.mangoldt_values(seg) * 2.0 ** 53).astype(np.int64)
-        total += (int((fixed >> _LIMB).sum()) << _LIMB) + \
-            int((fixed & ((1 << _LIMB) - 1)).sum())
+        total += lambda_units(table.mangoldt_values(seg))
         out.append(float(total) * 2.0 ** -53)
     return out
 

@@ -3,10 +3,17 @@
 build_table walks [2, limit] in fixed-size segments, so the working set
 during construction is O(sqrt(limit) + segment); the outputs (a primality
 bitmap and the sorted list of prime-power records) are what they are.  All
-log values are taken once per record with math.log and every sum is
-accumulated with math.fsum, which is exactly rounded and therefore
-independent of segment size and summation order: rebuilding a table with a
-different segment gives bit-identical results.
+log values are taken once per record with math.log; rebuilding a table
+with a different segment gives bit-identical records.
+
+Sums of Lambda values are exact until one final rounding (lambda_units).
+Each value is a double log p with log 2 <= log p < 2**6: log p >= log 2 >
+1/2 makes it a multiple of 2**-53, so Lambda * 2**53 is an integer below
+2**59 and fits an int64.  Such integers are summed in two limbs below 2**30
+each, so the int64 limb sums could overflow only past 2**33 values, and
+float(units) * 2**-53 is the correctly rounded sum of the exact values.
+Equal multisets of values thus give bit-identical totals however they are
+ordered or cut (Demmel and Nguyen, ARITH 2013).
 """
 
 from __future__ import annotations
@@ -20,10 +27,12 @@ import numpy as np
 from .errors import LimitTooLarge, TableTooSmall
 
 __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
-           "prime_pi_ap", "euler_phi", "DEFAULT_SEGMENT", "MAX_LIMIT"]
+           "prime_pi_ap", "euler_phi", "lambda_units", "DEFAULT_SEGMENT",
+           "MAX_LIMIT"]
 
 DEFAULT_SEGMENT = 1 << 20
 MAX_LIMIT = 300_000_000  # keeps the bitmap plus records well under a GB
+_LIMB = 30
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,14 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
     return MangoldtTable(limit, segment_size, is_prime, power, base, log_base)
 
 
+def lambda_units(values: np.ndarray) -> int:
+    """The exact sum of an array of Lambda values (each 0 or a table's
+    log p), as an integer count of 2**-53; see the module docstring."""
+    fixed = (values * 2.0 ** 53).astype(np.int64)
+    return (int((fixed >> _LIMB).sum()) << _LIMB) + \
+        int((fixed & ((1 << _LIMB) - 1)).sum())
+
+
 def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
     """psi(L; q, a): sum of Lambda(n) over n <= L with n congruent to a mod q."""
     a, q = _split_class(r)
@@ -149,8 +166,7 @@ def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
     if L < 2:
         return 0.0
     power, log_base = table.records_upto(L)
-    sel = power % q == a
-    return math.fsum(log_base[sel].tolist())
+    return float(lambda_units(log_base[power % q == a])) * 2.0 ** -53
 
 
 def prime_pi_ap(table: MangoldtTable, x: int, r) -> int:

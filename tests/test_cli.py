@@ -1,76 +1,123 @@
 """Front-end contract: the flag grammar, exit codes, and deterministic
 report emission."""
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from beattykit.cli import (Report, RunConfig, main, parse_config, render,
-                           emit_report)
+from beattykit.cli import (Report, build_parser, emit_report, main,
+                           parse_args, render)
 from beattykit.errors import UsageError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+GENERATE = ["beatty", "generate", "--alpha", "sqrt:2", "--N", "3"]
+SWEEP_FLAGS = ["--alpha", "sqrt:2", "--beta", "0", "--q", "2", "--a", "1",
+               "--grid", "1e4,1e5"]
 
 
 class TestParseConfig:
-    def test_flag_only_invocation_is_valid(self):
-        cfg = parse_config(["--alpha", "sqrt:2", "--beta", "0",
-                            "--q", "2", "--a", "1", "--grid", "1e4,1e5"])
-        assert cfg.command == "count" and cfg.action == "sweep"
-        assert cfg.residue.q == 2 and cfg.residue.a == 1
-        assert cfg.grid == (10_000, 100_000)
-        assert cfg.beta == 0
-
     def test_non_coprime_class_rejected(self):
         with pytest.raises(UsageError, match="--q/--a"):
-            parse_config(["--q", "4", "--a", "2"])
+            parse_args(["sieve", "psi", "--q", "4", "--a", "2"])
 
     def test_square_radicand_rejected(self):
         with pytest.raises(UsageError, match="--alpha"):
-            parse_config(["--alpha", "sqrt:4"])
+            parse_args(["cfrac", "--alpha", "sqrt:4"])
 
     def test_partial_residue_rejected(self):
-        with pytest.raises(UsageError, match="--q/--a"):
-            parse_config(["--q", "3"])
+        with pytest.raises(UsageError, match="required: --a"):
+            parse_args(["sieve", "psi", "--q", "3"])
 
     def test_grid_must_ascend(self):
+        pi = ["sieve", "pi", "--q", "3", "--a", "1", "--grid"]
         with pytest.raises(UsageError, match="--grid"):
-            parse_config(["--grid", "100,100"])
+            parse_args(pi + ["100,100"])
         with pytest.raises(UsageError, match="--grid"):
-            parse_config(["--grid", "1000,10"])
+            parse_args(pi + ["1000,10"])
 
     def test_grid_budget(self):
         with pytest.raises(UsageError, match="--grid"):
-            parse_config(["--grid", "1e9"])
+            parse_args(["sieve", "pi", "--q", "3", "--a", "1", "--grid", "1e9"])
 
     def test_unknown_command_and_action(self):
         with pytest.raises(UsageError):
-            parse_config(["orbit"])
+            parse_args(["orbit"])
         with pytest.raises(UsageError):
-            parse_config(["beatty", "frobnicate"])
+            parse_args(["beatty", "frobnicate"])
         with pytest.raises(UsageError):
-            parse_config(["cfrac", "extra"])
+            parse_args(["cfrac", "extra", "--alpha", "sqrt:2"])
 
     def test_bad_beta_and_delta(self):
         with pytest.raises(UsageError, match="--beta"):
-            parse_config(["--beta", "x"])
+            parse_args(GENERATE + ["--beta", "x"])
         with pytest.raises(UsageError, match="--delta"):
-            parse_config(["--delta", "1/0"])
+            parse_args(["discrepancy", "--alpha", "sqrt:2", "--M", "10",
+                        "--delta", "1/0"])
 
     def test_fractional_beta_forms(self):
-        assert parse_config(["--beta", "0.3"]).beta.denominator == 10
+        assert parse_args(GENERATE + ["--beta", "0.3"]).beta.denominator == 10
         # negative fractions need the = form to get past argparse
-        assert parse_config(["--beta=-17/10"]).beta.denominator == 10
+        assert parse_args(GENERATE + ["--beta=-17/10"]).beta.denominator == 10
 
     def test_precision_flows_into_decimals(self):
-        cfg = parse_config(["--alpha", "dec:0.3", "--precision", "64"])
-        lo, hi = cfg.alpha.interval()
+        ns = parse_args(["cfrac", "--alpha", "dec:0.3", "--precision", "64"])
+        lo, hi = ns.alpha.interval()
         assert 0 < hi - lo <= 2.0 ** -60
         with pytest.raises(UsageError, match="--precision"):
-            parse_config(["--precision", "8"])
+            parse_args(["cfrac", "--alpha", "sqrt:2", "--precision", "8"])
 
-    def test_defaults_recorded(self):
-        cfg = parse_config([])
-        assert isinstance(cfg, RunConfig)
-        assert cfg.mode == "S" and cfg.format == "csv" and cfg.k == 1
+    def test_both_words_and_only_own_flags(self):
+        ns = parse_args(["count", "sweep"] + SWEEP_FLAGS)
+        assert ns.command == "count" and ns.action == "sweep"
+        assert ns.residue.q == 2 and ns.residue.a == 1
+        assert ns.grid == (10_000, 100_000)
+        assert ns.beta == 0
+        with pytest.raises(UsageError):     # a bare flag list
+            parse_args(SWEEP_FLAGS)
+        with pytest.raises(UsageError, match="ACTION"):
+            parse_args(["count"] + SWEEP_FLAGS)
+        with pytest.raises(UsageError, match="--mode"):
+            parse_args(["cfrac", "--alpha", "sqrt:2", "--K", "4",
+                        "--mode", "T"])
+
+    def test_per_command_defaults(self):
+        ns = parse_args(["count", "sweep", "--alpha", "sqrt:2",
+                         "--q", "2", "--a", "1"])
+        assert ns.mode == "S" and ns.target == "main" and ns.tol == 0.03
+        assert ns.grid == (10 ** 4, 10 ** 5, 10 ** 6)
+        assert ns.format == "csv" and ns.out is None
+        ns = parse_args(["expsum", "identity-check", "--alpha", "sqrt:2",
+                         "--q", "3", "--a", "1", "--M", "10"])
+        assert ns.tol == 1e-9 and ns.k == 1
+        ns = parse_args(["psi-delta", "inspect", "--alpha", "dec:0.5",
+                         "--delta", "0.05"])
+        assert ns.K == 64
+        assert parse_args(["cfrac", "--alpha", "sqrt:2"]).K == 8
+        assert parse_args(["type-estimate", "--alpha", "sqrt:2"]).K is None
+        assert parse_args(["sieve", "psi", "--q", "3", "--a", "1"]).grid == \
+            (10 ** 6,)
+
+    def test_each_command_declares_only_its_flags(self):
+        def walk(parser, path):
+            subs = [act for act in parser._actions
+                    if isinstance(act, argparse._SubParsersAction)]
+            if not subs:
+                yield path, [opt for act in parser._actions
+                             for opt in act.option_strings
+                             if opt not in ("-h", "--help")]
+            for act in subs:
+                for name, sub in act.choices.items():
+                    yield from walk(sub, path + (name,))
+
+        paths = dict(walk(build_parser(), ()))
+        assert len(paths) == 12
+        assert sum(len(flags) for flags in paths.values()) <= 87
+        assert sorted(paths[("cfrac",)]) == [
+            "--K", "--alpha", "--format", "--out", "--precision"]
 
 
 class TestExitCodes:
@@ -166,3 +213,43 @@ def test_psi_delta_inspect_verdict(capsys):
                  "--delta", "0.05", "--K", "16"])
     assert code == 0
     assert "verdict=PASS" in capsys.readouterr().out
+
+
+BAD_VALUES = [
+    (["psi-delta", "inspect", "--alpha", "sqrt:2", "--delta", "0.01"],
+     "--alpha"),
+    (["beatty", "generate", "--alpha", "sqrt:2", "--N=-3"], "--N"),
+    (["discrepancy", "--alpha", "sqrt:2", "--M", "0"], "--M"),
+    (["expsum", "bound-ratio", "--alpha", "sqrt:2", "--q", "5", "--a", "2",
+      "--M", "1"], "--M"),
+    (["expsum", "bound-ratio", "--alpha", "sqrt:2", "--q", "5", "--a", "2",
+      "--M", "100", "--den-max", "0"], "--den-max"),
+    (["count", "sweep", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
+      "--grid", "inf"], "--grid"),
+    (["expsum", "identity-check", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
+      "--M", "10", "--k", "0"], "--k"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_VALUES,
+                         ids=[" ".join(argv[:2]) + " " + flag
+                              for argv, flag in BAD_VALUES])
+def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert flag in err
+    assert "Traceback" not in err
+
+
+def _readme_examples():
+    text = README.read_text()
+    block = text[text.index("## Command line"):]
+    block = block[:block.index("\n## ", 1)]
+    return re.findall(r"^beattykit (.+)$", block, flags=re.M)
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)) == 0

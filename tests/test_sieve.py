@@ -10,7 +10,7 @@ import sympy
 from beattykit.errors import LimitTooLarge, TableTooSmall
 from beattykit.sieve import (MAX_LIMIT, MangoldtTable, ResidueClass,
                              build_table, chebyshev_psi_ap, euler_phi,
-                             prime_pi_ap)
+                             lambda_units, prime_pi_ap)
 
 
 def mangoldt_trial(n: int) -> float:
@@ -122,13 +122,32 @@ def test_segment_size_independence():
 
 
 def test_log_base_is_an_integer_multiple_of_2_pow_minus_53():
-    # counting sums Lambda exactly as int64 multiples of 2**-53: every log p
+    # lambda_units sums Lambda exactly as int64 multiples of 2**-53: every log p
     # is >= log 2 > 1/2, so a multiple of 2**-53, and stays below 2**6
     t = build_table(1_000_000)
     fixed = t.log_base * 2.0 ** 53
     assert np.array_equal(fixed, np.floor(fixed))
     assert fixed.max() < 2 ** 59
     assert math.log(MAX_LIMIT) < 2 ** 6
+
+
+def test_lambda_units_is_fsum_exactly():
+    # one rounding of the exact integer total gives math.fsum's result
+    t = build_table(2_000_000)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        q = int(rng.integers(1, 41))
+        a = int(rng.integers(0, q))
+        power, log_base = t.records_upto(int(rng.integers(2, 2_000_001)))
+        lam = log_base[power % q == a]
+        want = math.fsum(lam.tolist())
+        assert float(lambda_units(lam)) * 2.0 ** -53 == want
+        assert chebyshev_psi_ap(t, int(power[-1]), (a, q)) == want
+    # the bound of `expsum eval --q 3 --a 1 --M 5000`, as math.fsum gave it
+    ns = np.arange(1, 5001, dtype=np.int64)
+    units = lambda_units(t.mangoldt_values(3 * ns + 1))
+    assert (float(units) * 2.0 ** -53).hex() == "0x1.d1efecacd87f6p+12"
+    assert lambda_units(np.zeros(0)) == 0
 
 
 def test_residue_class_validation():
