@@ -173,8 +173,10 @@ def render(report: Report, fmt: str) -> str:
     if report.verdict is not None:
         lines.append(f"# verdict={'PASS' if report.verdict else 'FAIL'}")
     lines.append(",".join(report.columns))
-    for row in report.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # column by column: plain ints (most cells of large reports) skip _fmt
+    cols = ([str(v) if type(v) is int else _fmt(v) for v in col]
+            for col in zip(*report.rows))
+    lines.extend(map(",".join, zip(*cols)))
     return "\n".join(lines) + "\n"
 
 

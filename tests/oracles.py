@@ -3,11 +3,13 @@
 They are slow and simple on purpose, and the package does not use them.
 """
 
+import decimal
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from beattykit.cli import _fmt
 from beattykit.expsum import _validated
 from beattykit.irrational import floor_affine
 
@@ -131,3 +133,24 @@ def oracle_main(p, r, N, mode, table):
     M = floor_affine(p.alpha, N, p.beta)[0]
     return float(p.gamma) * math.fsum(oracle_weight(m, r, mode, table)
                                       for m in range(1, M + 1))
+
+
+# -- Lambda values: the correctly rounded natural log ------------------------
+
+def log_correctly_rounded(n: int) -> float:
+    """The double nearest ln n for 2 <= n < 2**29, from decimal's 50-digit
+    ln (within 10**-48 of ln n < 21); asserts that this decides it."""
+    ln = decimal.Context(prec=50).ln(decimal.Decimal(n))
+    y = float(ln)
+    lo, hi = ((Fraction(y) + Fraction(math.nextafter(y, to))) / 2
+              for to in (0.0, math.inf))
+    rad = Fraction(1, 10 ** 48)
+    assert lo < Fraction(ln) - rad and Fraction(ln) + rad < hi, n
+    return y
+
+
+# -- reports: the per-cell CSV rendering -------------------------------------
+
+def csv_rows_per_cell(report) -> list:
+    """The CSV data lines of a report, one _fmt call per cell."""
+    return [",".join(_fmt(v) for v in row) for row in report.rows]

@@ -5,15 +5,21 @@ import argparse
 import json
 import re
 import shlex
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beattykit.cli import (Report, build_parser, emit_report, main,
                            parse_args, render)
 from beattykit.errors import UsageError
+from oracles import csv_rows_per_cell
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GENERATE = ["beatty", "generate", "--alpha", "sqrt:2", "--N", "3"]
 SWEEP_FLAGS = ["--alpha", "sqrt:2", "--beta", "0", "--q", "2", "--a", "1",
                "--grid", "1e4,1e5"]
@@ -192,6 +198,19 @@ class TestEmission:
         assert "# x=0.333333333333" in text
         assert "0.666666666667" in text
 
+    def test_columns_render_as_cells(self):
+        cells = [(7, -3, 2 ** 70, 0, 1, -1), (True, False, True, False, True, True),
+                 (np.int64(-5), np.int32(9), np.uint8(200), np.int64(0), 4, 5),
+                 (1 / 3, -0.0, 1e300, np.float64(2 / 3), np.float32(0.1), 2.5),
+                 ("x", Fraction(1, 3), np.bool_(True), "", "a b", None)]
+        rows = list(zip(*cells))
+        rep = Report("mixed", [("k", 1)], tuple("abcde"), rows)
+        lines = render(rep, "csv").splitlines()
+        assert lines[3:] == csv_rows_per_cell(rep)
+        assert lines[3] == "7,true,-5,0.333333333333,x"
+        empty = Report("mixed", [], ("a", "b"), [])
+        assert render(empty, "csv") == "# beattykit mixed\na,b\n"
+
     def test_emit_to_stdout(self, capsys):
         rep = Report("demo", [], ("v",), [(1,)], verdict=True)
         emit_report(rep, None)
@@ -253,3 +272,26 @@ def _readme_examples():
 def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(line)) == 0
+
+
+def test_import_loads_no_fallback_module():
+    # mpmath and sympy stay unloaded; decimal is loaded by the stdlib's
+    # fractions, so no beattykit module may hold it or a name from it
+    code = f"""if True:
+        import json, sys, types
+        sys.path.insert(0, {str(SRC)!r})
+        import beattykit.cli
+        def origin(v):
+            if isinstance(v, types.ModuleType):
+                return v.__name__
+            return getattr(v, "__module__", None) or ""
+        held = sorted(f"{{name}}.{{k}}" for name, mod in list(sys.modules.items())
+                      if name.startswith("beattykit")
+                      for k, v in vars(mod).items()
+                      if origin(v).split(".")[0] in ("decimal", "mpmath", "sympy"))
+        print(json.dumps([held, sorted(
+            m for m in ("mpmath", "sympy") if m in sys.modules)]))
+    """
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [[], []]

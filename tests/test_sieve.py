@@ -1,16 +1,28 @@
 """Prime-power table construction against trial division, partition
 identities, and the arithmetic-progression summaries."""
 
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from beattykit.errors import LimitTooLarge, TableTooSmall
+from beattykit import sieve
+from beattykit.errors import LimitTooLarge, PrecisionExhausted, TableTooSmall
 from beattykit.sieve import (MAX_LIMIT, MangoldtTable, ResidueClass,
                              build_table, chebyshev_psi_ap, euler_phi,
                              lambda_units, prime_pi_ap)
+from oracles import log_correctly_rounded
+
+# the primes up to 5e6 whose glibc math.log is not the correctly rounded log
+LIBM_MISSES = [351497, 664679, 1070557, 1243783, 1908407, 1959253, 2784043,
+               2896763, 2916841, 3555509, 3590099, 3828053, 4290469, 4595263]
+# primes below MAX_LIMIT whose fast log lies within the guard band of a
+# rounding midpoint (all 5 of them, found by a scan of the 16.3e6 primes)
+GUARD_BAND_PRIMES = [14821333, 15594037, 94138783, 244178999, 286146017]
 
 
 def mangoldt_trial(n: int) -> float:
@@ -21,8 +33,8 @@ def mangoldt_trial(n: int) -> float:
         if n % p == 0:
             while n % p == 0:
                 n //= p
-            return math.log(p) if n == 1 else 0.0
-    return math.log(n)
+            return log_correctly_rounded(p) if n == 1 else 0.0
+    return log_correctly_rounded(n)
 
 
 def test_small_table_frozen():
@@ -47,7 +59,7 @@ def test_mangoldt_against_trial_division():
         if want == 0.0:
             assert vals[n] == 0.0, n
         else:
-            # both sides are math.log(p); bitwise equal by construction
+            # the table's log p is the correctly rounded one: bitwise equal
             assert vals[n] == want, n
 
 
@@ -129,6 +141,7 @@ def test_log_base_is_an_integer_multiple_of_2_pow_minus_53():
     assert np.array_equal(fixed, np.floor(fixed))
     assert fixed.max() < 2 ** 59
     assert math.log(MAX_LIMIT) < 2 ** 6
+    assert MAX_LIMIT < 2 ** 29  # the domain of the log kernel
 
 
 def test_lambda_units_is_fsum_exactly():
@@ -195,3 +208,87 @@ def test_mangoldt_values_clamps_small_arguments():
     assert vals[0] == 0.0 and vals[1] == 0.0
     assert vals[2] == math.log(2)
     assert vals[3] == math.log(7)
+
+
+# -- the correctly rounded log ----------------------------------------------
+
+def test_log_is_correctly_rounded_where_libm_misses():
+    t = build_table(LIBM_MISSES[-1])
+    got = t.mangoldt_values(np.array(LIBM_MISSES, np.int64))
+    assert got.tolist() == [log_correctly_rounded(p) for p in LIBM_MISSES]
+
+
+def test_every_record_to_1e5_is_correctly_rounded():
+    t = build_table(100_000)
+    want = {p: log_correctly_rounded(p) for p in t.primes.tolist()}
+    assert t.log_base.tolist() == [want[p] for p in t.base.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, MAX_LIMIT - 200), min_size=1, max_size=8))
+def test_log_of_primes_below_max_limit_is_correctly_rounded(starts):
+    ps = sorted({sympy.nextprime(n) for n in starts})
+    assert ps[-1] < MAX_LIMIT
+    got = sieve._log_primes(np.array(ps, np.int64))
+    assert got.tolist() == [log_correctly_rounded(p) for p in ps]
+
+
+def test_guard_band_sends_its_primes_to_the_exact_path():
+    # each of these lies within 2**-70 (the guard) of a rounding midpoint,
+    # so the fast path must not decide it; with no guard band this fails
+    ps = np.array(GUARD_BAND_PRIMES, np.int64)
+    _, undecided = sieve._log_block(ps.astype(np.float64))
+    assert undecided.all()
+    assert sieve._log_primes(ps).tolist() == [log_correctly_rounded(p)
+                                              for p in GUARD_BAND_PRIMES]
+
+
+def test_exact_path_agrees_with_the_fast_path(monkeypatch):
+    fast = build_table(3000)
+    monkeypatch.setattr(sieve, "_LOG_GUARD", 1.0)  # every value undecided
+    slow = build_table(3000)
+    assert slow.log_base.tobytes() == fast.log_base.tobytes()
+
+
+def test_exact_path_refuses_when_precision_runs_out(monkeypatch):
+    monkeypatch.setattr(sieve, "_LOG_GUARD", 1.0)
+    monkeypatch.setattr(sieve, "_LN_DIGITS", (8, 12))
+    with pytest.raises(PrecisionExhausted):
+        build_table(10)
+
+
+def test_log_kernel_domain():
+    for bad in ([1], [2, 1 << 29]):
+        with pytest.raises(ValueError):
+            sieve._log_primes(np.array(bad, np.int64))
+    assert sieve._log_primes(np.array([(1 << 29) - 3], np.int64))[0] == \
+        log_correctly_rounded((1 << 29) - 3)
+
+
+def test_log_table_constants_against_decimal():
+    ctx = decimal.Context(prec=60)
+    ln2 = Fraction(ctx.ln(decimal.Decimal(2)))
+    hi, lo = sieve._LN2_HI, sieve._LN2_LO
+    assert Fraction(hi).denominator <= 2 ** 21  # k * hi exact for k < 2**5
+    assert lo == float(ln2 - Fraction(hi))
+    assert abs(ln2 - Fraction(hi) - Fraction(lo)) < Fraction(17, 10 ** 26)
+    assert sieve._RECIP.size == sieve._T_HI.size == sieve._T_LO.size == 128
+    for j, c in enumerate(sieve._RECIP.tolist()):
+        assert 0.5 < c < 1 and Fraction(c).denominator <= 2 ** 21
+        # |r| = |f*c - 1| < 2**-8 over the whole bin 1 + [j, j + 1)/128
+        for f in (1 + Fraction(j, 128), 1 + Fraction(j + 1, 128)):
+            assert abs(f * Fraction(c) - 1) < Fraction(1, 256)
+        t = -Fraction(ctx.ln(decimal.Decimal(c)))  # c is dyadic: exact
+        assert sieve._T_HI[j] == float(t)
+        assert sieve._T_LO[j] == float(t - Fraction(sieve._T_HI[j]))
+
+
+def test_records_are_the_sorted_prime_powers():
+    L = 100_000
+    t = build_table(L)
+    recs = sorted((p ** k, p) for p in sympy.primerange(2, L + 1)
+                  for k in range(1, 18) if p ** k <= L)
+    assert t.power.tolist() == [n for n, _ in recs]
+    assert t.base.tolist() == [p for _, p in recs]
+    assert t.primes.dtype == np.int64
+    assert np.array_equal(t.primes, np.flatnonzero(t.is_prime))
