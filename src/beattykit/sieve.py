@@ -3,8 +3,8 @@
 build_table walks [2, limit] in fixed-size segments, so the working set
 during construction is O(sqrt(limit) + segment); the outputs (a primality
 bitmap and the sorted list of prime-power records) are what they are.  The
-about sqrt(limit)/log(limit) powers p**k, k >= 2, are merged into the prime
-array by position; rebuilding a table with a different segment gives
+few powers p**k, k >= 2 (427 up to 5e6), are merged into the prime array
+by position; rebuilding a table with a different segment gives
 bit-identical records.
 
 Each Lambda value is log p correctly rounded to a double, the same on every
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -272,7 +273,6 @@ def _log_exact(n: int) -> float:
     exact rounding midpoints; ln n is irrational, so some precision decides
     it, and PrecisionExhausted is raised past the last of _LN_DIGITS."""
     import decimal
-    from fractions import Fraction
     for digits in _LN_DIGITS:
         d = decimal.Context(prec=digits).ln(decimal.Decimal(n))
         y = float(d)
@@ -330,7 +330,8 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
         is_prime[seg_lo: seg_hi] = mask
     primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
     logs = _log_primes(primes)
-    # powers p**k, k >= 2, with the index of p, merged in by position
+    # powers p**k, k >= 2, with p's index in primes (base_primes is its
+    # head), merged in by position
     extra_n, extra_i = [], []
     for i, p in enumerate(base_primes.tolist()):
         pk = p * p

@@ -199,11 +199,12 @@ class TestEmission:
         assert "0.666666666667" in text
 
     def test_columns_render_as_cells(self):
-        cells = [(7, -3, 2 ** 70, 0, 1, -1), (True, False, True, False, True, True),
-                 (np.int64(-5), np.int32(9), np.uint8(200), np.int64(0), 4, 5),
-                 (1 / 3, -0.0, 1e300, np.float64(2 / 3), np.float32(0.1), 2.5),
-                 ("x", Fraction(1, 3), np.bool_(True), "", "a b", None)]
-        rows = list(zip(*cells))
+        columns = [(7, -3, 2 ** 70, 0, 1, -1),
+                   (True, False, True, False, True, True),
+                   (np.int64(-5), np.int32(9), np.uint8(200), np.int64(0), 4, 5),
+                   (1 / 3, -0.0, 1e300, np.float64(2 / 3), np.float32(0.1), 2.5),
+                   ("x", Fraction(1, 3), np.bool_(True), "", "a b", None)]
+        rows = list(zip(*columns))
         rep = Report("mixed", [("k", 1)], tuple("abcde"), rows)
         lines = render(rep, "csv").splitlines()
         assert lines[3:] == csv_rows_per_cell(rep)
