@@ -35,7 +35,8 @@ from .expsum import (bound_ratio_sweep, build_psi_delta, decay_exponent,
                      substitution_identity_check)
 from .irrational import cf_expand, estimate_type, floor_affine, parse_irrational
 from .sieve import (DEFAULT_SEGMENT, MAX_LIMIT, ResidueClass, build_table,
-                    chebyshev_psi_ap, euler_phi, lambda_units, prime_pi_ap)
+                    chebyshev_psi_ap, class_records, euler_phi, lambda_units,
+                    prime_pi_ap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,7 +252,8 @@ def _run_sieve(ns) -> Report:
 def _run_count(ns) -> Report:
     r = ns.residue
     cap = floor_affine(ns.alpha, ns.grid[-1], ns.beta)[0]
-    table = build_table(max(r.q * cap + r.a, 100), segment_size=ns.segment)
+    top = r.q * cap + r.a if ns.mode in ("S", "N") else cap
+    table = build_table(max(top, 100), segment_size=ns.segment)
     rep = verify_sweep(BeattyParams(ns.alpha, ns.beta), r, ns.grid, ns.mode,
                        table, target=ns.target, tol=ns.tol)
     params = _beatty_params(ns) + [
@@ -272,9 +274,8 @@ def _expsum_params(ns) -> list:
 def _run_eval(ns) -> Report:
     r, M = ns.residue, ns.M
     table = build_table(max(r.q * M + r.a, 100), segment_size=ns.segment)
-    idx = np.arange(1, M + 1, dtype=np.int64)
-    lam_sum = float(lambda_units(table.mangoldt_values(r.q * idx + r.a))) \
-        * 2.0 ** -53
+    at = class_records(table, r.q * M + r.a, r, r.a + 1)
+    lam_sum = float(lambda_units(table.log_base[at])) * 2.0 ** -53
     rows = []
     for k in range(1, ns.K + 1):
         s = exp_sum_shifted(table, M, r, ns.alpha, k)

@@ -11,7 +11,9 @@ class a mod q, all over indices n <= N and with m(n) = floor(alpha*n + beta):
 The predicted main term compares each against 1/alpha times the same
 quantity summed over all integers m <= M = floor(alpha*N + beta), the
 heuristic being that a fraction 1/alpha of all m survive the Beatty
-membership sieve.  Densities q/phi(q) (for S) and 1/phi(q) (for T) give the
+membership sieve.  That sum is psi or pi of the class a mod q, over
+a < n <= q*M + a (S, N) or n <= M (T, M), read from the table's records of
+the class.  Densities q/phi(q) (for S) and 1/phi(q) (for T) give the
 cruder closed-form predictions.
 
 Every sum is exact until one final rounding: Lambda values are summed as
@@ -29,7 +31,8 @@ import numpy as np
 
 from .beatty import BeattyParams, generate
 from .irrational import floor_affine
-from .sieve import MangoldtTable, ResidueClass, euler_phi, lambda_units
+from .sieve import (MangoldtTable, ResidueClass, class_records, euler_phi,
+                    lambda_units)
 
 __all__ = ["SweepRow", "VerificationReport", "beatty_sums", "main_terms",
            "density_prediction", "verify_sweep", "MODES"]
@@ -89,13 +92,25 @@ def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
     T: gamma * sum_{m <= M, m == a (q)} Lambda(m)
     N: gamma * #{m <= M : q m + a prime}
     M: gamma * pi(M; q, a)
+
+    Each is a sum over the class's records (its primes for N and M) up to
+    q*M + a or M, so each N of the grid is one cut into them.
     """
     grid = _checked_grid(grid, mode)
-    cuts = [max(floor_affine(params.alpha, N, params.beta)[0], 0)
-            for N in grid]
-    ms = np.arange(1, cuts[-1] + 1, dtype=np.int64)
-    gf = float(params.gamma)
-    return [gf * s for s in _prefix_sums(ms, r, mode, table, cuts)]
+    scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
+    tops = [scale * max(floor_affine(params.alpha, N, params.beta)[0], 0)
+            + shift for N in grid]
+    at = class_records(table, tops[-1], r, shift + 1)
+    ns, gf = table.power[at], float(params.gamma)
+    if mode in ("N", "M"):
+        ends = np.searchsorted(ns[table.is_prime[ns]], tops, side="right")
+        return [gf * float(e) for e in ends.tolist()]
+    lam, out, total, lo = table.log_base[at], [], 0, 0
+    for hi in np.searchsorted(ns, tops, side="right").tolist():
+        total += lambda_units(lam[lo:hi])
+        lo = hi
+        out.append(gf * (float(total) * 2.0 ** -53))
+    return out
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeltaOutOfRange, PointOutOfRange
 from .irrational import Irrational, cf_expand
-from .sieve import MangoldtTable, ResidueClass
+from .sieve import MangoldtTable, ResidueClass, class_records
 
 __all__ = ["PsiDelta", "SamplePoints", "psi_indicator", "build_psi_delta",
            "exp_sum_shifted", "exp_sum_ap", "substitution_identity_check",
@@ -122,13 +122,6 @@ def _phase_sum(weights, phases) -> complex:
     return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
-def _progression_support(table: MangoldtTable, L: int, r: ResidueClass,
-                         min_n: int):
-    power, log_base = table.records_upto(L)
-    sel = (power % r.q == r.a) & (power >= min_n)
-    return power[sel], log_base[sel]
-
-
 def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
                     gamma: Irrational, k: int) -> complex:
     """Sum of Lambda(q*m + a) e(gamma*k*m) over 1 <= m <= M."""
@@ -136,8 +129,8 @@ def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
         raise ValueError("frequency k must be nonzero")
     if M < 1:
         return 0j
-    table.require(r.q * M + r.a)
-    ns, lam = _progression_support(table, r.q * M + r.a, r, r.q + r.a)
+    at = class_records(table, r.q * M + r.a, r, r.q + r.a)
+    ns, lam = table.power[at], table.log_base[at]
     ms = (ns - r.a) // r.q
     theta = gamma * k
     return _phase_sum(lam, theta.phases_many(ms))
@@ -151,7 +144,8 @@ def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,
     if M < 2:
         table.require(max(M, 0))
         return 0j
-    ns, lam = _progression_support(table, M, r, 2)
+    at = class_records(table, M, r, 2)
+    ns, lam = table.power[at], table.log_base[at]
     theta = gamma * k
     return _phase_sum(lam, theta.phases_many(ns))
 
@@ -179,7 +173,8 @@ def substitution_identity_check(table: MangoldtTable, M: int, r: ResidueClass,
     theta = (gamma * k) / r.q
     L = r.q * M + r.a
     if M >= 1:
-        ns, lam = _progression_support(table, L, r, r.a + 1)
+        at = class_records(table, L, r, r.a + 1)
+        ns, lam = table.power[at], table.log_base[at]
         tail = _phase_sum(lam, theta.phases_many(ns))
     else:
         tail = 0j
@@ -229,9 +224,9 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
     """
     if L < 3:
         raise ValueError("L must be >= 3")
-    table.require(L)
     cap = max_den if max_den is not None else L
-    ns, lam = _progression_support(table, L, r, 2)
+    at = class_records(table, L, r, 2)
+    ns, lam = table.power[at], table.log_base[at]
     s = _phase_sum(lam, theta.phases_many(ns))
     abs_sum = abs(s)
     K = 8

@@ -8,13 +8,15 @@ by position; rebuilding a table with a different segment gives
 bit-identical records.
 
 Each Lambda value is log p correctly rounded to a double, the same on every
-platform: no libm log is called.  _log_primes evaluates log p once per
-prime with a table-driven double-double kernel (Tang, ACM TOMS 16(4), 1990)
+platform: no libm log is called.  The logs are taken when a table's
+log_base is first read, not at build, so a report that reads only the
+bitmap, the primes or the records never pays for them.  _log_primes
+evaluates log p once per record with a table-driven double-double kernel (Tang, ACM TOMS 16(4), 1990)
 of IEEE + - * / only, whose proven error is below 2**-73 (_log_block).  A
 value within the guard band _LOG_GUARD = 2**-70 of a rounding midpoint is
 decided by decimal's correctly rounded ln at growing precision, compared
 with the midpoints exactly (Ziv, ACM TOMS 17(3), 1991); PrecisionExhausted
-is raised if even that cannot decide.  Up to MAX_LIMIT, 5 of the 16.3
+is raised, at that first read, if even that cannot decide.  Up to MAX_LIMIT, 5 of the 16.3
 million primes fall in the band.
 
 Sums of Lambda values are exact until one final rounding (lambda_units).
@@ -39,8 +41,8 @@ import numpy as np
 from .errors import LimitTooLarge, PrecisionExhausted, TableTooSmall
 
 __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
-           "prime_pi_ap", "euler_phi", "lambda_units", "DEFAULT_SEGMENT",
-           "MAX_LIMIT"]
+           "class_records", "prime_pi_ap", "euler_phi", "lambda_units",
+           "DEFAULT_SEGMENT", "MAX_LIMIT"]
 
 DEFAULT_SEGMENT = 1 << 20
 MAX_LIMIT = 300_000_000  # keeps the bitmap plus records well under a GB
@@ -81,18 +83,25 @@ def _split_class(r) -> tuple:
 class MangoldtTable:
     """Primality bitmap plus sorted prime-power records for [1, limit].
 
-    Lambda(n) = log(base[i]) where power[i] == n, and 0 off the records.
+    Lambda(n) = log_base[i] = log(base[i]) where power[i] == n, and 0 off
+    the records.  log_base is computed when first read (the kernel works
+    element by element, so a power p**k gets exactly log p); that read is
+    where PrecisionExhausted surfaces.
     """
     limit: int
     segment_size: int
     is_prime: np.ndarray   # bool, indexed 0..limit
     power: np.ndarray      # int64, sorted prime powers p**k <= limit
     base: np.ndarray       # int64, the p for each record
-    log_base: np.ndarray   # float64, log p per record
 
     @cached_property
     def primes(self) -> np.ndarray:
         return np.flatnonzero(self.is_prime).astype(np.int64)
+
+    @cached_property
+    def log_base(self) -> np.ndarray:
+        """float64, log p per record, correctly rounded."""
+        return _log_primes(self.base)
 
     def require(self, n: int):
         if n > self.limit:
@@ -329,7 +338,6 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
             mask[start - seg_lo:: p] = False
         is_prime[seg_lo: seg_hi] = mask
     primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-    logs = _log_primes(primes)
     # powers p**k, k >= 2, with p's index in primes (base_primes is its
     # head), merged in by position
     extra_n, extra_i = [], []
@@ -345,8 +353,7 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
     at = np.searchsorted(primes, extra_n)
     power = np.insert(primes, at, extra_n)
     base = np.insert(primes, at, primes[extra_i])
-    log_base = np.insert(logs, at, logs[extra_i])
-    table = MangoldtTable(limit, segment_size, is_prime, power, base, log_base)
+    table = MangoldtTable(limit, segment_size, is_prime, power, base)
     table.primes = primes  # fills the cached property
     return table
 
@@ -359,14 +366,19 @@ def lambda_units(values: np.ndarray) -> int:
         int((fixed & ((1 << _LIMB) - 1)).sum())
 
 
-def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
-    """psi(L; q, a): sum of Lambda(n) over n <= L with n congruent to a mod q."""
+def class_records(table: MangoldtTable, L: int, r, min_n: int = 2) -> np.ndarray:
+    """Positions in table.power (and log_base) of the records n congruent
+    to a mod q with min_n <= n <= L, ascending."""
     a, q = _split_class(r)
     table.require(L)
-    if L < 2:
-        return 0.0
-    power, log_base = table.records_upto(L)
-    return float(lambda_units(log_base[power % q == a])) * 2.0 ** -53
+    power = table.power[:np.searchsorted(table.power, L, side="right")]
+    return np.flatnonzero((power % q == a) & (power >= min_n))
+
+
+def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
+    """psi(L; q, a): sum of Lambda(n) over n <= L with n congruent to a mod q."""
+    at = class_records(table, L, r)
+    return float(lambda_units(table.log_base[at])) * 2.0 ** -53
 
 
 def prime_pi_ap(table: MangoldtTable, x: int, r) -> int:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from beattykit.beatty import BeattyParams
-from beattykit.counting import (beatty_sums, density_prediction, main_terms,
-                                verify_sweep)
+from beattykit.counting import (MODES, beatty_sums, density_prediction,
+                                main_terms, verify_sweep)
+from beattykit.errors import TableTooSmall
 from beattykit.irrational import floor_affine, parse_irrational
 from beattykit.sieve import ResidueClass, build_table, euler_phi, prime_pi_ap
 from oracles import oracle_S, oracle_T
@@ -99,6 +100,20 @@ def test_main_term_is_scaled_progression_sum(table, sqrt2):
 def test_main_term_empty_range(table, sqrt2):
     p = BeattyParams(sqrt2, -1.7)
     assert main_terms(p, ResidueClass(1, 2), [1], "S", table)[0] == 0.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_table_built_exactly_to_the_top_value(sqrt2, mode):
+    # the largest value a mode reads is q*M + a (S, N) or M (T, M)
+    p = BeattyParams(sqrt2, 0.3)
+    r, grid = ResidueClass(3, 7), [10, 100, 1000]
+    M = floor_affine(p.alpha, grid[-1], p.beta)[0]
+    top = 7 * M + 3 if mode in ("S", "N") else M
+    exact, larger = build_table(top), build_table(2 * top)
+    for f in (beatty_sums, main_terms):
+        assert f(p, r, grid, mode, exact) == f(p, r, grid, mode, larger)
+        with pytest.raises(TableTooSmall):
+            f(p, r, grid, mode, build_table(top - 1))
 
 
 def test_density_prediction(sqrt2):

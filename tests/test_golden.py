@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from beattykit import cli, sieve
 from beattykit.beatty import BeattyParams
 from beattykit.cli import main
 from beattykit.counting import verify_sweep
 from beattykit.expsum import discrepancy_beatty
-from beattykit.irrational import parse_irrational
+from beattykit.irrational import floor_affine, parse_irrational
 from beattykit.sieve import ResidueClass, build_table, chebyshev_psi_ap
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +77,28 @@ def test_count_sweep_report_bytes(tmp_path, sweep_table, name, alpha, mode,
     assert [row.main.hex() for row in rep.rows] == pin["main"]
 
 
+def _no_logs(ns):
+    raise AssertionError("a report that reads no Lambda took logs")
+
+
+@pytest.mark.parametrize("name,alpha,mode,target", COUNT_SWEEP[:4])
+def test_count_sweep_does_only_the_work_it_reads(tmp_path, monkeypatch,
+                                                 name, alpha, mode, target):
+    # N and M read no Lambda; T and M read m(n) itself, not q*m(n) + a
+    if mode in ("N", "M"):
+        monkeypatch.setattr(sieve, "_log_primes", _no_logs)
+    limits = []
+    monkeypatch.setattr(cli, "build_table", lambda limit, **kw:
+                        limits.append(limit) or build_table(limit, **kw))
+    pin = json.loads((GOLDEN / "count_sweep_pins.json").read_text())[name]
+    out = tmp_path / name
+    assert main(["count", "sweep", "--alpha", alpha, *SWEEP, "--mode", mode,
+                 "--target", target, "--out", str(out)]) == pin["exit"]
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    cap = floor_affine(parse_irrational(alpha), GRID[-1], Fraction(1, 3))[0]
+    assert limits == [7 * cap + 1 if mode in ("S", "N") else cap]
+
+
 # every other subcommand: (golden file, expected exit code, argv)
 OTHER = [
     ("cfrac_sqrt7.csv", 0, ["cfrac", "--alpha", "sqrt:7", "--K", "12"]),
@@ -115,6 +138,14 @@ def test_subcommand_report_bytes(tmp_path, name, code, argv):
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_sieve_pi_takes_no_logs(tmp_path, monkeypatch):
+    monkeypatch.setattr(sieve, "_log_primes", _no_logs)
+    name, code, argv = next(case for case in OTHER
+                            if case[0] == "sieve_pi.json")
+    assert main([*argv, "--out", str(tmp_path / name)]) == code
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_sieve_psi_totals_pinned():

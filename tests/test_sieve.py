@@ -253,8 +253,12 @@ def test_exact_path_agrees_with_the_fast_path(monkeypatch):
 def test_exact_path_refuses_when_precision_runs_out(monkeypatch):
     monkeypatch.setattr(sieve, "_LOG_GUARD", 1.0)
     monkeypatch.setattr(sieve, "_LN_DIGITS", (8, 12))
+    # logs are taken when Lambda is first read, so that is where it refuses
+    table = build_table(10)
     with pytest.raises(PrecisionExhausted):
-        build_table(10)
+        table.log_base
+    with pytest.raises(PrecisionExhausted):
+        chebyshev_psi_ap(table, 10, ResidueClass(1, 2))
 
 
 def test_log_kernel_domain():
