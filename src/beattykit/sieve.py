@@ -11,12 +11,13 @@ Each Lambda value is log p correctly rounded to a double, the same on every
 platform: no libm log is called.  The logs are taken when a table's
 log_base is first read, not at build, so a report that reads only the
 bitmap, the primes or the records never pays for them.  _log_primes
-evaluates log p once per record with a table-driven double-double kernel (Tang, ACM TOMS 16(4), 1990)
-of IEEE + - * / only, whose proven error is below 2**-73 (_log_block).  A
-value within the guard band _LOG_GUARD = 2**-70 of a rounding midpoint is
-decided by decimal's correctly rounded ln at growing precision, compared
-with the midpoints exactly (Ziv, ACM TOMS 17(3), 1991); PrecisionExhausted
-is raised, at that first read, if even that cannot decide.  Up to MAX_LIMIT, 5 of the 16.3
+evaluates log p once per record with a table-driven double-double kernel
+(Tang, ACM TOMS 16(4), 1990) of IEEE + - * / only, whose proven error is
+below 2**-73 (_log_block).  A value within the guard band _LOG_GUARD =
+2**-70 of a rounding midpoint is decided by decimal's correctly rounded ln
+at growing precision, compared with the midpoints exactly (Ziv, ACM TOMS
+17(3), 1991); PrecisionExhausted is raised, at that first read of
+log_base, if even that cannot decide.  Up to MAX_LIMIT, 5 of the 16.3
 million primes fall in the band.
 
 Sums of Lambda values are exact until one final rounding (lambda_units).
@@ -366,7 +367,8 @@ def lambda_units(values: np.ndarray) -> int:
         int((fixed & ((1 << _LIMB) - 1)).sum())
 
 
-def class_records(table: MangoldtTable, L: int, r, min_n: int = 2) -> np.ndarray:
+def class_records(table: MangoldtTable, L: int, r,
+                  min_n: int = 2) -> np.ndarray:
     """Positions in table.power (and log_base) of the records n congruent
     to a mod q with min_n <= n <= L, ascending."""
     a, q = _split_class(r)

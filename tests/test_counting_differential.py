@@ -50,9 +50,9 @@ def table():
 @example("sqrt:2", Fraction(-3, 2), ResidueClass(0, 1), [1], "N")   # q = 1
 @example("dec:0.7390851332151606416553120876738734040134@200",
          Fraction(-7, 3), ResidueClass(0, 1), [250], "M")
-@example("sqrt:2", Fraction(-1), ResidueClass(3, 7), [1, 2, 300], "S")
+@example("sqrt:2", Fraction(-1), ResidueClass(3, 7), [1, 2, 300],
+         "S")                        # a prime, M(1) = 0: n = a is no term
 @example("sqrt:2", Fraction(-1), ResidueClass(2, 5), [1, 2, 300], "N")
-# a is prime and M(1) = 0: n = a itself (m = 0) is not a term
 @example("dec:3.141592653589793238462643383279502884197@200", Fraction(0),
          ResidueClass(2, 11), [300, 579], "S")     # 11*M + 2 == limit
 def test_engine_equals_oracles(table, alpha, beta, r, grid, mode):

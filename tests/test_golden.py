@@ -62,28 +62,13 @@ def sweep_table():
     return build_table(1_100_000)
 
 
-@pytest.mark.parametrize("name,alpha,mode,target", COUNT_SWEEP)
-def test_count_sweep_report_bytes(tmp_path, sweep_table, name, alpha, mode,
-                                  target):
-    pin = json.loads((GOLDEN / "count_sweep_pins.json").read_text())[name]
-    out = tmp_path / name
-    assert main(["count", "sweep", "--alpha", alpha, *SWEEP, "--mode", mode,
-                 "--target", target, "--out", str(out)]) == pin["exit"]
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
-    rep = verify_sweep(BeattyParams(parse_irrational(alpha), Fraction(1, 3)),
-                       ResidueClass(1, 7), GRID, mode, sweep_table,
-                       target=target)
-    assert [row.lhs.hex() for row in rep.rows] == pin["lhs"]
-    assert [row.main.hex() for row in rep.rows] == pin["main"]
-
-
 def _no_logs(ns):
     raise AssertionError("a report that reads no Lambda took logs")
 
 
-@pytest.mark.parametrize("name,alpha,mode,target", COUNT_SWEEP[:4])
-def test_count_sweep_does_only_the_work_it_reads(tmp_path, monkeypatch,
-                                                 name, alpha, mode, target):
+@pytest.mark.parametrize("name,alpha,mode,target", COUNT_SWEEP)
+def test_count_sweep_report_bytes(tmp_path, monkeypatch, sweep_table, name,
+                                  alpha, mode, target):
     # N and M read no Lambda; T and M read m(n) itself, not q*m(n) + a
     if mode in ("N", "M"):
         monkeypatch.setattr(sieve, "_log_primes", _no_logs)
@@ -97,6 +82,11 @@ def test_count_sweep_does_only_the_work_it_reads(tmp_path, monkeypatch,
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
     cap = floor_affine(parse_irrational(alpha), GRID[-1], Fraction(1, 3))[0]
     assert limits == [7 * cap + 1 if mode in ("S", "N") else cap]
+    rep = verify_sweep(BeattyParams(parse_irrational(alpha), Fraction(1, 3)),
+                       ResidueClass(1, 7), GRID, mode, sweep_table,
+                       target=target)
+    assert [row.lhs.hex() for row in rep.rows] == pin["lhs"]
+    assert [row.main.hex() for row in rep.rows] == pin["main"]
 
 
 # every other subcommand: (golden file, expected exit code, argv)
