@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the installed package names."""
+"""Every demo runs to completion against the installed package names and
+prints the bytes pinned in tests/golden/demo_NN.txt."""
 
 import os
 import subprocess
@@ -9,11 +10,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = (GOLDEN / f"demo_{demo.name[:2]}.txt").read_bytes()
+    assert proc.stdout == expected
