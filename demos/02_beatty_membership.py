@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from beattykit import (BeattyParams, decompose_small_alpha, generate,
-                       is_member, parse_irrational)
+from beattykit import BeattyParams, generate, is_member, parse_irrational
 
 # floor(sqrt2 * n), the classic
 p = BeattyParams(parse_irrational("sqrt:2"), 0)
@@ -37,14 +36,18 @@ print("witness for m = 14:", is_member(shifted, 14))
 # alpha < 1 sequences hit every integer, some more than once; they split
 # into t = ceil(1/alpha) interleaved alpha*t sequences
 small = BeattyParams(parse_irrational("quad:0/2+sqrt:2"), 0)  # sqrt2/2
-dec = decompose_small_alpha(small)
-print(f"\nalpha = {float(small.alpha):.4f} splits into t = {dec.t} parts")
-for part in dec.parts:
-    print(f"  n = {dec.t}k+{part.offset} -> "
-          f"floor({float(part.params.alpha):.4f} k + "
-          f"{float(part.params.beta):+.4f})")
+t = small.gamma.floor() + 1     # ceil(1/alpha), as 1/alpha is irrational
+print(f"\nalpha = {float(small.alpha):.4f} splits into t = {t} parts")
+merged = []
+for j in range(t):
+    # n = t*k + j gives floor((alpha*t)*k + (alpha*j + beta)), alpha*t > 1
+    part = BeattyParams(small.alpha * t,
+                        small.alpha * j + small.beta if j else small.beta)
+    print(f"  n = {t}k+{j} -> "
+          f"floor({float(part.alpha):.4f} k + {float(part.beta):+.4f})")
+    merged += part.terms(np.arange(0 if j else 1, (30 - j) // t + 1)).tolist()
+merged.sort()
 whole = sorted(generate(small, 30).tolist())
-merged = dec.terms_upto(30).tolist()
 print("direct:", whole)
 print("merged:", merged)
 assert whole == merged

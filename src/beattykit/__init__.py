@@ -8,21 +8,18 @@ bounds or re-derived through the exact layer when a decision is too close
 to call.
 """
 
-from .beatty import (BeattyParams, SmallAlphaDecomposition, SmallAlphaPart,
-                     bulk_membership, decompose_small_alpha, generate,
-                     is_member)
+from .beatty import BeattyParams, bulk_membership, generate, is_member
 from .counting import (VerificationReport, beatty_sums, density_prediction,
                        main_terms, verify_sweep)
-from .errors import (AlphaNotGreaterThanOne, AlphaNotLessThanOne,
-                     AmbiguousFloor, BeattyKitError, DeltaOutOfRange,
-                     IrrationalParseError, LimitTooLarge, NotPositive,
-                     PointOutOfRange, PrecisionExhausted, TableTooSmall,
-                     UsageError)
-from .expsum import (PsiDelta, SamplePoints, SubstitutionCheck,
-                     bound_ratio_sweep, build_psi_delta, decay_exponent,
-                     default_truncation, discrepancy, discrepancy_beatty,
-                     exp_sum_ap, exp_sum_shifted, progression_sum_bound,
-                     psi_indicator, substitution_identity_check)
+from .errors import (AlphaNotGreaterThanOne, AmbiguousFloor, BeattyKitError,
+                     DeltaOutOfRange, FloorOutOfRange, IrrationalParseError,
+                     LimitTooLarge, NotPositive, PointOutOfRange,
+                     PrecisionExhausted, TableTooSmall, UsageError)
+from .expsum import (PsiDelta, SubstitutionCheck, bound_ratio_sweep,
+                     build_psi_delta, decay_exponent, discrepancy,
+                     discrepancy_beatty, exp_sum_ap, exp_sum_shifted,
+                     progression_sum_bound, psi_indicator,
+                     substitution_identity_check)
 from .irrational import (ContinuedFraction, Irrational, PrecisionReal,
                          TypeEstimate, as_exact_ratio, best_convergent_below,
                          cf_expand, estimate_type, floor_affine,
@@ -34,17 +31,15 @@ from .surd import QuadraticSurd, make_real, squarefree_split
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaNotGreaterThanOne", "AlphaNotLessThanOne", "AmbiguousFloor",
-    "BeattyKitError", "BeattyParams", "ContinuedFraction", "DeltaOutOfRange",
+    "AlphaNotGreaterThanOne", "AmbiguousFloor", "BeattyKitError",
+    "BeattyParams", "ContinuedFraction", "DeltaOutOfRange", "FloorOutOfRange",
     "Irrational", "IrrationalParseError", "LimitTooLarge", "MangoldtTable",
     "NotPositive", "PointOutOfRange", "PrecisionExhausted", "PrecisionReal",
-    "PsiDelta", "QuadraticSurd", "ResidueClass", "SamplePoints",
-    "SmallAlphaDecomposition", "SmallAlphaPart", "SubstitutionCheck",
+    "PsiDelta", "QuadraticSurd", "ResidueClass", "SubstitutionCheck",
     "TableTooSmall", "TypeEstimate", "UsageError", "VerificationReport",
     "as_exact_ratio", "beatty_sums", "best_convergent_below",
     "bound_ratio_sweep", "build_psi_delta", "build_table", "bulk_membership",
-    "cf_expand", "chebyshev_psi_ap", "decay_exponent",
-    "decompose_small_alpha", "default_truncation", "density_prediction",
+    "cf_expand", "chebyshev_psi_ap", "decay_exponent", "density_prediction",
     "discrepancy", "discrepancy_beatty", "estimate_type", "euler_phi",
     "exp_sum_ap", "exp_sum_shifted", "floor_affine", "generate", "is_member",
     "main_terms", "make_real", "parse_irrational", "prime_pi_ap",

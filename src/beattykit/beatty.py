@@ -9,26 +9,22 @@ and the witness index is then the unique integer in
 [(m - beta)/alpha, (m - beta + 1)/alpha).  Both the criterion and the
 witness are decided exactly (or certified within the carried precision).
 
-For 0 < alpha < 1 the sequence repeats values, and the right tool is the
-reduction to t = ceil(1/alpha) subsequences with modulus alpha*t > 1; see
-decompose_small_alpha.
+For 0 < alpha < 1 the sequence repeats values, so membership is not
+defined there; generation works for every alpha > 0.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .errors import AlphaNotGreaterThanOne, AlphaNotLessThanOne, NotPositive
+from .errors import AlphaNotGreaterThanOne, NotPositive
 from .irrational import Irrational, PrecisionReal, as_exact_ratio
 from .surd import QuadraticSurd
 
-__all__ = ["BeattyParams", "generate", "is_member", "bulk_membership",
-           "decompose_small_alpha", "SmallAlphaPart", "SmallAlphaDecomposition"]
+__all__ = ["BeattyParams", "generate", "is_member", "bulk_membership"]
 
 
 class BeattyParams:
@@ -39,9 +35,8 @@ class BeattyParams:
     sums all live on the fractional parts {gamma*m + delta}.
 
     beta is normally an exact rational (ints, Fractions and decimal strings
-    are accepted; floats are read as decimals), but the small-alpha
-    decomposition produces offsets alpha*j + beta from the same field as
-    alpha, and those are kept exact as well.
+    are accepted; floats are read as decimals).  An irrational beta from the
+    same backend as alpha, such as alpha*j + beta, is kept exact as well.
     """
 
     __slots__ = ("alpha", "beta", "gamma", "delta")
@@ -133,7 +128,7 @@ def _witness(params: BeattyParams, m: int) -> int:
 def _require_alpha_gt_one(params):
     if not params.alpha_gt_one():
         raise AlphaNotGreaterThanOne(
-            "membership is only defined for alpha > 1; use decompose_small_alpha")
+            "membership is only defined for alpha > 1")
 
 
 def bulk_membership(params: BeattyParams, ms) -> tuple:
@@ -161,62 +156,3 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
         ns[i] = n or 0
     return member, ns
 
-
-# -- the small-alpha reduction ---------------------------------------------
-
-@dataclass
-class SmallAlphaPart:
-    """One congruence class of indices: original n = t*k + offset."""
-    params: BeattyParams
-    t: int
-    offset: int
-    first_index: int  # inner index k starts here (1 for offset 0, else 0)
-
-    def index_range(self, N: int):
-        """Inner indices k with 1 <= t*k + offset <= N, as an int64 array."""
-        hi = (N - self.offset) // self.t
-        if hi < self.first_index:
-            return np.empty(0, np.int64)
-        return np.arange(self.first_index, hi + 1, dtype=np.int64)
-
-
-@dataclass
-class SmallAlphaDecomposition:
-    """B_{alpha,beta} for 0 < alpha < 1 as t interleaved big-modulus sequences.
-
-    With t = ceil(1/alpha), the index n = t*k + j (0 <= j < t) turns
-    floor(alpha*n + beta) into floor((alpha*t)*k + (alpha*j + beta)), and
-    alpha*t > 1.  Every original index 1..N is covered exactly once, which
-    makes the term multisets agree exactly, not just asymptotically.
-    """
-    t: int
-    parts: list
-
-    def terms_upto(self, N: int) -> np.ndarray:
-        """All terms with original index <= N, sorted, as one multiset."""
-        chunks = []
-        for part in self.parts:
-            ks = part.index_range(N)
-            if ks.size:
-                chunks.append(part.params.terms(ks))
-        if not chunks:
-            return np.empty(0, np.int64)
-        return np.sort(np.concatenate(chunks))
-
-
-def decompose_small_alpha(params: BeattyParams) -> SmallAlphaDecomposition:
-    """Split a 0 < alpha < 1 sequence into t = ceil(1/alpha) subsequences."""
-    alpha = params.alpha
-    if not alpha.is_positive():
-        raise NotPositive("alpha must be positive")
-    if (alpha - 1).is_positive():
-        raise AlphaNotLessThanOne("decomposition applies only to alpha < 1")
-    # gamma = 1/alpha > 1 is irrational, so ceil(gamma) = floor(gamma) + 1
-    t = params.gamma.floor() + 1
-    big = alpha * t
-    parts = []
-    for j in range(t):
-        beta_j = alpha * j + params.beta if j else params.beta
-        parts.append(SmallAlphaPart(BeattyParams(big, beta_j), t, j,
-                                    1 if j == 0 else 0))
-    return SmallAlphaDecomposition(t, parts)

@@ -26,10 +26,6 @@ class AlphaNotGreaterThanOne(BeattyKitError):
     """Operation requires a Beatty modulus alpha > 1."""
 
 
-class AlphaNotLessThanOne(BeattyKitError):
-    """Operation requires a Beatty modulus 0 < alpha < 1."""
-
-
 class LimitTooLarge(BeattyKitError):
     """Requested sieve limit exceeds the configured memory budget."""
 
@@ -44,6 +40,10 @@ class DeltaOutOfRange(BeattyKitError):
 
 class PointOutOfRange(BeattyKitError):
     """A sample point lies outside the half-open unit interval [0, 1)."""
+
+
+class FloorOutOfRange(BeattyKitError, ValueError):
+    """A floor does not fit the int64 result contract of the bulk kernels."""
 
 
 class IrrationalParseError(BeattyKitError, ValueError):

@@ -25,15 +25,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeltaOutOfRange, PointOutOfRange
-from .irrational import Irrational, cf_expand
+from .irrational import Irrational, cf_reaching
 from .sieve import MangoldtTable, ResidueClass, class_records
 
-__all__ = ["PsiDelta", "SamplePoints", "psi_indicator", "build_psi_delta",
-           "exp_sum_shifted", "exp_sum_ap", "substitution_identity_check",
-           "SubstitutionCheck", "bound_ratio_sweep", "progression_sum_bound",
-           "default_truncation",
-           "BoundRatioRow", "discrepancy", "discrepancy_beatty",
-           "decay_exponent"]
+__all__ = ["PsiDelta", "psi_indicator", "build_psi_delta", "exp_sum_shifted",
+           "exp_sum_ap", "substitution_identity_check", "SubstitutionCheck",
+           "bound_ratio_sweep", "progression_sum_bound", "BoundRatioRow",
+           "discrepancy", "discrepancy_beatty", "decay_exponent"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -115,10 +113,15 @@ def build_psi_delta(gamma: float, delta: float, K: int) -> PsiDelta:
 
 # -- exponential sums over primes ------------------------------------------
 
-def _phase_sum(weights, phases) -> complex:
-    ang = _TWO_PI * phases
-    re = weights * np.cos(ang)
-    im = weights * np.sin(ang)
+def _phase_sum(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,
+               theta: Irrational, shifted: bool = False) -> complex:
+    """Sum of Lambda(n) e(theta*x) over the records n == a mod q with
+    min_n <= n <= L, where x = n, or x = (n - a)/q when shifted."""
+    at = class_records(table, L, r, min_n)
+    ns, lam = table.power[at], table.log_base[at]
+    ang = _TWO_PI * theta.phases_many((ns - r.a) // r.q if shifted else ns)
+    re = lam * np.cos(ang)
+    im = lam * np.sin(ang)
     return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
@@ -129,11 +132,7 @@ def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
         raise ValueError("frequency k must be nonzero")
     if M < 1:
         return 0j
-    at = class_records(table, r.q * M + r.a, r, r.q + r.a)
-    ns, lam = table.power[at], table.log_base[at]
-    ms = (ns - r.a) // r.q
-    theta = gamma * k
-    return _phase_sum(lam, theta.phases_many(ms))
+    return _phase_sum(table, r.q * M + r.a, r, r.q + r.a, gamma * k, shifted=True)
 
 
 def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,
@@ -144,10 +143,7 @@ def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,
     if M < 2:
         table.require(max(M, 0))
         return 0j
-    at = class_records(table, M, r, 2)
-    ns, lam = table.power[at], table.log_base[at]
-    theta = gamma * k
-    return _phase_sum(lam, theta.phases_many(ns))
+    return _phase_sum(table, M, r, 2, gamma * k)
 
 
 @dataclass
@@ -172,27 +168,11 @@ def substitution_identity_check(table: MangoldtTable, M: int, r: ResidueClass,
     lhs = exp_sum_shifted(table, M, r, gamma, k)
     theta = (gamma * k) / r.q
     L = r.q * M + r.a
-    if M >= 1:
-        at = class_records(table, L, r, r.a + 1)
-        ns, lam = table.power[at], table.log_base[at]
-        tail = _phase_sum(lam, theta.phases_many(ns))
-    else:
-        tail = 0j
+    tail = _phase_sum(table, L, r, r.a + 1, theta) if M >= 1 else 0j
     phase_a = theta.phases_many(np.array([r.a]))[0] if r.a else 0.0
     rhs = cmath.exp(-2j * math.pi * phase_a) * tail
     residual = abs(lhs - rhs)
     return SubstitutionCheck(lhs, rhs, residual, residual / (1.0 + abs(lhs)))
-
-
-def default_truncation(M: int, tau_hat: float = 1.0) -> int:
-    """Proof-guided truncation K = ceil(M^eps) with eps = 1/(16*tau_hat).
-
-    Deliberately tiny; explicit K arguments override it everywhere.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    eps = 1.0 / (16.0 * max(float(tau_hat), 1.0))
-    return max(1, math.ceil(M ** eps))
 
 
 def progression_sum_bound(L: int, d: int) -> float:
@@ -225,16 +205,8 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
     if L < 3:
         raise ValueError("L must be >= 3")
     cap = max_den if max_den is not None else L
-    at = class_records(table, L, r, 2)
-    ns, lam = table.power[at], table.log_base[at]
-    s = _phase_sum(lam, theta.phases_many(ns))
-    abs_sum = abs(s)
-    K = 8
-    while True:
-        cf = cf_expand(theta, K)
-        if cf.convergents[-1][1] > cap or K > 4096:
-            break
-        K *= 2
+    abs_sum = abs(_phase_sum(table, L, r, 2, theta))
+    cf = cf_reaching(theta, cap + 1)
     rows = []
     seen = set()
     for num, den in cf.convergents:
@@ -258,22 +230,8 @@ def _abs_gt(value, bound: int) -> bool:
 
 # -- extreme discrepancy ---------------------------------------------------
 
-@dataclass
-class SamplePoints:
-    """A finite multiset of points in [0, 1)."""
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _validated(self.values)
-
-    @property
-    def count(self) -> int:
-        return int(self.values.size)
-
-
 def _validated(points) -> np.ndarray:
-    xs = points.values if isinstance(points, SamplePoints) else \
-        np.asarray(points, np.float64)
+    xs = np.asarray(points, np.float64)
     if xs.size == 0:
         raise ValueError("need at least one sample point")
     if np.any(~np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -33,7 +33,7 @@ from .surd import (QuadraticSurd, exact_floor, fixed_point_floor_frac,
 
 __all__ = ["PrecisionReal", "Irrational", "ContinuedFraction", "TypeEstimate",
            "parse_irrational", "as_exact_ratio", "floor_affine", "cf_expand",
-           "best_convergent_below", "estimate_type"]
+           "cf_reaching", "best_convergent_below", "estimate_type"]
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
 
@@ -156,9 +156,6 @@ class PrecisionReal:
                 f"floor of value near {float(self.center)} undecidable at radius {float(self.radius)}")
         return flo
 
-    def frac_float(self) -> float:
-        return self.floor_frac()[1]
-
     def floor_frac(self):
         t = self.floor()
         r = float(self.center - t)
@@ -208,9 +205,6 @@ class PrecisionReal:
                                       floors=False)[1]
 
     # -- conversions -------------------------------------------------------
-
-    def approx_fraction(self, bits: int = 128) -> Fraction:
-        return self.center
 
     def __float__(self):
         return float(self.center)
@@ -360,6 +354,17 @@ def _cf_interval(gamma: PrecisionReal, K: int):
     return quotients
 
 
+def cf_reaching(gamma: Irrational, q: int) -> ContinuedFraction:
+    """The expansion of gamma at the first depth K = 8, 16, ..., 8192 whose
+    last convergent denominator is >= q; depth 8192 if none is."""
+    K = 8
+    while True:
+        cf = cf_expand(gamma, K)
+        if cf.convergents[-1][1] >= q or K > 4096:
+            return cf
+        K *= 2
+
+
 def best_convergent_below(theta: Irrational, max_den: int):
     """The convergent p/q of theta with the largest q <= max_den.
 
@@ -368,15 +373,10 @@ def best_convergent_below(theta: Irrational, max_den: int):
     """
     if max_den < 1:
         raise ValueError("denominator bound must be >= 1")
-    K = 8
-    while True:
-        cf = cf_expand(theta, K)
-        if cf.convergents[-1][1] > max_den:
-            break
-        if K > 4096:
-            raise PrecisionExhausted(
-                f"convergent denominators plateau below {max_den}")
-        K *= 2
+    cf = cf_reaching(theta, max_den + 1)
+    if cf.convergents[-1][1] <= max_den:
+        raise PrecisionExhausted(
+            f"convergent denominators plateau below {max_den}")
     best = cf.convergents[0]
     for p, q in cf.convergents:
         if q > max_den:
@@ -409,12 +409,7 @@ def estimate_type(gamma: Irrational, K: Optional[int] = None,
     With K omitted, the expansion is deepened until q_K >= min_depth_q.
     """
     if K is None:
-        K = 8
-        while True:
-            cf = cf_expand(gamma, K)
-            if cf.convergents[-1][1] >= min_depth_q or K > 4096:
-                break
-            K *= 2
+        cf = cf_reaching(gamma, min_depth_q)
         # trim to the first depth that reaches the target
         depth = next(i for i, (_, q) in enumerate(cf.convergents)
                      if q >= min_depth_q or i == len(cf.convergents) - 1)

@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import FloorOutOfRange
+
 __all__ = ["QuadraticSurd", "make_real", "squarefree_split", "exact_floor",
            "exact_floor_frac", "bulk_floor_frac", "to_fixed_point",
            "fixed_point_floor_frac"]
@@ -128,7 +130,7 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
     F*n + G is formed exactly in uint64 limbs, 2**16 points at a time; a
     point whose fraction lies within the bound max|n|*e_theta + e_eta units
     of an integer, or with n < 0, takes (floor, frac) from exact(n).  Floors
-    are exact (ValueError outside int64; None with floors=False); err is the
+    are exact (FloorOutOfRange outside int64; None with floors=False); err is the
     bound plus float rounding.
     """
     I, F, J, G, e_theta, e_eta = parts
@@ -168,7 +170,7 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
     # floors are monotone in n, so the extreme indices bound them all
     if not all(-(1 << 63) <= I * int(ns[i]) + J + int(carry[i]) < 1 << 63
                for i in (lo_i, hi_i)):
-        raise ValueError("floor exceeds the int64 result contract")
+        raise FloorOutOfRange("floor exceeds the int64 result contract")
     I64, J64 = (np.uint64(x & _M64).view(np.int64) for x in (I, J))
     return ns * I64 + J64 + carry, fracs, err
 
@@ -243,9 +245,6 @@ class QuadraticSurd:
 
     def floor(self) -> int:
         return exact_floor(self.u, self.v, self.w, self.d)
-
-    def frac_float(self) -> float:
-        return self.floor_frac()[1]
 
     def floor_frac(self):
         return exact_floor_frac(self.u, self.v, self.w, self.d)

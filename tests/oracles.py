@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from beattykit.beatty import BeattyParams
 from beattykit.cli import _fmt
 from beattykit.expsum import _validated
 from beattykit.irrational import floor_affine
@@ -68,6 +69,26 @@ def smoothed_indicator(x, gamma, delta):
         cover = cover + np.clip(np.minimum(hi, shift + gamma)
                                 - np.maximum(lo, shift), 0.0, None)
     return cover / (2.0 * delta)
+
+
+# -- sequences: the alpha < 1 split into t sequences of modulus alpha*t > 1 --
+
+def small_alpha_terms(params, N: int) -> np.ndarray:
+    """floor(alpha*n + beta) for n = 1..N, sorted, with 0 < alpha < 1.
+
+    With t = ceil(1/alpha), the index n = t*k + j (0 <= j < t) turns the
+    term into floor((alpha*t)*k + (alpha*j + beta)) with alpha*t > 1, and
+    the t index classes cover 1..N exactly once, so the multisets agree.
+    """
+    alpha, beta = params.alpha, params.beta
+    t = params.gamma.floor() + 1        # 1/alpha is irrational
+    chunks = []
+    for j in range(t):
+        ks = np.arange(0 if j else 1, (N - j) // t + 1, dtype=np.int64)
+        if ks.size:
+            part = BeattyParams(alpha * t, alpha * j + beta if j else beta)
+            chunks.append(part.terms(ks))
+    return np.sort(np.concatenate(chunks))
 
 
 # -- counting: direct per-index loops through the exact scalar floor --------

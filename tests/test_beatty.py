@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beattykit.beatty import (BeattyParams, bulk_membership,
-                              decompose_small_alpha, generate, is_member)
-from beattykit.errors import (AlphaNotGreaterThanOne, AlphaNotLessThanOne,
-                              NotPositive)
+from beattykit.beatty import (BeattyParams, bulk_membership, generate,
+                              is_member)
+from beattykit.errors import AlphaNotGreaterThanOne, NotPositive
 from beattykit.irrational import parse_irrational
+from oracles import small_alpha_terms
 
 
 def test_params_invariants(sqrt2):
@@ -99,36 +99,12 @@ def test_gaps_are_two_values(sqrt2, phi):
 
 
 class TestSmallAlpha:
-    def test_requires_alpha_below_one(self, sqrt2):
-        with pytest.raises(AlphaNotLessThanOne):
-            decompose_small_alpha(BeattyParams(sqrt2))
-
-    def test_structure(self, sqrt2):
-        p = BeattyParams(sqrt2.inverse())      # alpha ~ 0.707
-        dec = decompose_small_alpha(p)
-        assert dec.t == 2
-        assert len(dec.parts) == 2
-        assert [part.first_index for part in dec.parts] == [1, 0]
-        for part in dec.parts:
-            assert part.params.alpha == p.alpha * dec.t
-
     def test_multiset_identity(self):
         for name in ("quad:0/2+sqrt:2", "quad:-1/2+sqrt:5", "quad:0/3+sqrt:3"):
             alpha = parse_irrational(name)
             for beta in (0, 0.3, -1.7):
                 p = BeattyParams(alpha, beta)
-                dec = decompose_small_alpha(p)
                 for N in (1, 2, 3, 7, 100, 997):
                     direct = np.sort(p.terms(np.arange(1, N + 1)))
-                    split = dec.terms_upto(N)
+                    split = small_alpha_terms(p, N)
                     assert np.array_equal(direct, split), (name, beta, N)
-
-    def test_index_ranges_partition(self):
-        p = BeattyParams(parse_irrational("quad:0/2+sqrt:2"), 0.3)
-        dec = decompose_small_alpha(p)
-        N = 57
-        seen = []
-        for j, part in enumerate(dec.parts):
-            ks = part.index_range(N)
-            seen.extend((dec.t * int(k) + j) for k in ks.tolist())
-        assert sorted(seen) == list(range(1, N + 1))

@@ -3,6 +3,7 @@ report emission."""
 
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -143,6 +144,19 @@ class TestExitCodes:
                      "--m", "3"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        "beatty generate --alpha sqrt:200000000000000000000000000000000000000 --N 3",
+        "discrepancy --alpha sqrt:200000000000000000000000000000000000000 --M 3",
+        "beatty generate --alpha sqrt:2 --beta=-1e30 --N 3",
+    ])
+    def test_floor_beyond_int64_is_one(self, args):
+        proc = subprocess.run([sys.executable, "-m", "beattykit.cli", *args.split()],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_verification_failure_is_two(self, capsys):
         code = main(["count", "sweep", "--alpha", "sqrt:2", "--q", "2",

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from beattykit.errors import PointOutOfRange
-from beattykit.expsum import (SamplePoints, decay_exponent, discrepancy,
-                              discrepancy_beatty)
+from beattykit.expsum import decay_exponent, discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
 from oracles import discrepancy_brute
 
@@ -82,14 +81,6 @@ def test_validation():
         discrepancy([float("nan")])
     with pytest.raises(ValueError):
         discrepancy([])
-
-
-def test_sample_points_wrapper():
-    sp = SamplePoints(np.array([0.1, 0.9]))
-    assert sp.count == 2
-    assert discrepancy(sp) == discrepancy([0.1, 0.9])
-    with pytest.raises(PointOutOfRange):
-        SamplePoints(np.array([1.5]))
 
 
 def test_beatty_sequence_decay(sqrt2, phi):

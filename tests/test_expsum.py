@@ -9,9 +9,8 @@ import pytest
 
 from beattykit.errors import DeltaOutOfRange
 from beattykit.expsum import (progression_sum_bound, bound_ratio_sweep,
-                              build_psi_delta, default_truncation, exp_sum_ap,
-                              exp_sum_shifted, psi_indicator,
-                              substitution_identity_check)
+                              build_psi_delta, exp_sum_ap, exp_sum_shifted,
+                              psi_indicator, substitution_identity_check)
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table, chebyshev_psi_ap
 from oracles import smoothed_indicator
@@ -116,11 +115,6 @@ class TestPsiDelta:
         vals = pd.evaluate(xs[far])
         ind = np.array([psi_indicator(float(x), gamma) for x in xs[far]])
         assert np.max(np.abs(vals - ind)) <= pd.tail_bound()
-
-    def test_truncation_default(self):
-        assert default_truncation(10 ** 4) == 2
-        assert default_truncation(1) == 1
-        assert default_truncation(10 ** 8, tau_hat=1.0) == 4
 
 
 class TestExpSums:

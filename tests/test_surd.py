@@ -274,5 +274,5 @@ def test_sign_and_floor_helpers():
     assert x.sign() == -1 and not x.is_positive()
     assert x.floor() == -1
     assert x.floor_frac()[0] == -1
-    assert 0.0 <= x.frac_float() < 1.0
+    assert 0.0 <= x.floor_frac()[1] < 1.0
     assert x.frac_exact() == x - (-1)
