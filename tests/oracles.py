@@ -84,10 +84,9 @@ def small_alpha_terms(params, N: int) -> np.ndarray:
     t = params.gamma.floor() + 1        # 1/alpha is irrational
     chunks = []
     for j in range(t):
+        part = BeattyParams(alpha * t, alpha * j + beta if j else beta)
         ks = np.arange(0 if j else 1, (N - j) // t + 1, dtype=np.int64)
-        if ks.size:
-            part = BeattyParams(alpha * t, alpha * j + beta if j else beta)
-            chunks.append(part.terms(ks))
+        chunks.append(part.terms(ks))
     return np.sort(np.concatenate(chunks))
 
 
