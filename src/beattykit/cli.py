@@ -18,7 +18,6 @@ verification verdict fails, 1 for usage or runtime errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -27,13 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .beatty import BeattyParams, generate, is_member
-from .counting import MODES, verify_sweep
+# runners import the other modules, so a command loads only what it runs
 from .errors import BeattyKitError, UsageError
-from .expsum import (bound_ratio_sweep, build_psi_delta, decay_exponent,
-                     discrepancy_beatty, exp_sum_shifted,
-                     substitution_identity_check)
-from .irrational import cf_expand, estimate_type, floor_affine, parse_irrational
 from .sieve import (DEFAULT_SEGMENT, MAX_LIMIT, ResidueClass, build_table,
                     chebyshev_psi_ap, class_records, euler_phi, lambda_units,
                     prime_pi_ap)
@@ -46,18 +40,18 @@ class _Parser(argparse.ArgumentParser):
 
 # -- flag types: argparse names the flag in the message they raise ----------
 
-def _int_where(ok, rule: str):
+def _where(kind, ok, rule: str):
     def parse(text):
-        value = int(text)
+        value = kind(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    parse.__name__ = kind.__name__  # argparse: "invalid float value: 'x'"
     return parse
 
 
 def _at_least(lo: int):
-    return _int_where(lambda value: value >= lo, f">= {lo}")
+    return _where(int, lambda value: value >= lo, f">= {lo}")
 
 
 def _fraction(text):
@@ -94,17 +88,18 @@ _FLAGS = {
     "a": dict(type=int, required=True, help="residue, 0 <= a < q, coprime to q"),
     "grid": dict(type=_grid,
                  help="comma-separated N values, strictly ascending" + _DEFAULT),
-    "mode": dict(choices=MODES, default="S", help="counting sum" + _DEFAULT),
+    "mode": dict(choices=("S", "T", "N", "M"), default="S", help="counting sum" + _DEFAULT),
     "target": dict(choices=("main", "density"), default="main", help=_DEFAULT),
     "delta": dict(type=_fraction, required=True, help="smoothing half-width"),
     "K": dict(type=_at_least(1), help="number of terms or frequencies" + _DEFAULT),
     "segment": dict(type=_at_least(1024), default=DEFAULT_SEGMENT,
                     help="sieve segment length" + _DEFAULT),
-    "tol": dict(type=float, help="verdict tolerance" + _DEFAULT),
+    "tol": dict(type=_where(float, lambda v: 0 <= v < math.inf, "finite, >= 0"),
+                help="verdict tolerance" + _DEFAULT),
     "N": dict(type=_at_least(0), required=True, help="number of terms"),
     "M": dict(type=_at_least(1), required=True, help="summation length"),
     "m": dict(type=int, required=True, help="integer to test"),
-    "k": dict(type=_int_where(bool, "nonzero"), default=1,
+    "k": dict(type=_where(int, bool, "nonzero"), default=1,
               help="frequency multiplier" + _DEFAULT),
     "den-max": dict(type=_at_least(1), help="largest denominator (default: M)"),
     "out": dict(help="report path (default: stdout)"),
@@ -137,16 +132,6 @@ class Report:
     verdict: Optional[bool] = None
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12g}"
-    return str(v)
-
-
 def _json_value(v):
     if isinstance(v, bool):
         return v
@@ -157,8 +142,16 @@ def _json_value(v):
     return str(v)
 
 
+def _fmt(v) -> str:
+    v = _json_value(v)  # 12 significant digits survive the float round trip
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
 def render(report: Report, fmt: str) -> str:
     if fmt == "json":
+        import json
         doc = {
             "name": report.name,
             "params": {k: _json_value(v) for k, v in report.params},
@@ -199,6 +192,7 @@ def _base_params(ns) -> list:
 
 
 def _run_cfrac(ns) -> Report:
+    from .irrational import cf_expand
     cf = cf_expand(ns.alpha, ns.K)
     params = _base_params(ns) + [("K", ns.K)]
     if cf.period is not None:
@@ -210,6 +204,7 @@ def _run_cfrac(ns) -> Report:
 
 
 def _run_type_estimate(ns) -> Report:
+    from .irrational import estimate_type
     est = estimate_type(ns.alpha, K=ns.K)
     params = _base_params(ns) + [("depth", est.depth),
                                  ("tau_hat", est.tau_hat)]
@@ -222,6 +217,7 @@ def _beatty_params(ns) -> list:
 
 
 def _run_generate(ns) -> Report:
+    from .beatty import BeattyParams, generate
     terms = generate(BeattyParams(ns.alpha, ns.beta), ns.N)
     rows = [(n, int(t)) for n, t in enumerate(terms.tolist(), start=1)]
     return Report("beatty-generate", _beatty_params(ns) + [("N", ns.N)],
@@ -229,6 +225,7 @@ def _run_generate(ns) -> Report:
 
 
 def _run_member(ns) -> Report:
+    from .beatty import BeattyParams, is_member
     n = is_member(BeattyParams(ns.alpha, ns.beta), ns.m)
     rows = [(ns.m, n is not None, 0 if n is None else n)]
     return Report("beatty-member", _beatty_params(ns) + [("m", ns.m)],
@@ -250,12 +247,13 @@ def _run_sieve(ns) -> Report:
 
 
 def _run_count(ns) -> Report:
-    r = ns.residue
-    cap = floor_affine(ns.alpha, ns.grid[-1], ns.beta)[0]
+    from .beatty import BeattyParams
+    from .counting import verify_sweep
+    r, bp = ns.residue, BeattyParams(ns.alpha, ns.beta)
+    cap = bp.term(ns.grid[-1])
     top = r.q * cap + r.a if ns.mode in ("S", "N") else cap
     table = build_table(max(top, 100), segment_size=ns.segment)
-    rep = verify_sweep(BeattyParams(ns.alpha, ns.beta), r, ns.grid, ns.mode,
-                       table, target=ns.target, tol=ns.tol)
+    rep = verify_sweep(bp, r, ns.grid, ns.mode, table, target=ns.target, tol=ns.tol)
     params = _beatty_params(ns) + [
         ("q", r.q), ("a", r.a), ("mode", ns.mode), ("target", ns.target),
         ("tol", ns.tol), ("segment", ns.segment)]
@@ -272,6 +270,7 @@ def _expsum_params(ns) -> list:
 
 
 def _run_eval(ns) -> Report:
+    from .expsum import exp_sum_shifted
     r, M = ns.residue, ns.M
     table = build_table(max(r.q * M + r.a, 100), segment_size=ns.segment)
     at = class_records(table, r.q * M + r.a, r, r.a + 1)
@@ -286,6 +285,7 @@ def _run_eval(ns) -> Report:
 
 
 def _run_identity_check(ns) -> Report:
+    from .expsum import substitution_identity_check
     r, k = ns.residue, ns.k
     table = build_table(max(r.q * ns.M + r.a, 100), segment_size=ns.segment)
     chk = substitution_identity_check(table, ns.M, r, ns.alpha, k)
@@ -298,6 +298,7 @@ def _run_identity_check(ns) -> Report:
 
 
 def _run_bound_ratio(ns) -> Report:
+    from .expsum import bound_ratio_sweep
     # progression sum over n <= M against the generic bound
     theta = (ns.alpha * ns.k) / ns.q
     table = build_table(max(ns.M, 100), segment_size=ns.segment)
@@ -312,6 +313,7 @@ def _run_bound_ratio(ns) -> Report:
 
 
 def _run_psi_delta(ns) -> Report:
+    from .expsum import build_psi_delta
     gamma = float(ns.alpha)
     if not 0.0 < gamma < 1.0:
         raise UsageError("--alpha: psi-delta needs 0 < alpha < 1")
@@ -328,6 +330,7 @@ def _run_psi_delta(ns) -> Report:
 
 
 def _run_discrepancy(ns) -> Report:
+    from .expsum import decay_exponent, discrepancy_beatty
     D = discrepancy_beatty(ns.alpha, ns.delta, ns.M)
     params = _base_params(ns) + [("delta", str(ns.delta)), ("M", ns.M)]
     return Report("discrepancy", params, ("M", "D", "exponent"),
@@ -384,6 +387,7 @@ def parse_args(argv) -> argparse.Namespace:
     is read at --precision bits and --q/--a become ns.residue."""
     ns = build_parser().parse_args(list(argv))
     if "alpha" in ns:
+        from .irrational import parse_irrational
         ns.alpha_text = ns.alpha
         try:
             ns.alpha = parse_irrational(ns.alpha, default_bits=ns.precision)
@@ -404,14 +408,10 @@ def main(argv=None) -> int:
         ns = parse_args(argv)
         report = ns.run(ns)
         emit_report(report, ns.out, ns.format)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except BeattyKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+    except (BeattyKitError, OSError) as exc:
+        kind = ("usage error" if isinstance(exc, UsageError) else
+                "error" if isinstance(exc, BeattyKitError) else "io error")
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
     return 2 if report.verdict is False else 0
 

@@ -1,12 +1,20 @@
 """The public names: every __all__ entry resolves, and the package's list is
 pinned, so a change to the public API shows up as a diff here."""
 
+import argparse
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import beattykit
+from beattykit import cli, counting
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(beattykit.__path__))
 
@@ -42,3 +50,63 @@ def test_module_all_resolves(name):
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(module, n)]
     assert missing == []
+
+
+def _fresh(code: str):
+    """What code prints as JSON, run after a bare `import beattykit` in a
+    fresh interpreter, so no earlier import has filled the package in."""
+    code = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n" \
+        f"import beattykit\n{code}"
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_star_import_binds_every_name():
+    names = _fresh("ns = {}\nexec('from beattykit import *', ns)\n"
+                   "print(json.dumps(sorted(set(ns) - {'__builtins__'})))")
+    assert names == PACKAGE_ALL
+
+
+def test_submodule_resolves_after_bare_import():
+    assert _fresh("print(json.dumps(beattykit.sieve.__name__))") == \
+        "beattykit.sieve"
+
+
+def test_dir_lists_every_public_name():
+    names = dir(beattykit)
+    assert set(PACKAGE_ALL) <= set(names)
+    assert {"__all__", "__version__", "sieve", "cli"} <= set(names)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'beattykit' has no attribute 'nope'"):
+        beattykit.nope
+    assert not hasattr(beattykit, "nope")
+
+
+def _subparsers(parser, path=()):
+    yield path, parser
+    for act in parser._actions:
+        if isinstance(act, argparse._SubParsersAction):
+            for name, sub in act.choices.items():
+                yield from _subparsers(sub, path + (name,))
+
+
+def test_mode_choices_are_counting_modes():
+    # cli spells the choices out, so the parser does not import counting
+    sweep = dict(_subparsers(cli.build_parser()))[("count", "sweep")]
+    mode, = [act for act in sweep._actions if act.dest == "mode"]
+    assert tuple(mode.choices) == counting.MODES
+
+
+HELP_PATHS = [path for path, _ in _subparsers(cli.build_parser())]
+
+
+@pytest.mark.parametrize("path", HELP_PATHS,
+                         ids=[" ".join(("beattykit",) + p) for p in HELP_PATHS])
+def test_help_exits_zero(capsys, path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*path, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: beattykit")

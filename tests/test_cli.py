@@ -262,12 +262,20 @@ BAD_VALUES = [
       "--grid", "inf"], "--grid"),
     (["expsum", "identity-check", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
       "--M", "10", "--k", "0"], "--k"),
-]
+] + [(["count", "sweep", "--alpha", "sqrt:2", "--q", "1", "--a", "0",
+       "--grid", "10,100,1000", "--tol", tol], "--tol")
+     for tol in ("nan", "inf", "-1")]
+
+
+def _bad_value_id(argv, flag):
+    # the command path and flag, plus the value where that pair repeats
+    case = " ".join(argv[:2]) + " " + flag
+    repeats = sum(a[:2] == argv[:2] and f == flag for a, f in BAD_VALUES) > 1
+    return f"{case} {argv[-1]}" if repeats else case
 
 
 @pytest.mark.parametrize("argv,flag", BAD_VALUES,
-                         ids=[" ".join(argv[:2]) + " " + flag
-                              for argv, flag in BAD_VALUES])
+                         ids=[_bad_value_id(*case) for case in BAD_VALUES])
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -310,3 +318,37 @@ def test_import_loads_no_fallback_module():
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == [[], []]
+
+
+def _loaded_after(argv):
+    """The beattykit modules (package-relative names) and numpy in
+    sys.modules after `import beattykit` and, if argv is given, one CLI
+    call, in a fresh interpreter."""
+    code = f"""if True:
+        import contextlib, io, json, sys
+        sys.path.insert(0, {str(SRC)!r})
+        import beattykit
+        if {argv!r}:
+            from beattykit.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main({argv!r}) == 0
+        print(json.dumps([m for m in sys.modules
+                          if m.startswith("beattykit") or m == "numpy"]))
+    """
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return {m.removeprefix("beattykit.") for m in json.loads(out)}
+
+
+def test_each_command_loads_only_its_modules():
+    assert _loaded_after([]) == {"beattykit"}
+    sieve = _loaded_after(["sieve", "pi", "--q", "3", "--a", "1",
+                           "--grid", "1000"])
+    assert sieve - {"numpy"} == {"beattykit", "cli", "errors", "sieve"}
+    sweep = _loaded_after(["count", "sweep"] + SWEEP_FLAGS)
+    assert "counting" in sweep and "expsum" not in sweep
+    for argv in (["expsum", "eval", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
+                  "--M", "100"],
+                 ["discrepancy", "--alpha", "sqrt:2", "--M", "100"]):
+        loaded = _loaded_after(argv)
+        assert "expsum" in loaded and not loaded & {"counting", "beatty"}
