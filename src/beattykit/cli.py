@@ -132,6 +132,16 @@ class Report:
     verdict: Optional[bool] = None
 
 
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.12g}"
+    return str(v)
+
+
 def _json_value(v):
     if isinstance(v, bool):
         return v
@@ -140,13 +150,6 @@ def _json_value(v):
     if isinstance(v, (float, np.floating)):
         return float(f"{float(v):.12g}")
     return str(v)
-
-
-def _fmt(v) -> str:
-    v = _json_value(v)  # 12 significant digits survive the float round trip
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def render(report: Report, fmt: str) -> str:
@@ -408,10 +411,14 @@ def main(argv=None) -> int:
         ns = parse_args(argv)
         report = ns.run(ns)
         emit_report(report, ns.out, ns.format)
-    except (BeattyKitError, OSError) as exc:
-        kind = ("usage error" if isinstance(exc, UsageError) else
-                "error" if isinstance(exc, BeattyKitError) else "io error")
-        print(f"{kind}: {exc}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except BeattyKitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return 1
     return 2 if report.verdict is False else 0
 

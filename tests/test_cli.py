@@ -262,20 +262,17 @@ BAD_VALUES = [
       "--grid", "inf"], "--grid"),
     (["expsum", "identity-check", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
       "--M", "10", "--k", "0"], "--k"),
-] + [(["count", "sweep", "--alpha", "sqrt:2", "--q", "1", "--a", "0",
-       "--grid", "10,100,1000", "--tol", tol], "--tol")
-     for tol in ("nan", "inf", "-1")]
+]
+BAD_TOL = [pytest.param(["count", "sweep", "--alpha", "sqrt:2", "--q", "1",
+                         "--a", "0", "--grid", "10,100,1000", "--tol", tol],
+                        "--tol", id=f"count sweep --tol {tol}")
+           for tol in ("nan", "inf", "-1")]
 
 
-def _bad_value_id(argv, flag):
-    # the command path and flag, plus the value where that pair repeats
-    case = " ".join(argv[:2]) + " " + flag
-    repeats = sum(a[:2] == argv[:2] and f == flag for a, f in BAD_VALUES) > 1
-    return f"{case} {argv[-1]}" if repeats else case
-
-
-@pytest.mark.parametrize("argv,flag", BAD_VALUES,
-                         ids=[_bad_value_id(*case) for case in BAD_VALUES])
+# None leaves each BAD_TOL case its own id
+@pytest.mark.parametrize("argv,flag", BAD_VALUES + BAD_TOL,
+                         ids=[" ".join(argv[:2]) + " " + flag
+                              for argv, flag in BAD_VALUES] + [None] * len(BAD_TOL))
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -301,9 +298,11 @@ def test_import_loads_no_fallback_module():
     # mpmath and sympy stay unloaded; decimal is loaded by the stdlib's
     # fractions, so no beattykit module may hold it or a name from it
     code = f"""if True:
-        import json, sys, types
+        import importlib, json, pkgutil, sys, types
         sys.path.insert(0, {str(SRC)!r})
-        import beattykit.cli
+        import beattykit
+        for info in pkgutil.iter_modules(beattykit.__path__):
+            importlib.import_module("beattykit." + info.name)
         def origin(v):
             if isinstance(v, types.ModuleType):
                 return v.__name__
