@@ -1,13 +1,12 @@
 """Generalized Beatty sequences floor(alpha*n + beta).
 
-The membership test works through the fractional-part criterion: for
-alpha > 1, an integer m is hit by the sequence exactly when
+For alpha > 1 and gamma = 1/alpha, floor(alpha*n + beta) = m exactly when
+gamma*(m - beta) <= n < gamma*(m + 1 - beta).  So m is a term exactly when
 
-    0 < {gamma*(m - beta + 1)} <= gamma,      gamma = 1/alpha,
+    n = ceil(gamma*(m - beta)) < ceil(gamma*(m + 1 - beta))   and   n >= 1,
 
-and the witness index is then the unique integer in
-[(m - beta)/alpha, (m - beta + 1)/alpha).  Both the criterion and the
-witness are decided exactly (or certified within the carried precision).
+and n is its witness index; both ceilings are exact floors of one product
+(or certified within the carried precision).
 
 For 0 < alpha < 1 the sequence repeats values, so membership is not
 defined there; generation works for every alpha > 0.
@@ -15,12 +14,12 @@ defined there; generation works for every alpha > 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Optional
 
 import numpy as np
 
-from .errors import AlphaNotGreaterThanOne, NotPositive
+from .errors import AlphaNotGreaterThanOne, FloorOutOfRange, NotPositive
 from .irrational import Irrational, PrecisionReal, as_exact_ratio
 from .surd import QuadraticSurd
 
@@ -28,18 +27,15 @@ __all__ = ["BeattyParams", "generate", "is_member", "bulk_membership"]
 
 
 class BeattyParams:
-    """Parameters (alpha, beta) with the derived quantities the theory runs on.
-
-    gamma = 1/alpha and delta = gamma*(1 - beta) are computed once: the
-    membership criterion, the equidistribution samples and the exponential
-    sums all live on the fractional parts {gamma*m + delta}.
+    """Parameters (alpha, beta) with gamma = 1/alpha, computed once: m is the
+    term at n = ceil(gamma*(m - beta)) >= 1 when n < ceil(gamma*(m + 1 - beta)).
 
     beta is normally an exact rational (ints, Fractions and decimal strings
     are accepted; floats are read as decimals).  An irrational beta from the
     same backend as alpha, such as alpha*j + beta, is kept exact as well.
     """
 
-    __slots__ = ("alpha", "beta", "gamma", "delta")
+    __slots__ = ("alpha", "beta", "gamma")
 
     def __init__(self, alpha: Irrational, beta=0):
         if not alpha.is_positive():
@@ -50,7 +46,6 @@ class BeattyParams:
             self.beta = as_exact_ratio(beta)
         self.alpha = alpha
         self.gamma = alpha.inverse()
-        self.delta = self.gamma * (1 - self.beta)
 
     def term(self, n: int) -> int:
         return self.alpha.affine_floor_frac(n, self.beta)[0]
@@ -82,47 +77,13 @@ def is_member(params: BeattyParams, m: int) -> Optional[int]:
     would produce, give None.
     """
     _require_alpha_gt_one(params)
-    gamma, beta = params.gamma, params.beta
-    # criterion on x = gamma*(m - beta + 1) = gamma*m + delta; x = 0 is exact
-    if isinstance(beta, Fraction) and m - beta + 1 == 0:
-        return None
-    x = gamma * m + params.delta
-    if isinstance(x, Fraction):  # a rational product of two surds
-        fr = x - x.__floor__()
-    elif isinstance(x, PrecisionReal):
-        fr = x - x.floor()
-    else:
-        fr = x.frac_exact()
-    if not _accepts(fr, gamma):
-        return None
-    n = _witness(params, m)
-    if n < 1:
-        return None
-    assert params.term(n) == m
-    return n
-
-
-def _is_positive(v) -> bool:
-    if isinstance(v, Fraction):
-        return v > 0
-    return v.is_positive()
-
-
-def _accepts(fr, gamma) -> bool:
-    # 0 < fr <= gamma, decided exactly / certified
-    if isinstance(fr, Fraction):
-        if fr == 0:
-            return False
-        return bool(gamma >= fr)
-    return fr.is_positive() and not _is_positive(fr - gamma)
-
-
-def _witness(params: BeattyParams, m: int) -> int:
-    # ceil((m - beta)/alpha); the argument is irrational unless m == beta
-    y = params.gamma * (m - params.beta)
-    if isinstance(y, Fraction):
-        return -((-y).__floor__())  # exact ceil of a rational
-    return y.floor() + 1
+    if m > math.floor(params.beta):  # else the witness would be <= 0
+        # ceil(gamma*(k - beta)) as -floor of one exact or interval product
+        n, n1 = (-math.floor(params.gamma * (params.beta - k)) for k in (m, m + 1))
+        if n1 > n:
+            assert params.term(n) == m
+            return n
+    return None
 
 
 def _require_alpha_gt_one(params):
@@ -135,24 +96,30 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
     """Vectorised membership over an integer array of candidate values.
 
     Returns (member mask, witness indices) with 0 in the index slot of
-    non-members.  The fast path classifies by floating fractional parts and
-    re-checks every point near a decision boundary with the exact kernel, so
-    the output matches is_member pointwise.
+    non-members, matching is_member pointwise.  With w = gamma*(beta - m),
+    the witness is -floor(w) and m is hit exactly when {w} < gamma; points
+    whose {w} the error bounds cannot place take the exact floor at m + 1.
     """
     _require_alpha_gt_one(params)
     ms = np.asarray(ms, dtype=np.int64)
-    gamma = params.gamma
-    fl, fr, err = gamma.affine_floor_frac_many(ms, params.delta)
-    gf = float(gamma)
-    band = err + 1e-12
-    # a member's witness ceil(gamma*(m - beta)) is floor(gamma*m + delta);
-    # points whose witness would be < 1 are not real members
-    member = (fr > band) & (fr < gf - band) & (fl >= 1)
-    unsure = np.flatnonzero(((fr <= band) | ((fr >= gf - band) & (fr <= gf + band))))
-    ns = np.where(member, fl, 0)
-    for i in unsure.tolist():
-        n = is_member(params, int(ms[i]))
-        member[i] = n is not None
-        ns[i] = n or 0
-    return member, ns
-
+    gamma, beta = params.gamma, params.beta
+    # m <= floor(beta) has a witness n <= 0: not a member.  The kernel sees
+    # a live stand-in instead, since its floors could leave int64 there
+    live = ms > math.floor(beta)
+    if not live.any():
+        return live, np.zeros(ms.size, np.int64)
+    if not live.all():
+        ms = np.where(live, ms, ms.max())
+    _, (gf,), g_err = gamma.affine_floor_frac_many([1])
+    fl, fr, err = (-gamma).affine_floor_frac_many(ms, gamma * beta)
+    if fl.min() == np.iinfo(np.int64).min:
+        raise FloorOutOfRange("witness 2**63 exceeds the int64 result contract")
+    # fr is within err of {w} and gf within g_err of gamma, float rounding
+    # included, so outside this band the sign of fr - gf decides {w} < gamma
+    fr -= gf
+    hit = fr < 0
+    near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
+    fl1 = (-gamma).affine_floor_frac_many(ms[near], gamma * (beta - 1))[0]
+    hit[near] = fl1 < fl[near]
+    hit &= live
+    return hit, np.where(hit, -fl, 0)

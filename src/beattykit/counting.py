@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from .beatty import BeattyParams, generate
-from .irrational import floor_affine
 from .sieve import (MangoldtTable, ResidueClass, class_records, euler_phi,
                     lambda_units)
 
@@ -98,8 +97,7 @@ def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
     """
     grid = _checked_grid(grid, mode)
     scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
-    tops = [scale * max(floor_affine(params.alpha, N, params.beta)[0], 0)
-            + shift for N in grid]
+    tops = [scale * max(params.term(N), 0) + shift for N in grid]
     at = class_records(table, tops[-1], r, shift + 1)
     ns, gf = table.power[at], float(params.gamma)
     if mode in ("N", "M"):

@@ -156,6 +156,8 @@ class PrecisionReal:
                 f"floor of value near {float(self.center)} undecidable at radius {float(self.radius)}")
         return flo
 
+    __floor__ = floor
+
     def floor_frac(self):
         t = self.floor()
         r = float(self.center - t)

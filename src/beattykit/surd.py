@@ -246,12 +246,10 @@ class QuadraticSurd:
     def floor(self) -> int:
         return exact_floor(self.u, self.v, self.w, self.d)
 
+    __floor__ = floor
+
     def floor_frac(self):
         return exact_floor_frac(self.u, self.v, self.w, self.d)
-
-    def frac_exact(self):
-        """self - floor(self) as an exact field element."""
-        return self - self.floor()
 
     # -- arithmetic -------------------------------------------------------
 

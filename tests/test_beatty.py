@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from beattykit.beatty import (BeattyParams, bulk_membership, generate,
                               is_member)
-from beattykit.errors import AlphaNotGreaterThanOne, NotPositive
-from beattykit.irrational import parse_irrational
+from beattykit.errors import (AlphaNotGreaterThanOne, AmbiguousFloor,
+                              FloorOutOfRange, NotPositive,
+                              PrecisionExhausted)
+from beattykit.irrational import PrecisionReal, parse_irrational
 from oracles import small_alpha_terms
 
 
@@ -18,7 +22,6 @@ def test_params_invariants(sqrt2):
     p = BeattyParams(sqrt2, 0.3)
     assert p.beta == Fraction(3, 10)
     assert p.gamma == sqrt2.inverse()
-    assert p.delta == p.gamma * (1 - Fraction(3, 10))
     with pytest.raises(NotPositive):
         BeattyParams(-sqrt2)
 
@@ -53,13 +56,14 @@ def test_member_requires_alpha_above_one(sqrt2):
 
 @pytest.mark.parametrize("name", ["sqrt:2", "sqrt:3", "quad:1/2+sqrt:5",
                                   "dec:3.14159265358979323846@200"])
-@pytest.mark.parametrize("beta", [0, 0.3, -1.7])
+@pytest.mark.parametrize("beta", [0, 0.3, -1.7, 1, 2, -3])
 def test_membership_against_brute_force(name, beta):
     p = BeattyParams(parse_irrational(name), beta)
     N = 200
     terms = generate(p, N)
     hit = {int(t): n for n, t in enumerate(terms.tolist(), start=1)}
-    lo, hi = int(terms[0]), int(terms[-1])
+    # from below the first term, so that m = beta is met for integer beta
+    lo, hi = int(terms[0]) - 3, int(terms[-1])
     ms = np.arange(lo, hi + 1, dtype=np.int64)
     mask, ns = bulk_membership(p, ms)
     for i, m in enumerate(ms.tolist()):
@@ -83,6 +87,85 @@ def test_member_integer_beta_edge(sqrt2):
     p = BeattyParams(sqrt2, 2)
     assert is_member(p, 2) is None
     assert is_member(p, 3) == 1
+
+
+REFUSED = "refused"
+
+
+def _scalar(p, m):
+    try:
+        return is_member(p, m)
+    except (AmbiguousFloor, PrecisionExhausted):
+        return REFUSED
+
+
+def _truth(p, m):
+    """The n >= 1 with p.term(n) == m, None, or REFUSED when a term near m
+    is not certified.  Terms increase, so only n = ceil((m - beta)/alpha)
+    can hit, and c below is within 1 of it."""
+    a = p.alpha
+    a = a.center if isinstance(a, PrecisionReal) else a.approx_fraction()
+    c = math.ceil((m - p.beta) / a)
+    try:
+        hits = [n for n in range(max(c - 2, 1), c + 3) if p.term(n) == m]
+    except (AmbiguousFloor, PrecisionExhausted):
+        return REFUSED
+    return hits[0] if hits else None
+
+
+ALPHAS = ("sqrt:2", "sqrt:3", "quad:1/2+sqrt:5", "quad:3/2+sqrt:7", "sqrt:1009")
+decimals = st.builds("dec:{}.{}@{}".format, st.integers(1, 4),
+                     st.integers(10 ** 12, 10 ** 15 - 1),
+                     st.sampled_from((24, 53, 64, 128, 200)))
+betas = st.one_of(st.integers(-40, 40),
+                  st.builds(Fraction, st.integers(-400, 400), st.integers(1, 9)))
+
+
+@given(st.one_of(st.sampled_from(ALPHAS), decimals), betas,
+       st.lists(st.integers(-300, 3000), max_size=30))
+@example("sqrt:2", -(1 << 62), [(1 << 62) + 1, 5])
+@example("sqrt:2", 10 ** 30, [0, 7, (1 << 63) - 1, -(1 << 63)])
+@example("dec:1.4142135623730950488@160", 2, [2, 1, 3, 3, -4])
+def test_bulk_membership_matches_is_member_and_terms(alpha, beta, ms):
+    # ms are unsorted, with duplicates and negatives; on decimals either
+    # function may refuse, never guess
+    p = BeattyParams(parse_irrational(alpha), beta)
+    want = [_scalar(p, m) for m in ms]
+    for m, n in zip(ms, want):
+        truth = _truth(p, m)
+        if REFUSED not in (n, truth):
+            assert n == truth, (alpha, beta, m)
+    try:
+        mask, ns = bulk_membership(p, ms)
+    except (AmbiguousFloor, PrecisionExhausted):
+        assert isinstance(p.alpha, PrecisionReal)
+        return
+    # whatever is_member refuses, the bulk path refuses too
+    assert mask.tolist() == [n is not None for n in want]
+    assert ns.tolist() == [n or 0 for n in want]
+
+
+def test_bulk_membership_refuses_a_witness_beyond_int64(sqrt2):
+    # a witness of 2**63 is no int64: refused, not wrapped to -2**63
+    x = math.isqrt(2 << 126)  # floor(sqrt(2) * 2**63)
+    p = BeattyParams(sqrt2, (1 << 62) - x)
+    assert is_member(p, 1 << 62) == 1 << 63
+    with pytest.raises(FloorOutOfRange):
+        bulk_membership(p, [1 << 62])
+
+
+@pytest.mark.parametrize("alpha, m", [("dec:1.41421356@24", 8118),
+                                      ("dec:1.41421356@24", 27719),
+                                      ("dec:1.41421356@10", 558)])
+def test_bulk_membership_refuses_inside_the_band(alpha, m):
+    # m = q - 1 for convergent denominators q of gamma: {gamma*(beta - m)}
+    # lies within the carried radius of gamma, so neither path may guess.
+    # At 10 bits the band needs gamma's own bound beside the kernel's.
+    p = BeattyParams(parse_irrational(alpha), 0)
+    with pytest.raises(AmbiguousFloor):
+        is_member(p, m)
+    with pytest.raises(AmbiguousFloor):
+        bulk_membership(p, [m])
 
 
 def test_bulk_membership_empty(sqrt2):

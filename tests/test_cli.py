@@ -242,6 +242,14 @@ def test_member_report_witness(capsys):
     assert out.splitlines()[-1] == "3,false,0"
 
 
+def test_member_decimal_at_beta(capsys):
+    # m = beta puts the witness at exactly ceil(0) = 0 on dec: as well
+    code = main(["beatty", "member", "--alpha", "dec:1.4142135623730950488",
+                 "--m", "0"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0,false,0"
+
+
 def test_psi_delta_inspect_verdict(capsys):
     code = main(["psi-delta", "inspect", "--alpha", "dec:0.5",
                  "--delta", "0.05", "--K", "16"])

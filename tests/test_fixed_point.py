@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from beattykit.beatty import BeattyParams, is_member
+from beattykit.beatty import BeattyParams, bulk_membership, is_member
 from beattykit.errors import AmbiguousFloor, PrecisionExhausted
 from beattykit.expsum import exp_sum_shifted
 from beattykit.irrational import PrecisionReal, parse_irrational
@@ -224,7 +224,11 @@ def test_decimal_phases_refuse_a_wide_radius():
 
 @pytest.mark.parametrize("alpha", ["sqrt:2", "dec:1.4142135623730950488@200"])
 def test_is_member_at_zero_argument(alpha):
-    # m = beta - 1 makes gamma*(m - beta + 1) exactly 0: not a member
+    # m = beta - 1 and m = beta have witnesses ceil(gamma*(m - beta)) <= 0:
+    # not members, decided on decimals too
     params = BeattyParams(parse_irrational(alpha), 1)
     assert is_member(params, 0) is None
+    assert is_member(params, 1) is None
     assert is_member(params, 2) == 1
+    mask, ns = bulk_membership(params, [0, 1, 2])
+    assert mask.tolist() == [False, False, True] and ns.tolist() == [0, 0, 1]

@@ -275,4 +275,4 @@ def test_sign_and_floor_helpers():
     assert x.floor() == -1
     assert x.floor_frac()[0] == -1
     assert 0.0 <= x.floor_frac()[1] < 1.0
-    assert x.frac_exact() == x - (-1)
+    assert math.floor(x) == -1
