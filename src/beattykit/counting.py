@@ -11,10 +11,9 @@ class a mod q, all over indices n <= N and with m(n) = floor(alpha*n + beta):
 The predicted main term compares each against 1/alpha times the same
 quantity summed over all integers m <= M = floor(alpha*N + beta), the
 heuristic being that a fraction 1/alpha of all m survive the Beatty
-membership sieve.  That sum is psi or pi of the class a mod q, over
-a < n <= q*M + a (S, N) or n <= M (T, M), read from the table's records of
-the class.  Densities q/phi(q) (for S) and 1/phi(q) (for T) give the
-cruder closed-form predictions.
+membership sieve.  Both sides read the table's records of the class,
+q*m + a (S, N) or m (T, M).  Densities q/phi(q) (for S) and 1/phi(q) (for
+T) give the cruder closed-form predictions.
 
 Every sum is exact until one final rounding: Lambda values are summed as
 integer counts of 2**-53 (sieve.lambda_units), so equal multisets of terms
@@ -29,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beatty import BeattyParams, generate
+from .beatty import BeattyParams
 from .sieve import (MangoldtTable, ResidueClass, class_records, euler_phi,
                     lambda_units)
 
@@ -50,65 +49,65 @@ def _checked_grid(grid, mode: str) -> list:
     return grid
 
 
-def _prefix_sums(values: np.ndarray, r: ResidueClass, mode: str,
-                 table: MangoldtTable, cuts) -> list:
-    """The mode's sum over values[:c] for each nondecreasing cut c, a value
-    m weighing what a term m(n) weighs in the module docstring.  Segments
-    between cuts are summed exactly, so no prefix array is formed."""
-    shifted = mode in ("S", "N")
-    if values.size:
-        top = int(values.max())
-        table.require(r.q * top + r.a if shifted else top)
-    out, total, lo = [], 0, 0
-    for hi in cuts:
-        seg = values[lo:hi]
-        lo = hi
-        seg = r.q * seg + r.a if shifted else seg[seg % r.q == r.a]
-        seg = seg[seg >= 2]
-        if mode in ("N", "M"):
-            total += int(np.count_nonzero(table.is_prime[seg]))
-            out.append(float(total))
-            continue
-        total += lambda_units(table.mangoldt_values(seg))
-        out.append(float(total) * 2.0 ** -53)
-    return out
+def _records(r: ResidueClass, mode: str, table: MangoldtTable, lo: int,
+             hi: int) -> tuple:
+    """(positions in the table's records, values m) of the class's records
+    with lo <= m <= hi, ascending; only primes for N and M."""
+    scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
+    at = class_records(table, scale * hi + shift, r, max(scale * lo + shift, 2))
+    if mode in ("N", "M"):
+        at = at[table.power[at] == table.base[at]]
+    return at, (table.power[at] - shift) // scale
+
+
+def _total(table: MangoldtTable, at, mode: str, times) -> float:
+    """Each record's weight times times[i], summed exactly, rounded once."""
+    if mode in ("N", "M"):
+        return float(int(times.sum()))
+    return float(lambda_units(np.repeat(table.log_base[at], times))) * 2.0 ** -53
 
 
 def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
                 table: MangoldtTable) -> list:
     """The mode's sum over n <= N of its weight at m(n), for each N of a
-    strictly ascending grid, from one term array up to the last N."""
+    strictly ascending grid, read from the class's records.
+
+    m(n) = m for c(m) <= n < c(m + 1), where c(k) = ceil(gamma*(k - beta))
+    = -floor(-gamma*k + gamma*beta).  Only m(1) <= m <= m(L) occur, L the
+    last N, and c(m(1)) <= 1 and c(m(L) + 1) > L are taken as 1 and L + 1
+    unfloored.  So every floor taken, at m(1) < k <= m(L), has c(k) in
+    [2, L]: inside int64, and off k = beta, where a dec: alpha cannot
+    floor gamma*(k - beta) = 0.
+    """
     grid = _checked_grid(grid, mode)
-    return _prefix_sums(generate(params, grid[-1]), r, mode, table, grid)
+    L, gamma = grid[-1], params.gamma
+    lo, hi = params.term(1), params.term(L)
+    at, m = _records(r, mode, table, lo, hi)
+    ks = np.concatenate([m, m + 1])
+    inner = (ks > lo) & (ks <= hi)
+    c = np.where(ks > hi, L + 1, 1)
+    c[inner] = -(-gamma).affine_floor_frac_many(ks[inner], gamma * params.beta)[0]
+    start, stop = np.split(c, 2)
+    return [_total(table, at, mode,
+                   np.maximum(np.minimum(stop, N + 1) - start, 0))
+            for N in grid]
 
 
 def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
                table: MangoldtTable) -> list:
     """gamma times the same sum over the integers m = 1..M(N), with
-    M(N) = max(floor(alpha*N + beta), 0):
+    M(N) = floor(alpha*N + beta) (no m when M(N) <= 0):
 
     S: gamma * sum_{m <= M} Lambda(q m + a)
     T: gamma * sum_{m <= M, m == a (q)} Lambda(m)
     N: gamma * #{m <= M : q m + a prime}
     M: gamma * pi(M; q, a)
-
-    Each is a sum over the class's records (its primes for N and M) up to
-    q*M + a or M, so each N of the grid is one cut into them.
     """
     grid = _checked_grid(grid, mode)
-    scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
-    tops = [scale * max(params.term(N), 0) + shift for N in grid]
-    at = class_records(table, tops[-1], r, shift + 1)
-    ns, gf = table.power[at], float(params.gamma)
-    if mode in ("N", "M"):
-        ends = np.searchsorted(ns[table.is_prime[ns]], tops, side="right")
-        return [gf * float(e) for e in ends.tolist()]
-    lam, out, total, lo = table.log_base[at], [], 0, 0
-    for hi in np.searchsorted(ns, tops, side="right").tolist():
-        total += lambda_units(lam[lo:hi])
-        lo = hi
-        out.append(gf * (float(total) * 2.0 ** -53))
-    return out
+    tops = [params.term(N) for N in grid]
+    at, m = _records(r, mode, table, 1, tops[-1])
+    gf = float(params.gamma)
+    return [gf * _total(table, at, mode, m <= top) for top in tops]
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FloorOutOfRange
 
 __all__ = ["QuadraticSurd", "make_real", "squarefree_split", "exact_floor",
-           "exact_floor_frac", "bulk_floor_frac", "to_fixed_point",
+           "exact_floor_frac", "to_fixed_point",
            "fixed_point_floor_frac"]
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
@@ -173,15 +173,6 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
         raise FloorOutOfRange("floor exceeds the int64 result contract")
     I64, J64 = (np.uint64(x & _M64).view(np.int64) for x in (I, J))
     return ns * I64 + J64 + carry, fracs, err
-
-
-def bulk_floor_frac(A: int, B: int, C: int, E: int, W: int, d: int, ns):
-    """Vectorised floor/frac of ((A*n + B) + (C*n + E)*sqrt(d)) / W: fracs are
-    within (max|n| + 1)*2**-128 plus rounding, and points that close to an
-    integer (or n < 0) go through exact_floor_frac, so floors are exact."""
-    parts = (*to_fixed_point(A, C, W, d), *to_fixed_point(B, E, W, d), 1, 1)
-    return fixed_point_floor_frac(
-        parts, ns, lambda n: exact_floor_frac(A * n + B, C * n + E, W, d))
 
 
 def _reduce(u: int, v: int, w: int):
@@ -380,7 +371,7 @@ class QuadraticSurd:
 
     def affine_floor_frac_many(self, ns, eta=0):
         """(floors, fracs, frac error bound) of self*n + eta over an integer
-        array, by the fixed-point kernel; see bulk_floor_frac."""
+        array, by the fixed-point kernel; see fixed_point_floor_frac."""
         return fixed_point_floor_frac(self.fixed_point(eta), ns,
                                       lambda n: self.affine_floor_frac(n, eta))
 

@@ -13,6 +13,8 @@ from beattykit.beatty import BeattyParams
 from beattykit.cli import _fmt
 from beattykit.expsum import _validated
 from beattykit.irrational import floor_affine
+from beattykit.surd import (exact_floor_frac, fixed_point_floor_frac,
+                            to_fixed_point)
 
 
 def _scaled_values(vals: np.ndarray):
@@ -69,6 +71,17 @@ def smoothed_indicator(x, gamma, delta):
         cover = cover + np.clip(np.minimum(hi, shift + gamma)
                                 - np.maximum(lo, shift), 0.0, None)
     return cover / (2.0 * delta)
+
+
+# -- floors: the fixed-point kernel on raw surd coefficients -----------------
+
+def bulk_floor_frac(A: int, B: int, C: int, E: int, W: int, d: int, ns):
+    """Vectorised floor/frac of ((A*n + B) + (C*n + E)*sqrt(d)) / W: fracs are
+    within (max|n| + 1)*2**-128 plus rounding, and points that close to an
+    integer (or n < 0) go through exact_floor_frac, so floors are exact."""
+    parts = (*to_fixed_point(A, C, W, d), *to_fixed_point(B, E, W, d), 1, 1)
+    return fixed_point_floor_frac(
+        parts, ns, lambda n: exact_floor_frac(A * n + B, C * n + E, W, d))
 
 
 # -- sequences: the alpha < 1 split into t sequences of modulus alpha*t > 1 --

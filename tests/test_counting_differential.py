@@ -1,10 +1,14 @@
 """beatty_sums and main_terms against the per-index oracles, with exact ==.
 
 The oracles walk n = 1..N (or m = 1..M) one term at a time through the exact
-scalar floor and sum with math.fsum; the engine generates one term array and
-sums segments exactly in integers.  Both round once, so they agree bit for
-bit, for surd and dec: alphas on both sides of 1, negative beta (negative
-terms), q = 1, one-point grids and grids where M(N) <= 0.
+scalar floor and sum with math.fsum; the engine reads the class's records,
+counts each by the ceilings c(m) <= n < c(m + 1) of its indices, and sums
+exactly in integers.  Both round once, so they agree bit for bit, for surd
+and dec: alphas on both sides of 1, negative beta (negative terms), q = 1,
+one-point grids and grids where M(N) <= 0.  A dec: alpha of 1e-20 makes
+every term an integer beta: c(m(1)) = 0 and c(m(N) + 1) = 1e20 are then
+integers that a dec: alpha cannot floor (and the second leaves int64), so
+the engine must take neither.
 """
 
 from fractions import Fraction
@@ -20,11 +24,13 @@ from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table
 from oracles import oracle_M, oracle_N, oracle_S, oracle_T, oracle_main
 
+TINY = "dec:0.00000000000000000001@200"
 ALPHAS = {name: parse_irrational(name) for name in (
     "sqrt:2", "quad:1/2+sqrt:5", "sqrt:7",
     "quad:0/2+sqrt:2", "quad:-1/2+sqrt:5", "quad:0/5+sqrt:2",
     "dec:3.141592653589793238462643383279502884197@200",
     "dec:0.7390851332151606416553120876738734040134@200",
+    TINY,
 )}
 ORACLES = {"S": oracle_S, "T": oracle_T, "N": oracle_N, "M": oracle_M}
 
@@ -55,6 +61,9 @@ def table():
 @example("sqrt:2", Fraction(-1), ResidueClass(2, 5), [1, 2, 300], "N")
 @example("dec:3.141592653589793238462643383279502884197@200", Fraction(0),
          ResidueClass(2, 11), [300, 579], "S")     # 11*M + 2 == limit
+@example(TINY, Fraction(5), ResidueClass(0, 1), [1, 200], "T")  # every term
+@example(TINY, Fraction(5), ResidueClass(0, 1), [1, 200], "M")  # is beta
+@example(TINY, Fraction(3), ResidueClass(1, 2), [7, 150, 300], "S")
 def test_engine_equals_oracles(table, alpha, beta, r, grid, mode):
     p = BeattyParams(ALPHAS[alpha], beta)
     oracle = ORACLES[mode]

@@ -19,8 +19,9 @@ from beattykit.errors import AmbiguousFloor, PrecisionExhausted
 from beattykit.expsum import exp_sum_shifted
 from beattykit.irrational import PrecisionReal, parse_irrational
 from beattykit.sieve import ResidueClass, build_table
-from beattykit.surd import (QuadraticSurd, bulk_floor_frac, exact_floor_frac,
+from beattykit.surd import (QuadraticSurd, exact_floor_frac,
                             fixed_point_floor_frac, make_real)
+from oracles import bulk_floor_frac
 
 RADICANDS = (2, 3, 5, 6, 7, 13, 61, 1009)
 N_MAX = 1 << 40

@@ -66,12 +66,23 @@ def _no_logs(ns):
     raise AssertionError("a report that reads no Lambda took logs")
 
 
+def _no_terms(self, ns):
+    raise AssertionError("a count sweep generated a term array")
+
+
+def _no_lookup(self, ns):
+    raise AssertionError("a count sweep looked Lambda values up")
+
+
 @pytest.mark.parametrize("name,alpha,mode,target", COUNT_SWEEP)
 def test_count_sweep_report_bytes(tmp_path, monkeypatch, sweep_table, name,
                                   alpha, mode, target):
-    # N and M read no Lambda; T and M read m(n) itself, not q*m(n) + a
+    # N and M read no Lambda; T and M read m(n) itself, not q*m(n) + a.
+    # Every mode reads the class's records: no term array, no lookup
     if mode in ("N", "M"):
         monkeypatch.setattr(sieve, "_log_primes", _no_logs)
+    monkeypatch.setattr(BeattyParams, "terms", _no_terms)
+    monkeypatch.setattr(sieve.MangoldtTable, "mangoldt_values", _no_lookup)
     limits = []
     monkeypatch.setattr(cli, "build_table", lambda limit, **kw:
                         limits.append(limit) or build_table(limit, **kw))

@@ -13,8 +13,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from beattykit.surd import (QuadraticSurd, bulk_floor_frac, exact_floor,
-                            exact_floor_frac, make_real, squarefree_split)
+from beattykit.surd import (QuadraticSurd, exact_floor, exact_floor_frac,
+                            make_real, squarefree_split)
+from oracles import bulk_floor_frac
 
 mpmath.mp.prec = 300
 
