@@ -37,7 +37,7 @@ for La in (10 ** 4, 10 ** 5, 10 ** 6):
     print(f"  L = {La:>8}: psi = {v:14.3f}  dev = {abs(v-main)/La:.2e}")
 
 # proper prime powers are rare; show the ones near the top of a decade
-sel = (powers > 9000) & (powers <= 10 ** 4) & ~table.is_prime[powers]
+sel = (powers > 9000) & (powers <= 10 ** 4) & (powers != table.base)
 proper = [(int(n), round(math.exp(lg)))
           for n, lg in zip(powers[sel], logs[sel])]
 print("\nproper prime powers (n, p) in (9000, 10000]:", proper)

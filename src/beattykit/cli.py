@@ -62,17 +62,20 @@ def _fraction(text):
 
 
 def _grid(text):
+    toks = text.split(",")
     try:
-        grid = tuple(int(float(tok)) for tok in text.split(","))
-    except (ValueError, OverflowError) as exc:
+        values = [float(tok) for tok in toks]
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if any(n < 1 for n in grid):
-        raise argparse.ArgumentTypeError("values must be positive integers")
+    # exact: Fraction is only asked within the budget, where the power of
+    # ten it forms has at most nine digits more than the token
+    if not all(1 <= v <= MAX_LIMIT and Fraction(tok) == int(v)
+               for tok, v in zip(toks, values)):
+        raise argparse.ArgumentTypeError(
+            f"values must be integers in [1, {MAX_LIMIT}], the sieve budget")
+    grid = tuple(map(int, values))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise argparse.ArgumentTypeError("values must be strictly ascending")
-    if grid[-1] > MAX_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"{grid[-1]} exceeds the sieve budget ({MAX_LIMIT})")
     return grid
 
 

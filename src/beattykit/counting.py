@@ -54,9 +54,8 @@ def _records(r: ResidueClass, mode: str, table: MangoldtTable, lo: int,
     """(positions in the table's records, values m) of the class's records
     with lo <= m <= hi, ascending; only primes for N and M."""
     scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
-    at = class_records(table, scale * hi + shift, r, max(scale * lo + shift, 2))
-    if mode in ("N", "M"):
-        at = at[table.power[at] == table.base[at]]
+    at = class_records(table, scale * hi + shift, r, max(scale * lo + shift, 2),
+                       primes=mode in ("N", "M"))
     return at, (table.power[at] - shift) // scale
 
 

@@ -1,24 +1,24 @@
 """Segmented sieve for the von Mangoldt function and progression counts.
 
-build_table walks [2, limit] in fixed-size segments, so the working set
-during construction is O(sqrt(limit) + segment); the outputs (a primality
-bitmap and the sorted list of prime-power records) are what they are.  The
-few powers p**k, k >= 2 (427 up to 5e6), are merged into the prime array
-by position; rebuilding a table with a different segment gives
-bit-identical records.
+build_table walks [2, limit] in fixed-size segments (Bays and Hudson, BIT
+17, 1977): each segment is crossed off by the primes up to sqrt(limit) and
+hands on only the primes it holds, so no array of limit + 1 entries is
+ever allocated.  The table is its sorted prime-power records, power and
+base; a record is a prime exactly when power == base.  The few powers
+p**k, k >= 2 (427 up to 5e6), are merged into the primes by position;
+rebuilding a table with a different segment gives bit-identical records.
 
 Each Lambda value is log p correctly rounded to a double, the same on every
 platform: no libm log is called.  The logs are taken when a table's
 log_base is first read, not at build, so a report that reads only the
-bitmap, the primes or the records never pays for them.  _log_primes
-evaluates log p once per record with a table-driven double-double kernel
-(Tang, ACM TOMS 16(4), 1990) of IEEE + - * / only, whose proven error is
-below 2**-73 (_log_block).  A value within the guard band _LOG_GUARD =
-2**-70 of a rounding midpoint is decided by decimal's correctly rounded ln
-at growing precision, compared with the midpoints exactly (Ziv, ACM TOMS
-17(3), 1991); PrecisionExhausted is raised, at that first read of
-log_base, if even that cannot decide.  Up to MAX_LIMIT, 5 of the 16.3
-million primes fall in the band.
+records never pays for them.  _log_primes evaluates log p once per record
+with a table-driven double-double kernel (Tang, ACM TOMS 16(4), 1990) of
+IEEE + - * / only, whose proven error is below 2**-73 (_log_block).  A
+value within the guard band _LOG_GUARD = 2**-70 of a rounding midpoint is
+decided by decimal's correctly rounded ln at growing precision, compared
+with the midpoints exactly (Ziv, ACM TOMS 17(3), 1991); PrecisionExhausted
+is raised, at that first read of log_base, if even that cannot decide.  Up
+to MAX_LIMIT, 5 of the 16.3 million primes fall in the band.
 
 Sums of Lambda values are exact until one final rounding (lambda_units).
 Each value is a double log p with log 2 <= log p < 2**6: log p >= log 2 >
@@ -33,7 +33,7 @@ ordered or cut (Demmel and Nguyen, ARITH 2013).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -46,7 +46,7 @@ __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
            "DEFAULT_SEGMENT", "MAX_LIMIT"]
 
 DEFAULT_SEGMENT = 1 << 20
-MAX_LIMIT = 300_000_000  # a 649 MB table, 771 MB with logs; sweeps peak ~1 GB
+MAX_LIMIT = 300_000_000  # 260 MB of records, 390 MB with logs; sweeps peak ~600 MB
 _LIMB = 30
 
 
@@ -82,22 +82,25 @@ def _split_class(r) -> tuple:
 
 @dataclass
 class MangoldtTable:
-    """Primality bitmap plus sorted prime-power records for [1, limit].
+    """The sorted prime-power records of [1, limit].
 
     Lambda(n) = log_base[i] = log(base[i]) where power[i] == n, and 0 off
-    the records.  log_base is computed when first read (the kernel works
-    element by element, so a power p**k gets exactly log p); that read is
-    where PrecisionExhausted surfaces.
+    the records; the primes are the records with power == base.  log_base
+    is computed when first read (the kernel works element by element, so a
+    power p**k gets exactly log p); that read is where PrecisionExhausted
+    surfaces.
     """
     limit: int
-    segment_size: int
-    is_prime: np.ndarray   # bool, indexed 0..limit
     power: np.ndarray      # int64, sorted prime powers p**k <= limit
     base: np.ndarray       # int64, the p for each record
 
     @cached_property
-    def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.is_prime).astype(np.int64)
+    def is_prime(self) -> np.ndarray:
+        """bool, indexed 0..limit: a bitmap derived from the prime records
+        when first read.  It costs limit + 1 bytes, and no command reads it."""
+        flags = np.zeros(self.limit + 1, bool)
+        flags[self.power[self.power == self.base]] = True
+        return flags
 
     @cached_property
     def log_base(self) -> np.ndarray:
@@ -326,9 +329,8 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
         raise LimitTooLarge(f"limit {limit} exceeds the budget {max_limit}")
     if segment_size < 64:
         raise ValueError("segment size must be at least 64")
-    root = math.isqrt(limit)
-    base_primes = _simple_sieve(root) if root >= 2 else np.empty(0, np.int64)
-    is_prime = np.zeros(limit + 1, bool)
+    base_primes = _simple_sieve(math.isqrt(limit))
+    chunks = [np.empty(0, np.int64)]  # each segment's primes
     for seg_lo in range(2, limit + 1, segment_size):
         seg_hi = min(seg_lo + segment_size, limit + 1)
         mask = np.ones(seg_hi - seg_lo, bool)
@@ -337,26 +339,21 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
                 break
             start = max(p * p, ((seg_lo + p - 1) // p) * p)
             mask[start - seg_lo:: p] = False
-        is_prime[seg_lo: seg_hi] = mask
-    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-    # powers p**k, k >= 2, with p's index in primes (base_primes is its
-    # head), merged in by position
-    extra_n, extra_i = [], []
-    for i, p in enumerate(base_primes.tolist()):
+        chunks.append(np.flatnonzero(mask) + seg_lo)
+    primes = np.concatenate(chunks)
+    del chunks  # freed before the merge below makes two more copies
+    # the powers p**k, k >= 2, as (p**k, p), merged in by position
+    extra = []
+    for p in base_primes.tolist():
         pk = p * p
         while pk <= limit:
-            extra_n.append(pk)
-            extra_i.append(i)
+            extra.append((pk, p))
             pk *= p
-    extra_n = np.array(extra_n, np.int64)
-    order = np.argsort(extra_n)
-    extra_n, extra_i = extra_n[order], np.array(extra_i, np.intp)[order]
-    at = np.searchsorted(primes, extra_n)
-    power = np.insert(primes, at, extra_n)
-    base = np.insert(primes, at, primes[extra_i])
-    table = MangoldtTable(limit, segment_size, is_prime, power, base)
-    table.primes = primes  # fills the cached property
-    return table
+    extra = np.array(sorted(extra), np.int64).reshape(-1, 2)
+    at = np.searchsorted(primes, extra[:, 0])
+    power = np.insert(primes, at, extra[:, 0])
+    base = np.insert(primes, at, extra[:, 1])
+    return MangoldtTable(limit, power, base)
 
 
 def lambda_units(values: np.ndarray) -> int:
@@ -367,14 +364,19 @@ def lambda_units(values: np.ndarray) -> int:
         int((fixed & ((1 << _LIMB) - 1)).sum())
 
 
-def class_records(table: MangoldtTable, L: int, r,
-                  min_n: int = 2) -> np.ndarray:
+def class_records(table: MangoldtTable, L: int, r, min_n: int = 2,
+                  primes: bool = False) -> np.ndarray:
     """Positions in table.power (and log_base) of the records n congruent
-    to a mod q with min_n <= n <= L, ascending."""
+    to a mod q with min_n <= n <= L, ascending; with primes, only those
+    that are primes (power == base)."""
     a, q = _split_class(r)
     table.require(L)
-    power = table.power[:np.searchsorted(table.power, L, side="right")]
-    return np.flatnonzero((power % q == a) & (power >= min_n))
+    cut = np.searchsorted(table.power, L, side="right")
+    power = table.power[:cut]
+    keep = (power % q == a) & (power >= min_n)
+    if primes:
+        keep &= power == table.base[:cut]
+    return np.flatnonzero(keep)
 
 
 def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
@@ -385,13 +387,7 @@ def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
 
 def prime_pi_ap(table: MangoldtTable, x: int, r) -> int:
     """pi(x; q, a): primes p <= x with p congruent to a mod q."""
-    a, q = _split_class(r)
-    table.require(max(x, 0))
-    primes = table.primes
-    cut = np.searchsorted(primes, x, side="right")
-    if q == 1:
-        return int(cut)
-    return int(np.count_nonzero(primes[:cut] % q == a))
+    return int(class_records(table, x, r, primes=True).size)
 
 
 def euler_phi(q: int) -> int:

@@ -151,7 +151,8 @@ class TestExitCodes:
         "beatty generate --alpha sqrt:2 --beta=-1e30 --N 3",
     ])
     def test_floor_beyond_int64_is_one(self, args):
-        proc = subprocess.run([sys.executable, "-m", "beattykit.cli", *args.split()],
+        proc = subprocess.run([sys.executable, "-B", "-m", "beattykit.cli",
+                               *args.split()],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True)
         assert proc.returncode == 1
@@ -268,6 +269,8 @@ BAD_VALUES = [
       "--M", "100", "--den-max", "0"], "--den-max"),
     (["count", "sweep", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
       "--grid", "inf"], "--grid"),
+    (["sieve", "pi", "--q", "7", "--a", "1", "--grid", "100.9,1000.5"],
+     "--grid"),
     (["expsum", "identity-check", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
       "--M", "10", "--k", "0"], "--k"),
 ]
@@ -322,7 +325,7 @@ def test_import_loads_no_fallback_module():
         print(json.dumps([held, sorted(
             m for m in ("mpmath", "sympy") if m in sys.modules)]))
     """
-    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == [[], []]
 
@@ -342,7 +345,7 @@ def _loaded_after(argv):
         print(json.dumps([m for m in sys.modules
                           if m.startswith("beattykit") or m == "numpy"]))
     """
-    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return {m.removeprefix("beattykit.") for m in json.loads(out)}
 

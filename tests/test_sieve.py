@@ -3,6 +3,7 @@ identities, and the arithmetic-progression summaries."""
 
 import decimal
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ def test_small_table_frozen():
     t = build_table(10)
     assert t.power.tolist() == [2, 3, 4, 5, 7, 8, 9]
     assert t.base.tolist() == [2, 3, 2, 5, 7, 2, 3]
-    assert t.primes.tolist() == [2, 3, 5, 7]
+    assert t.power[t.power == t.base].tolist() == [2, 3, 5, 7]
 
 
 def test_tiny_limits():
@@ -127,7 +128,6 @@ def test_segment_size_independence():
     b = build_table(100_000, segment_size=1 << 16)
     c = build_table(100_000)
     for other in (b, c):
-        assert np.array_equal(a.is_prime, other.is_prime)
         assert np.array_equal(a.power, other.power)
         assert np.array_equal(a.base, other.base)
         assert a.log_base.tobytes() == other.log_base.tobytes()
@@ -220,7 +220,7 @@ def test_log_is_correctly_rounded_where_libm_misses():
 
 def test_every_record_to_1e5_is_correctly_rounded():
     t = build_table(100_000)
-    want = {p: log_correctly_rounded(p) for p in t.primes.tolist()}
+    want = {p: log_correctly_rounded(p) for p in set(t.base.tolist())}
     assert t.log_base.tolist() == [want[p] for p in t.base.tolist()]
 
 
@@ -294,5 +294,22 @@ def test_records_are_the_sorted_prime_powers():
                   for k in range(1, 18) if p ** k <= L)
     assert t.power.tolist() == [n for n, _ in recs]
     assert t.base.tolist() == [p for _, p in recs]
-    assert t.primes.dtype == np.int64
-    assert np.array_equal(t.primes, np.flatnonzero(t.is_prime))
+    assert t.power.dtype == t.base.dtype == np.int64
+    # the primes are exactly the records with power == base, and the
+    # bitmap built on demand marks them
+    primes = t.power[t.power == t.base]
+    assert primes.tolist() == list(sympy.primerange(2, L + 1))
+    assert np.array_equal(np.flatnonzero(t.is_prime), primes)
+
+
+def test_table_holds_only_its_records():
+    # no bitmap of limit + 1 entries and no second prime array outlive
+    # the build: what stays allocated is power and base
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = build_table(4_000_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(held - (t.power.nbytes + t.base.nbytes)) <= 1 << 20
