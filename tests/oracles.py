@@ -63,6 +63,41 @@ def discrepancy_brute(points) -> float:
     return float(Fraction(best, M * scale)) if best > 0 else 0.0
 
 
+def dense_filter(points):
+    """(vals, less, leq, cnt0, keep) by the dense float filter that
+    expsum._kept replaced: every candidate array at once, by np.unique,
+    np.where and np.concatenate.  The lean filter must keep exactly these
+    indices."""
+    xs = _validated(points)
+    M = int(xs.size)
+    vals, cnts = np.unique(xs, return_counts=True)
+    leq = np.cumsum(cnts)
+    less = leq - cnts
+    cnt0 = int(cnts[0]) if vals[0] == 0 else 0
+
+    mx = M * vals
+    a = leq - mx
+    b = mx - less
+    c = mx - leq
+    pos = vals > 0
+    b_left = np.where(pos, b, -np.inf)
+    # excess pairs r <= s, the virtual left end included in the prefix
+    pre_b = np.maximum(np.maximum.accumulate(b_left), -cnt0)
+    suf_a = np.maximum.accumulate(a[::-1])[::-1]
+    ex_s, ex_r = a + pre_b, b_left + suf_a
+    # deficiency pairs c < d: prefix minima of c before d, suffix maxima of
+    # b after c, the virtual ends 0 (for v_d > 0) and 1 (term 0) included
+    pre_c = np.concatenate(([np.inf], np.minimum.accumulate(c)[:-1]))
+    suf_b = np.concatenate((np.maximum.accumulate(b[:0:-1])[::-1], [0.0]))
+    de_d = b - np.where(pos, np.minimum(pre_c, -cnt0), pre_c)
+    de_c = np.maximum(suf_b, 0.0) - c
+    top = max(ex_s.max(), de_d.max(), de_c.max())
+    cut = top - 16.0 * M * 2.0 ** -53
+    keep = np.flatnonzero((ex_s >= cut) | (ex_r >= cut) |
+                          (de_d >= cut) | (de_c >= cut))
+    return vals, less, leq, cnt0, keep
+
+
 def smoothed_indicator(x, gamma, delta):
     """Exact box-smoothed indicator of (0, gamma] mod 1 at x in [0, 1)."""
     lo, hi = x - delta, x + delta

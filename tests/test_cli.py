@@ -278,12 +278,19 @@ BAD_TOL = [pytest.param(["count", "sweep", "--alpha", "sqrt:2", "--q", "1",
                          "--a", "0", "--grid", "10,100,1000", "--tol", tol],
                         "--tol", id=f"count sweep --tol {tol}")
            for tol in ("nan", "inf", "-1")]
+# past a command's memory budget: refused at parse time, so nothing is
+# allocated for the points
+BAD_BUDGET = [pytest.param([*cmd, "--alpha", "sqrt:2", flag, "100000000000"], flag,
+                           id=f"{' '.join(cmd)} {flag} over budget")
+              for cmd, flag in ((["discrepancy"], "--M"),
+                                (["beatty", "generate"], "--N"))]
 
 
-# None leaves each BAD_TOL case its own id
-@pytest.mark.parametrize("argv,flag", BAD_VALUES + BAD_TOL,
+# None leaves each BAD_TOL and BAD_BUDGET case its own id
+@pytest.mark.parametrize("argv,flag", BAD_VALUES + BAD_TOL + BAD_BUDGET,
                          ids=[" ".join(argv[:2]) + " " + flag
-                              for argv, flag in BAD_VALUES] + [None] * len(BAD_TOL))
+                              for argv, flag in BAD_VALUES]
+                         + [None] * (len(BAD_TOL) + len(BAD_BUDGET)))
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Exact extreme discrepancy: frozen cases, hand-worked values, the
 all-pairs oracle, and a third from-first-principles check on tiny sets."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -119,3 +120,26 @@ def test_near_rational_rotation_frac_rounds_safely():
     third = parse_irrational("dec:0.333333333333333333333333")
     D = discrepancy_beatty(third, 0, 9999)
     assert 0.3 < D < 0.35
+
+
+def test_beatty_scan_memory_per_point():
+    # the kernel's fractions are sorted in place and the filter reuses one
+    # buffer; the dense scan held about 147 bytes a point here
+    gam, M = parse_irrational("sqrt:2"), 2 ** 18
+    discrepancy_beatty(gam, Fraction(1, 3), 64)   # warm the kernel's caches
+    tracemalloc.start()
+    try:
+        discrepancy_beatty(gam, Fraction(1, 3), M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * M
+
+
+def test_discrepancy_leaves_its_input_alone():
+    xs = np.random.default_rng(7).random(1000)
+    xs[:10] = 0.0
+    before = xs.copy()
+    D = discrepancy(xs)
+    assert np.array_equal(xs, before)
+    assert D == discrepancy(before)

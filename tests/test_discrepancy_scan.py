@@ -15,8 +15,8 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from beattykit.expsum import discrepancy
-from oracles import discrepancy_brute
+from beattykit.expsum import _kept, discrepancy
+from oracles import dense_filter, discrepancy_brute
 
 ALMOST_ONE = math.nextafter(1.0, 0.0)
 SPECIAL = (0.0, 2.0 ** -1000, 5e-324, ALMOST_ONE, 0.5)
@@ -60,6 +60,34 @@ def test_scan_equals_oracle(xs):
 @given(perturbed_grids())
 def test_scan_equals_oracle_on_near_ties(xs):
     assert discrepancy(xs) == discrepancy_brute(xs)
+
+
+def _same_kept(xs):
+    """The lean filter over the sorted points keeps the dense filter's
+    indices, with the same values, counts and zeros."""
+    lean = _kept(np.sort(np.asarray(xs, np.float64)))
+    dense = dense_filter(xs)
+    for got, want in zip(lean, dense):
+        assert np.array_equal(got, want)
+
+
+ALL_TIE = [k / 2 ** 12 for k in range(2 ** 12)]
+
+
+@given(samples())
+@example([0.0])                       # M = 1 at the value 0
+@example([0.5])                       # M = 1 off it
+@example([0.0, 0.0, 0.25, 0.5])       # led by a run of zeros
+@example([0.0, 5e-324, 5e-324, ALMOST_ONE])
+@example(ALL_TIE)                     # every gap ties: every index is kept
+@example(ALL_TIE + [0.0] * 3)
+def test_lean_filter_keeps_the_dense_filters_indices(xs):
+    _same_kept(xs)
+
+
+@given(perturbed_grids())
+def test_lean_filter_keeps_the_dense_filters_indices_on_near_ties(xs):
+    _same_kept(xs)
 
 
 @given(element)

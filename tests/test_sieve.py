@@ -313,3 +313,15 @@ def test_table_holds_only_its_records():
     finally:
         tracemalloc.stop()
     assert abs(held - (t.power.nbytes + t.base.nbytes)) <= 1 << 20
+
+
+def test_build_peaks_near_its_records():
+    # the primes are copied once, into power, and base is a copy of power
+    # with the p**k positions overwritten: no third prime array at the peak
+    tracemalloc.start()
+    try:
+        t = build_table(20_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * (t.power.nbytes + t.base.nbytes)
