@@ -81,8 +81,8 @@ def _grid(text):
 
 
 _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
-# point budgets from measured peaks per point, discrepancy 54 B (tracemalloc) and
-# generate 352 B (RSS): 432 and 548 MB RSS at the budget, a sweep at MAX_LIMIT 580
+# point budgets: discrepancy holds 54 B a point (tracemalloc), generate 352 B
+# (RSS), so they peak at 432 and 548 MB RSS, as a sweep near MAX_LIMIT (580 MB)
 MAX_DISCREPANCY_M, MAX_GENERATE_N = 10_000_000, 1_500_000
 _FLAGS = {
     "alpha": dict(required=True,

@@ -46,7 +46,7 @@ __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
            "DEFAULT_SEGMENT", "MAX_LIMIT"]
 
 DEFAULT_SEGMENT = 1 << 20
-MAX_LIMIT = 300_000_000  # 260 MB of records built at 303 MB RSS, 390 with logs; sweeps 580
+MAX_LIMIT = 300_000_000  # 260 MB of records, built at 303 MB RSS; 390 MB with logs; sweeps ~580 MB
 _LIMB = 30
 
 

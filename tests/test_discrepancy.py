@@ -140,6 +140,5 @@ def test_discrepancy_leaves_its_input_alone():
     xs = np.random.default_rng(7).random(1000)
     xs[:10] = 0.0
     before = xs.copy()
-    D = discrepancy(xs)
+    discrepancy(xs)
     assert np.array_equal(xs, before)
-    assert D == discrepancy(before)
