@@ -239,6 +239,25 @@ def _validated(points) -> np.ndarray:
     return xs
 
 
+def _candidates(a, b, z, buf):
+    """The four families of pair sums, in turn in buf (see discrepancy):
+    float64 arrays for the filter, object arrays of ints for the rescan."""
+    # excess, s ending a run: a_s + max(b_r for r <= s, -z)
+    np.maximum.accumulate(b, out=buf)
+    yield np.add(np.maximum(buf, -z, out=buf), a, out=buf)
+    # excess, r starting a run: b_r + max(a_s for s >= r)
+    np.maximum.accumulate(a[::-1], out=buf[::-1])
+    yield np.add(buf, b, out=buf)
+    # deficiency, d closing a gap: b_d + max(a_c for c < d, z)
+    buf[0] = -np.inf
+    np.maximum.accumulate(a[:-1], out=buf[1:])
+    yield np.add(np.maximum(buf, z, out=buf), b, out=buf)
+    # deficiency, c opening a gap: a_c + max(b_d for d > c, 0)
+    buf[-1] = -np.inf
+    np.maximum.accumulate(b[:0:-1], out=buf[-2::-1])
+    yield np.add(np.maximum(buf, 0, out=buf), a, out=buf)
+
+
 def _kept(xs: np.ndarray):
     """Sorted points -> (vals, less, leq, cnt0, keep); see discrepancy."""
     M = int(xs.size)
@@ -248,26 +267,10 @@ def _kept(xs: np.ndarray):
     cnt0 = int(leq[0]) if vals[0] == 0 else 0
     a, b, buf = leq - M * vals, M * vals - less, np.empty(vals.size)
     b[0] = -np.inf if cnt0 else b[0]   # no interval opens just left of 0
-
-    def candidates():
-        # excess, s ending a run: a_s + max(b_r for r <= s, -cnt0)
-        np.maximum.accumulate(b, out=buf)
-        yield np.add(np.maximum(buf, -cnt0, out=buf), a, out=buf)
-        # excess, r starting a run: b_r + max(a_s for s >= r)
-        np.maximum.accumulate(a[::-1], out=buf[::-1])
-        yield np.add(buf, b, out=buf)
-        # deficiency, d closing a gap: b_d + max(a_c for c < d, cnt0)
-        buf[0] = -np.inf
-        np.maximum.accumulate(a[:-1], out=buf[1:])
-        yield np.add(np.maximum(buf, cnt0, out=buf), b, out=buf)
-        # deficiency, c opening a gap: a_c + max(b_d for d > c, 0)
-        buf[-1] = -np.inf
-        np.maximum.accumulate(b[:0:-1], out=buf[-2::-1])
-        yield np.add(np.maximum(buf, 0.0, out=buf), a, out=buf)
-
-    cut = max(float(c.max()) for c in candidates()) - 16.0 * M * 2.0 ** -53
+    cut = max(float(c.max()) for c in _candidates(a, b, cnt0, buf))
+    cut -= 16.0 * M * 2.0 ** -53
     hit = np.zeros(vals.size, bool)
-    for c in candidates():
+    for c in _candidates(a, b, cnt0, buf):
         hit |= c >= cut
     return vals, less, leq, cnt0, np.flatnonzero(hit)
 
@@ -300,12 +303,14 @@ def discrepancy(points) -> float:
     b_0 = -inf there bars it as r and d; r-indexed excess candidates never
     top the s-indexed ones (the same pairs, rounded monotonically).
 
-    Exact rescan: the integer scan (running extrema over the sorted values
-    on a common dyadic grid, which doubles lie on exactly) runs over the
-    kept indices with their original counts and both virtual ends.  Their
-    pairs hold the optimum, so the result is the true supremum rounded once
-    to a double.  Near-ties keep more indices, at worst all of them, at the
-    cost of one O(M) scan; the sort makes it O(M log M) overall.
+    Exact rescan: _candidates runs again over the kept indices in Python
+    ints, on a common dyadic grid that doubles lie on exactly, with the
+    original counts, z = cnt0 whether or not the value 0 is kept, and
+    b = -inf at the first kept index only if its value is 0.  The kept set
+    holds both ends of an optimal pair (families 1 and 2 keep its s* and
+    r*, 3 and 4 its d* and c*), so the maximum is the true supremum, rounded
+    once to a double.  Near-ties keep more indices, at worst all of them,
+    at O(M) integer cost; the sort makes it O(M log M) overall.
     """
     return _scan(np.sort(_validated(points)))
 
@@ -314,45 +319,15 @@ def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
     M = int(xs.size)
     vals, less, leq, cnt0, keep = _kept(xs)
     # a common dyadic grid: the denominators are powers of two
-    ratios = [v.as_integer_ratio() for v in vals[keep].tolist()]
-    scale = max(q for _, q in ratios)
-    iv = [p * (scale // q) for p, q in ratios]
-    leq = leq[keep].tolist()
-    less = less[keep].tolist()
-    best = 0
-
-    # excess: intervals shrinking onto a run of consecutive values; the
-    # left endpoint either sits just below some value (iv[i] > 0) or at 0
-    run = -cnt0 * scale
-    for i in range(len(iv)):
-        mv = M * iv[i]
-        if iv[i] > 0:
-            cand = mv - less[i] * scale
-            if cand > run:
-                run = cand
-        t = leq[i] * scale - mv + run
-        if t > best:
-            best = t
-
-    # deficiency: intervals opening up between values, with 0 and 1 as
-    # extra endpoint candidates; c = 0 only pairs with d > 0
-    best_c: Optional[int] = None
-    virt_c = -cnt0 * scale
-    for i in range(len(iv)):
-        mv = M * iv[i]
-        if iv[i] > 0:
-            cand = virt_c if best_c is None else min(best_c, virt_c)
-        else:
-            cand = best_c
-        if cand is not None:
-            t = (mv - less[i] * scale) - cand
-            if t > best:
-                best = t
-        cm = mv - leq[i] * scale
-        best_c = cm if best_c is None else min(best_c, cm)
-    t = -min(best_c, virt_c)   # d = 1 endpoint
-    if t > best:
-        best = t
+    kv = vals[keep].tolist()
+    scale = max(v.as_integer_ratio()[1] for v in kv)
+    iv = np.array([p * (scale // q) for p, q in map(float.as_integer_ratio, kv)],
+                  object)
+    a = leq[keep].astype(object) * scale - M * iv
+    b = M * iv - less[keep].astype(object) * scale
+    b[0] = -np.inf if iv[0] == 0 else b[0]
+    best = max(c.max() for c in _candidates(a, b, cnt0 * scale,
+                                            np.empty(iv.size, object)))
     return float(Fraction(best, M * scale)) if best > 0 else 0.0
 
 

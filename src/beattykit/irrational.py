@@ -404,17 +404,16 @@ class TypeEstimate:
     depth: int
 
 
-def estimate_type(gamma: Irrational, K: Optional[int] = None,
-                  min_depth_q: int = 10 ** 6) -> TypeEstimate:
+def estimate_type(gamma: Irrational, K: Optional[int] = None) -> TypeEstimate:
     """Estimate the irrationality type from convergent denominators.
 
-    With K omitted, the expansion is deepened until q_K >= min_depth_q.
+    With K omitted, the expansion is deepened until q_K >= 10**6.
     """
     if K is None:
-        cf = cf_reaching(gamma, min_depth_q)
+        cf = cf_reaching(gamma, 10 ** 6)
         # trim to the first depth that reaches the target
         depth = next(i for i, (_, q) in enumerate(cf.convergents)
-                     if q >= min_depth_q or i == len(cf.convergents) - 1)
+                     if q >= 10 ** 6 or i == len(cf.convergents) - 1)
         cf = ContinuedFraction(cf.quotients[:depth + 1],
                                cf.convergents[:depth + 1], cf.period)
     else:

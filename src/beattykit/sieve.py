@@ -320,13 +320,12 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT,
-                max_limit: int = MAX_LIMIT) -> MangoldtTable:
+def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT) -> MangoldtTable:
     """Sieve [1, limit] into a MangoldtTable."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit > max_limit:
-        raise LimitTooLarge(f"limit {limit} exceeds the budget {max_limit}")
+    if limit > MAX_LIMIT:
+        raise LimitTooLarge(f"limit {limit} exceeds the budget {MAX_LIMIT}")
     if segment_size < 64:
         raise ValueError("segment size must be at least 64")
     base_primes = _simple_sieve(math.isqrt(limit))

@@ -159,6 +159,19 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("alpha", [
+        "sqrt:1000000000000000000000000000001",
+        "quad:1/2+sqrt:1000000000000000000000000000001",
+    ])
+    def test_unsplit_radicand_is_refused_in_time(self, alpha):
+        # trial division stops at 2^20 (about 0.3 s), where it ran for days
+        proc = subprocess.run([sys.executable, "-B", "-m", "beattykit.cli",
+                               "cfrac", "--alpha", alpha, "--K", "3"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: --alpha:")
+
     def test_verification_failure_is_two(self, capsys):
         code = main(["count", "sweep", "--alpha", "sqrt:2", "--q", "2",
                      "--a", "1", "--grid", "1000,2000", "--tol", "1e-9"])

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from beattykit.expsum import _kept, discrepancy
+from beattykit.expsum import _candidates, _kept, discrepancy
 from oracles import dense_filter, discrepancy_brute
 
 ALMOST_ONE = math.nextafter(1.0, 0.0)
@@ -28,9 +28,9 @@ element = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
 
 
 @st.composite
-def samples(draw):
+def samples(draw, elements=element):
     """Points with repeated values and a run of zeros."""
-    base = draw(st.lists(element, min_size=1, max_size=40))
+    base = draw(st.lists(elements, min_size=1, max_size=40))
     reps = draw(st.lists(st.integers(0, len(base) - 1), max_size=20))
     zeros = draw(st.integers(0, 5))
     return base + [base[i] for i in reps] + [0.0] * zeros
@@ -53,6 +53,9 @@ def perturbed_grids(draw):
 @example([ALMOST_ONE])
 @example([2.0 ** -1000, 2.0 ** -1000, 0.0])
 @example([0.0, 0.0, 0.0])
+@example([0.0, 0.0, 0.0, 0.1, 0.2])   # zeros not kept: z without its index
+@example([0.0, 0.5, 0.5, 0.5, 0.5])
+@example([0.0, 0.0, 0.9])             # the kept set starts at the value 0
 def test_scan_equals_oracle(xs):
     assert discrepancy(xs) == discrepancy_brute(xs)
 
@@ -88,6 +91,27 @@ def test_lean_filter_keeps_the_dense_filters_indices(xs):
 @given(perturbed_grids())
 def test_lean_filter_keeps_the_dense_filters_indices_on_near_ties(xs):
     _same_kept(xs)
+
+
+@given(samples(dyadic))
+@example([0.0, 0.0, 0.5])
+@example([k / 2 ** 10 for k in range(2 ** 10)])
+def test_candidates_agree_across_dtypes(xs):
+    # dyadic points with M <= 2^10 make every float candidate exact, so the
+    # filter's candidates, scaled to the grid, are the exact rescan's
+    M = len(xs)
+    vals, less, leq, cnt0, _ = _kept(np.sort(np.asarray(xs, np.float64)))
+    scale = max(v.as_integer_ratio()[1] for v in vals.tolist())
+    iv = np.array([int(v * scale) for v in vals.tolist()], object)
+    fa, fb = leq - M * vals, M * vals - less
+    ia = leq.astype(object) * scale - M * iv
+    ib = M * iv - less.astype(object) * scale
+    if cnt0:
+        fb[0] = ib[0] = -np.inf
+    floats = [c * scale for c in _candidates(fa, fb, cnt0, np.empty(vals.size))]
+    ints = [c.copy() for c in _candidates(ia, ib, cnt0 * scale,
+                                          np.empty(vals.size, object))]
+    assert [c.tolist() for c in floats] == [c.tolist() for c in ints]
 
 
 @given(element)

@@ -32,6 +32,9 @@ def test_squarefree_split_basics():
     assert squarefree_split(50) == (5, 2)
     assert squarefree_split(49) == (7, 1)
     assert squarefree_split(720) == (12, 5)
+    assert squarefree_split(2 * 10 ** 38) == (10 ** 19, 2)
+    with pytest.raises(ValueError, match=r"2\^20"):
+        squarefree_split(10 ** 30 + 1)   # refused, not factored for days
 
 
 def test_squarefree_split_randomized():
