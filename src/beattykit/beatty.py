@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AlphaNotGreaterThanOne, FloorOutOfRange, NotPositive
-from .irrational import Irrational, PrecisionReal, as_exact_ratio
-from .surd import QuadraticSurd
+from .irrational import Irrational, _as_offset
 
 __all__ = ["BeattyParams", "generate", "is_member", "bulk_membership"]
 
@@ -40,11 +39,7 @@ class BeattyParams:
     def __init__(self, alpha: Irrational, beta=0):
         if not alpha.is_positive():
             raise NotPositive("alpha must be positive")
-        if isinstance(beta, (QuadraticSurd, PrecisionReal)):
-            self.beta = beta
-        else:
-            self.beta = as_exact_ratio(beta)
-        self.alpha = alpha
+        self.alpha, self.beta = alpha, _as_offset(beta)
         self.gamma = alpha.inverse()
 
     def term(self, n: int) -> int:
@@ -54,7 +49,7 @@ class BeattyParams:
         return self.alpha.affine_floor_frac_many(ns, self.beta)[0]
 
     def alpha_gt_one(self) -> bool:
-        return (self.alpha - 1).is_positive()
+        return self.alpha > 1
 
     def __repr__(self):
         return f"BeattyParams(alpha={self.alpha!r}, beta={self.beta!r})"

@@ -82,8 +82,10 @@ def _grid(text):
 
 _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
 # point budgets: discrepancy holds 54 B a point (tracemalloc), generate 352 B
-# (RSS), so they peak at 432 and 548 MB RSS, as a sweep near MAX_LIMIT (580 MB)
-MAX_DISCREPANCY_M, MAX_GENERATE_N = 10_000_000, 1_500_000
+# (RSS), so they peak at 432 and 548 MB RSS, as a sweep near MAX_LIMIT (580 MB);
+# a depth budget: the golden ratio, whose convergents stay printable longest,
+# peaks at 395 MB RSS in cfrac and 219 MB (38 s) in type-estimate at K = 2e4
+MAX_DISCREPANCY_M, MAX_GENERATE_N, MAX_CF_K = 10_000_000, 1_500_000, 20_000
 _FLAGS = {
     "alpha": dict(required=True,
                   help="irrational: sqrt:d, quad:p/q+sqrt:d, or dec:digits[@bits]"),
@@ -201,9 +203,22 @@ def _base_params(ns) -> list:
     return [("alpha", ns.alpha_text), ("precision", ns.precision)]
 
 
-def _run_cfrac(ns) -> Report:
+def _expansion(ns):
+    """cf_expand(alpha, K), refused once a convergent has more digits than
+    str() prints; the depth doubles to K, so a refusal holds few digits."""
     from .irrational import cf_expand
-    cf = cf_expand(ns.alpha, ns.K)
+    limit, k = getattr(sys, "get_int_max_str_digits", int)(), 0
+    while k < ns.K:
+        k = min(2 * k or 8, ns.K)
+        cf = cf_expand(ns.alpha, k)
+        if limit and max(map(abs, cf.convergents[-1])) >= 10 ** limit:
+            raise BeattyKitError(f"--K {ns.K}: convergents pass the {limit}-digit"
+                                 f" limit of int-to-str by depth {k}")
+    return cf
+
+
+def _run_cfrac(ns) -> Report:
+    cf = _expansion(ns)
     params = _base_params(ns) + [("K", ns.K)]
     if cf.period is not None:
         params += [("period_start", cf.period[0]),
@@ -215,6 +230,8 @@ def _run_cfrac(ns) -> Report:
 
 def _run_type_estimate(ns) -> Report:
     from .irrational import estimate_type
+    if ns.K is not None:    # refuse unprintable denominators before the samples
+        _expansion(ns)
     est = estimate_type(ns.alpha, K=ns.K)
     params = _base_params(ns) + [("depth", est.depth),
                                  ("tau_hat", est.tau_hat)]
@@ -353,10 +370,11 @@ def build_parser() -> _Parser:
     p = _Parser(prog="beattykit", description=__doc__)
     cmd = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
     _command(cmd, "cfrac", _run_cfrac, "continued fraction of --alpha",
-             "alpha precision K", K={"default": 8})
+             "alpha precision K", K={"default": 8, "type": _at_least(1, MAX_CF_K)})
     _command(cmd, "type-estimate", _run_type_estimate,
              "finite-depth irrationality-type estimate", "alpha precision K",
-             K={"help": "expansion depth (default: until q_K >= 1e6)"})
+             K={"help": "expansion depth (default: until q_K >= 1e6)",
+                "type": _at_least(1, MAX_CF_K)})
     beatty = _actions(cmd, "beatty", "the Beatty sequence floor(alpha*n + beta)")
     _command(beatty, "generate", _run_generate,
              "terms floor(alpha*n + beta) for n <= --N", "alpha precision beta N",

@@ -218,14 +218,9 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
         bound = progression_sum_bound(L, den)
         # |theta - num/den| <= 1/L  <=>  |theta*den*L - num*L| <= den
         diff = (theta * (den * L)) - num * L
-        ok = not (_abs_gt(diff, den))
+        ok = -den <= diff <= den
         rows.append(BoundRatioRow(den, num, abs_sum, bound, abs_sum / bound, ok))
     return rows
-
-
-def _abs_gt(value, bound: int) -> bool:
-    """|value| > bound for a surd/PrecisionReal difference."""
-    return (value - bound).is_positive() or (-bound - value).is_positive()
 
 
 # -- extreme discrepancy ---------------------------------------------------

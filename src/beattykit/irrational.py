@@ -10,10 +10,11 @@ Two interchangeable backends represent every real parameter:
   agrees on it; otherwise AmbiguousFloor or PrecisionExhausted is raised
   instead of silently guessing.
 
-On top sit the shared operations: affine floors, continued-fraction
-expansion with convergents (and period detection for surds), the best
-convergent below a denominator bound, and an empirical estimate of the
-irrationality type from how well convergents approximate.
+Both derive from Irrational (in surd.py, re-exported here).  On top sit the
+shared operations: affine floors, continued-fraction expansion with
+convergents (and period detection for surds), the best convergent below a
+denominator bound, and an empirical estimate of the irrationality type
+from how well convergents approximate.
 """
 
 from __future__ import annotations
@@ -22,20 +23,18 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import (AmbiguousFloor, IrrationalParseError, NotPositive,
                      PrecisionExhausted)
-from .surd import (QuadraticSurd, exact_floor, fixed_point_floor_frac,
-                   to_fixed_point)
+from .surd import (_ONE_BELOW, Irrational, QuadraticSurd, exact_floor,
+                   fixed_point_floor_frac, to_fixed_point)
 
 __all__ = ["PrecisionReal", "Irrational", "ContinuedFraction", "TypeEstimate",
            "parse_irrational", "as_exact_ratio", "floor_affine", "cf_expand",
            "cf_reaching", "best_convergent_below", "estimate_type"]
-
-_ONE_BELOW = math.nextafter(1.0, 0.0)
 
 
 def as_exact_ratio(x) -> Fraction:
@@ -50,7 +49,7 @@ def as_exact_ratio(x) -> Fraction:
     return Fraction(x)
 
 
-class PrecisionReal:
+class PrecisionReal(Irrational):
     """A real number known to lie within +-radius of an exact rational center.
 
     The constructor takes a decimal literal and a bit count; the radius
@@ -91,9 +90,6 @@ class PrecisionReal:
     def __sub__(self, other):
         return self + (-other if isinstance(other, PrecisionReal) else -as_exact_ratio(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, PrecisionReal):
             lo1, hi1 = self.interval()
@@ -130,24 +126,6 @@ class PrecisionReal:
         raise PrecisionExhausted(
             f"sign of value near {float(self.center)} not certified at radius {float(self.radius)}")
 
-    def is_positive(self) -> bool:
-        return self.sign() > 0
-
-    def _cmp(self, other) -> int:
-        return (self - other).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def floor(self) -> int:
         lo, hi = self.interval()
         flo, fhi = lo.__floor__(), hi.__floor__()
@@ -166,8 +144,7 @@ class PrecisionReal:
     # -- affine evaluation -------------------------------------------------
 
     def affine_floor_frac(self, n: int, eta=0):
-        x = self * n + eta
-        return x.floor_frac()
+        return (self * n + eta).floor_frac()
 
     def fixed_point(self, eta=0):
         """(I, F, J, G, e_theta, e_eta): the centers to 128 bits by exact
@@ -215,8 +192,6 @@ class PrecisionReal:
         return f"PrecisionReal({float(self.center)} +- {float(self.radius):.3g})"
 
 
-Irrational = Union[QuadraticSurd, PrecisionReal]
-
 _SQRT_RE = re.compile(r"sqrt:(\d+)\Z")
 _QUAD_RE = re.compile(r"quad:(-?\d+)/(-?\d+)\+sqrt:(\d+)\Z")
 _DEC_RE = re.compile(r"dec:([+-]?\d+(?:\.\d+)?)(?:@(\d+))?\Z")
@@ -229,31 +204,20 @@ def parse_irrational(text: str, default_bits: int = 160) -> Irrational:
     would be rational) raises IrrationalParseError with a reason.
     """
     text = text.strip()
-    m = _SQRT_RE.match(text)
-    if m:
-        return _build_surd(0, 1, int(m.group(1)), text)
-    m = _QUAD_RE.match(text)
-    if m:
-        return _build_surd(int(m.group(1)), int(m.group(2)), int(m.group(3)), text)
-    m = _DEC_RE.match(text)
-    if m:
-        bits = int(m.group(2)) if m.group(2) else default_bits
-        if bits < 1:
-            raise IrrationalParseError(f"{text!r}: precision must be >= 1 bit")
-        return PrecisionReal(m.group(1), bits)
+    try:    # ValueError: a square radicand, bits < 1, a literal past int()'s limit
+        m = _SQRT_RE.match(text)
+        if m:
+            return QuadraticSurd(0, 1, int(m.group(1)))
+        m = _QUAD_RE.match(text)
+        if m:
+            return QuadraticSurd(*map(int, m.groups()))
+        m = _DEC_RE.match(text)
+        if m:
+            return PrecisionReal(m.group(1), int(m.group(2) or default_bits))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise IrrationalParseError(f"{text!r}: {exc}") from None
     raise IrrationalParseError(
         f"{text!r} is not sqrt:<d>, quad:<p>/<q>+sqrt:<d>, or dec:<digits>@<bits>")
-
-
-def _build_surd(p, q, d, text):
-    if q == 0:
-        raise IrrationalParseError(f"{text!r}: zero denominator")
-    if d <= 0:
-        raise IrrationalParseError(f"{text!r}: radicand must be positive")
-    try:
-        return QuadraticSurd(p, q, d)
-    except ValueError as exc:
-        raise IrrationalParseError(f"{text!r}: {exc}") from None
 
 
 def floor_affine(alpha: Irrational, n: int, beta=0):
@@ -262,13 +226,11 @@ def floor_affine(alpha: Irrational, n: int, beta=0):
         raise ValueError("n must be >= 0")
     if not alpha.is_positive():
         raise NotPositive("alpha must be positive")
-    return alpha.affine_floor_frac(n, _as_offset(beta, alpha))
+    return alpha.affine_floor_frac(n, _as_offset(beta))
 
 
-def _as_offset(beta, alpha):
-    if isinstance(beta, (QuadraticSurd, PrecisionReal)):
-        return beta
-    return as_exact_ratio(beta)
+def _as_offset(beta):
+    return beta if isinstance(beta, Irrational) else as_exact_ratio(beta)
 
 
 # -- continued fractions ---------------------------------------------------
@@ -379,12 +341,7 @@ def best_convergent_below(theta: Irrational, max_den: int):
     if cf.convergents[-1][1] <= max_den:
         raise PrecisionExhausted(
             f"convergent denominators plateau below {max_den}")
-    best = cf.convergents[0]
-    for p, q in cf.convergents:
-        if q > max_den:
-            break
-        best = (p, q)
-    return best
+    return [c for c in cf.convergents if c[1] <= max_den][-1]
 
 
 # -- irrationality type ----------------------------------------------------
@@ -404,38 +361,43 @@ class TypeEstimate:
     depth: int
 
 
+def _rational_near(x: Irrational) -> Fraction:
+    """A rational within 2**-48 of x > 0, relatively: a surd rounded once, as
+    x >= 1/(w*(|u| + |v|*sqrt(d))) (x times its conjugate is a nonzero integer
+    over w*w); a decimal's center, or PrecisionExhausted if its radius is wider."""
+    if isinstance(x, QuadraticSurd):
+        inv = x.w * (abs(x.u) + abs(x.v) * (math.isqrt(x.d) + 1))
+        return x.approx_fraction(inv.bit_length() + 48)
+    if x.radius * (1 << 48) > x.center:
+        raise PrecisionExhausted(f"{float(x.center):.3g} is not certified to 2**-48"
+                                 f" of itself at radius {float(x.radius):.3g}")
+    return x.center
+
+
 def estimate_type(gamma: Irrational, K: Optional[int] = None) -> TypeEstimate:
     """Estimate the irrationality type from convergent denominators.
 
     With K omitted, the expansion is deepened until q_K >= 10**6.
     """
-    if K is None:
-        cf = cf_reaching(gamma, 10 ** 6)
-        # trim to the first depth that reaches the target
-        depth = next(i for i, (_, q) in enumerate(cf.convergents)
-                     if q >= 10 ** 6 or i == len(cf.convergents) - 1)
-        cf = ContinuedFraction(cf.quotients[:depth + 1],
-                               cf.convergents[:depth + 1], cf.period)
-    else:
-        cf = cf_expand(gamma, K)
+    if K is None:    # the first depth that reaches the target
+        qs = [q for _, q in cf_reaching(gamma, 10 ** 6).convergents]
+        K = next((i for i, q in enumerate(qs) if q >= 10 ** 6), len(qs) - 1)
+    cf = cf_expand(gamma, K)
     samples = []
     for _, q in cf.convergents:
         if q < 2:
             continue
-        fr = gamma.phases_many([q])[0]
-        dist = min(fr, 1.0 - fr)
-        if dist <= 0.0:
-            raise PrecisionExhausted(
-                f"gamma*{q} lands on an integer at working precision; type undefined")
-        samples.append((q, -math.log(dist) / math.log(q)))
+        x = gamma * q
+        t = math.floor(x)
+        dist = _rational_near(min(x - t, t + 1 - x))     # ||gamma*q||
+        samples.append((q, (math.log(dist.denominator)
+                            - math.log(dist.numerator)) / math.log(q)))
     eligible = [(q, e) for q, e in samples if q >= 10]
     if len(eligible) >= 3:
         xs = np.array([1.0 / math.log(q) for q, _ in eligible])
         ys = np.array([e for _, e in eligible])
         slope, intercept = np.polyfit(xs, ys, 1)
         tau_hat = max(1.0, float(intercept))
-    elif eligible:
-        tau_hat = max(1.0, max(e for _, e in eligible))
     else:
-        tau_hat = 1.0
+        tau_hat = max([1.0] + [e for _, e in eligible])
     return TypeEstimate(samples, tau_hat, cf.depth)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in real quadratic fields.
+"""Exact arithmetic in real quadratic fields, and the base of both backends.
 
 A value is stored as (u + v*sqrt(d)) / w with integers u, v, w and a
 squarefree radicand d > 1.  Canonical form has w > 0, gcd(u, v, w) = 1 and
@@ -6,12 +6,15 @@ v != 0, so equality is structural and every sign, comparison and floor
 decision reduces to integer arithmetic.  Nothing is rounded until a float
 is explicitly requested, and the floats we do hand out (fractional parts,
 phases) are accurate to a few ulp because the integer part is removed
-exactly first.
+exactly first.  A radicand is split into f*f*d, d squarefree, once, when a
+surd is built (make_real): field arithmetic keeps d and never factors again.
 
-The module also hosts the bulk kernel of both backends: theta and the offset
-as 128-bit fixed-point values, F*n formed exactly, and an error bound of
-n*2**-128 (isqrt truncation), plus n*radius for decimals.  Points within the
-bound of an integer go to the exact scalar kernel, so floors are exact.
+Irrational, the base class of QuadraticSurd and irrational.PrecisionReal,
+states the orderings once from each backend's certified sign().  The module
+also hosts the bulk kernel of both backends: theta and the offset as
+128-bit fixed-point values, F*n formed exactly, and an error bound of
+n*2**-128 (isqrt truncation), plus n*radius for decimals.  Points within
+the bound of an integer go to the exact scalar kernel, so floors are exact.
 """
 
 from __future__ import annotations
@@ -182,32 +185,61 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
     return ns * I64 + J64 + carry, fracs, err
 
 
-def _reduce(u: int, v: int, w: int):
-    if w < 0:
-        u, v, w = -u, -v, -w
-    g = math.gcd(math.gcd(abs(u), abs(v)), w)
-    if g > 1:
-        u, v, w = u // g, v // g, w // g
-    return u, v, w
-
-
 def make_real(u: int, v: int, w: int, d: int):
-    """Canonical (u + v*sqrt(d)) / w; a QuadraticSurd, or a Fraction when rational."""
+    """Canonical (u + v*sqrt(d)) / w; a QuadraticSurd, or a Fraction when
+    rational.  d is any positive radicand: it is split here."""
+    if v == 0 or w == 0:
+        return _make(u, v, w, d)
+    f, d0 = squarefree_split(d)
+    if d0 == 1:
+        return Fraction(u + v * f, w)
+    return _make(u, v * f, w, d0)
+
+
+def _make(u: int, v: int, w: int, d: int):
+    """make_real for a squarefree d > 1, as every surd's own d is."""
     if w == 0:
         raise ZeroDivisionError("zero denominator in quadratic surd")
     if v == 0:
         return Fraction(u, w)
-    f, d0 = squarefree_split(d)
-    v = v * f
-    if d0 == 1:
-        return Fraction(u + v, w)
-    u, v, w = _reduce(u, v, w)
+    g = math.gcd(u, v, w) if w > 0 else -math.gcd(u, v, w)
     out = object.__new__(QuadraticSurd)
-    out.u, out.v, out.w, out.d = u, v, w, d0
+    out.u, out.v, out.w, out.d = u // g, v // g, w // g, d
     return out
 
 
-class QuadraticSurd:
+class Irrational:
+    """Base of both backends: from their arithmetic with ints and Fractions
+    and their certified sign() follow the orderings and reflected subtraction."""
+
+    __slots__ = ()
+
+    def is_positive(self) -> bool:
+        return self.sign() > 0
+
+    def _cmp(self, other) -> int:
+        diff = self - other
+        if isinstance(diff, Fraction):
+            return (diff > 0) - (diff < 0)
+        return diff.sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class QuadraticSurd(Irrational):
     """Exact element (u + v*sqrt(d)) / w of the real quadratic field Q(sqrt(d)).
 
     The public constructor follows the (p + sqrt(d)) / q presentation; the
@@ -235,11 +267,8 @@ class QuadraticSurd:
         # u + v*sqrt(d) > 0  iff  v*sqrt(d) > -u
         return -_cmp_c_vsqrt(-self.u, self.v, self.d)
 
-    def is_positive(self) -> bool:
-        return self.sign() > 0
-
     def conjugate(self):
-        return make_real(self.u, -self.v, self.w, self.d)
+        return _make(self.u, -self.v, self.w, self.d)
 
     def floor(self) -> int:
         return exact_floor(self.u, self.v, self.w, self.d)
@@ -264,26 +293,23 @@ class QuadraticSurd:
             return NotImplemented
         if isinstance(o, Fraction):
             a, b = o.numerator, o.denominator
-            return make_real(self.u * b + a * self.w, self.v * b, self.w * b, self.d)
+            return _make(self.u * b + a * self.w, self.v * b, self.w * b, self.d)
         if o.d != self.d:
             raise ValueError("cannot add surds with different radicands")
-        return make_real(self.u * o.w + o.u * self.w,
-                         self.v * o.w + o.v * self.w,
-                         self.w * o.w, self.d)
+        return _make(self.u * o.w + o.u * self.w,
+                     self.v * o.w + o.v * self.w,
+                     self.w * o.w, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return make_real(-self.u, -self.v, self.w, self.d)
+        return _make(-self.u, -self.v, self.w, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -293,18 +319,18 @@ class QuadraticSurd:
             a, b = o.numerator, o.denominator
             if a == 0:
                 return Fraction(0)
-            return make_real(self.u * a, self.v * a, self.w * b, self.d)
+            return _make(self.u * a, self.v * a, self.w * b, self.d)
         if o.d != self.d:
             raise ValueError("cannot multiply surds with different radicands")
-        return make_real(self.u * o.u + self.v * o.v * self.d,
-                         self.u * o.v + self.v * o.u,
-                         self.w * o.w, self.d)
+        return _make(self.u * o.u + self.v * o.v * self.d,
+                     self.u * o.v + self.v * o.u,
+                     self.w * o.w, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
         den = self.u * self.u - self.v * self.v * self.d  # nonzero: d not a square
-        return make_real(self.u * self.w, -self.v * self.w, den, self.d)
+        return _make(self.u * self.w, -self.v * self.w, den, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -321,24 +347,6 @@ class QuadraticSurd:
         return self.inverse() * o
 
     # -- comparisons ------------------------------------------------------
-
-    def _cmp(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):
-            return (diff > 0) - (diff < 0)
-        return diff.sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __eq__(self, other):
         if isinstance(other, QuadraticSurd):

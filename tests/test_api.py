@@ -3,6 +3,7 @@ pinned, so a change to the public API shows up as a diff here."""
 
 import argparse
 import importlib
+import importlib.util
 import json
 import pkgutil
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import beattykit
-from beattykit import cli, counting
+from beattykit import cli, counting, sieve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,6 +51,19 @@ def test_module_all_resolves(name):
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(module, n)]
     assert missing == []
+
+
+def test_benchmark_tracer_hooks_are_in_place():
+    # bench/child.py wraps owner.__dict__[attr], so a hooked method moved to
+    # a base class would break the benchmark's own suite and nothing here
+    path = SRC.parent / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for owner, attr, *_ in child.LAYERS:
+        assert attr in vars(owner), (owner.__name__, attr)
+    # child._table_counts reads these from every traced table
+    assert {"is_prime", "log_base"} <= set(vars(sieve.MangoldtTable))
 
 
 def _fresh(code: str):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from beattykit import surd
 from beattykit.beatty import (BeattyParams, bulk_membership, generate,
                               is_member)
 from beattykit.errors import (AlphaNotGreaterThanOne, AmbiguousFloor,
@@ -24,6 +25,23 @@ def test_params_invariants(sqrt2):
     assert p.gamma == sqrt2.inverse()
     with pytest.raises(NotPositive):
         BeattyParams(-sqrt2)
+
+
+def test_field_arithmetic_never_splits_the_radicand(monkeypatch):
+    # the prime radicand just below 2**40 costs 0.3 s of trial division,
+    # paid once at parse; surd arithmetic carries the squarefree d along
+    alpha = parse_irrational("sqrt:1099511627689")
+
+    def refuse(d):
+        raise AssertionError(f"squarefree_split({d}) after parse")
+
+    monkeypatch.setattr(surd, "squarefree_split", refuse)
+    params = BeattyParams(alpha, Fraction(1, 3))
+    terms = params.terms(np.arange(1, 101, dtype=np.int64))
+    assert [is_member(params, int(m)) for m in terms[:10]] == list(range(1, 11))
+    # the terms are about 1e6 apart, so no m + 1 is a term
+    hit, witness = bulk_membership(params, np.concatenate([terms, terms + 1]))
+    assert witness[hit].tolist() == list(range(1, 101)) and hit[:100].all()
 
 
 def test_generate_frozen(sqrt2):

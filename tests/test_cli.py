@@ -130,6 +130,7 @@ class TestParseConfig:
 class TestExitCodes:
     def test_pass_is_zero(self, capsys):
         assert main(["cfrac", "--alpha", "sqrt:2", "--K", "4"]) == 0
+        assert main(["type-estimate", "--alpha", "sqrt:2", "--K", "60"]) == 0
         out = capsys.readouterr().out
         assert "period_start=1" in out
 
@@ -145,10 +146,17 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    # refusals: floors past int64, convergents past the int-to-str digit
+    # limit, a distance the carried precision cannot give to 2**-48
     @pytest.mark.parametrize("args", [
         "beatty generate --alpha sqrt:200000000000000000000000000000000000000 --N 3",
         "discrepancy --alpha sqrt:200000000000000000000000000000000000000 --M 3",
         "beatty generate --alpha sqrt:2 --beta=-1e30 --N 3",
+        "cfrac --alpha sqrt:2 --K 11500",
+        "cfrac --alpha sqrt:1000001 --K 2000",
+        "cfrac --alpha sqrt:1000001 --K 2000 --format json",
+        "type-estimate --alpha sqrt:1000001 --K 3000",
+        "type-estimate --alpha dec:1.4142135623730950488016887242096980785696718753769 --K 50",
     ])
     def test_floor_beyond_int64_is_one(self, args):
         proc = subprocess.run([sys.executable, "-B", "-m", "beattykit.cli",
@@ -296,7 +304,8 @@ BAD_TOL = [pytest.param(["count", "sweep", "--alpha", "sqrt:2", "--q", "1",
 BAD_BUDGET = [pytest.param([*cmd, "--alpha", "sqrt:2", flag, "100000000000"], flag,
                            id=f"{' '.join(cmd)} {flag} over budget")
               for cmd, flag in ((["discrepancy"], "--M"),
-                                (["beatty", "generate"], "--N"))]
+                                (["beatty", "generate"], "--N"),
+                                (["cfrac"], "--K"), (["type-estimate"], "--K"))]
 
 
 # None leaves each BAD_TOL and BAD_BUDGET case its own id

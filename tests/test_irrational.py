@@ -2,15 +2,19 @@
 type estimator."""
 
 import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from beattykit.errors import (AmbiguousFloor, IrrationalParseError,
                               NotPositive, PrecisionExhausted)
-from beattykit.irrational import (PrecisionReal, as_exact_ratio,
+from beattykit.irrational import (Irrational, PrecisionReal, as_exact_ratio,
                                   best_convergent_below, cf_expand,
                                   estimate_type, floor_affine,
                                   parse_irrational)
@@ -25,6 +29,57 @@ def test_as_exact_ratio_conventions():
     assert as_exact_ratio(2) == Fraction(2)
     assert as_exact_ratio(Fraction(1, 3)) == Fraction(1, 3)
     assert as_exact_ratio("0.25") == Fraction(1, 4)
+
+
+# both backends and the plain rationals; surds live in Q(sqrt 3) with small
+# coefficients, so two distinct values differ by more than 1e-6
+OPERANDS = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(lambda u, w, v: QuadraticSurd(u, w, 3, v=v), st.integers(-30, 30),
+              st.integers(1, 6), st.integers(-4, 4).filter(bool)),
+    st.builds(lambda k, bits: PrecisionReal(str(Decimal(k).scaleb(-2)), bits),
+              st.integers(-2000, 2000), st.integers(1, 12)))
+
+
+def _oracle_sign(a, b):
+    """Sign of a - b; None where a decimal's interval leaves it open."""
+    if isinstance(a, PrecisionReal) or isinstance(b, PrecisionReal):
+        (ca, ra), (cb, rb) = ((x.center, x.radius) if isinstance(x, PrecisionReal)
+                              else (Fraction(x), 0) for x in (a, b))
+        diff = ca - cb
+        return None if abs(diff) <= ra + rb else (diff > 0) - (diff < 0)
+    with mpmath.workdps(60):
+        diff = mpmath.mpf(0)
+        for x, sign in ((a, 1), (b, -1)):
+            if isinstance(x, QuadraticSurd):
+                diff += sign * (x.u + x.v * mpmath.sqrt(x.d)) / x.w
+            else:
+                diff += sign * mpmath.mpf(x.numerator) / x.denominator
+        return 0 if abs(diff) < 1e-30 else (1 if diff > 0 else -1)
+
+
+@given(OPERANDS, OPERANDS)
+def test_orderings_and_rsub_agree_with_an_exact_oracle(a, b):
+    backends = {type(x) for x in (a, b) if isinstance(x, Irrational)}
+    assume(len(backends) == 1)     # mixed backends do not combine
+    sign = _oracle_sign(a, b)
+    for op, holds in ((operator.lt, lambda s: s < 0), (operator.le, lambda s: s <= 0),
+                      (operator.gt, lambda s: s > 0), (operator.ge, lambda s: s >= 0)):
+        for x, y, s in ((a, b, sign), (b, a, None if sign is None else -sign)):
+            if s is None:
+                with pytest.raises(PrecisionExhausted):
+                    op(x, y)
+            else:
+                assert op(x, y) is holds(s), (op, x, y)
+    # a rational minus an irrational goes through the reflected subtraction
+    for r, x in ((a, b), (b, a)):
+        if not isinstance(r, Irrational) and isinstance(x, Irrational):
+            out = r - x
+            if isinstance(x, QuadraticSurd):
+                assert out + x == r and out == (-x) + r
+            else:
+                assert (out.center, out.radius) == (r - x.center, x.radius)
 
 
 class TestPrecisionReal:
@@ -109,8 +164,10 @@ class TestParseGrammar:
         assert z.interval()[1] - z.interval()[0] <= Fraction(2, 2 ** 80)
 
     def test_rejects(self):
+        # a literal past int()'s digit limit is refused, not a traceback
         for bad in ("sqrt:4", "sqrt:9", "quad:1/0+sqrt:2", "foo", "dec:abc",
-                    "quad:1/2+sqrt:16", ""):
+                    "quad:1/2+sqrt:16", "", "dec:1.5@0", "sqrt:" + "2" * 4400,
+                    "dec:0." + "3" * 4400):
             with pytest.raises(IrrationalParseError):
                 parse_irrational(bad)
 
@@ -211,6 +268,27 @@ class TestTypeEstimate:
         est = estimate_type(sqrt2)
         assert est.samples[-1][0] >= 10 ** 6
         assert 0.95 <= est.tau_hat <= 1.05
+
+    @pytest.mark.parametrize("text,K", [
+        ("sqrt:2", 60), ("quad:1/2+sqrt:5", 100),
+        ("dec:3.1415926535897932384626433832795028841971693993751058209749445"
+         "923078164062862089986280348253421170679821480865132823066470938@400", 100),
+    ])
+    def test_exponents_match_mpmath(self, text, K):
+        # ||gamma*q|| is taken exactly; in floats it went wrong past q = 5e8
+        gamma = parse_irrational(text)
+        est = estimate_type(gamma, K=K)
+        assert est.samples[-1][0] > 2 ** 64
+        with mpmath.workprec(1000):
+            if isinstance(gamma, QuadraticSurd):
+                g = (gamma.u + gamma.v * mpmath.sqrt(gamma.d)) / gamma.w
+            else:
+                g = mpmath.mpf(gamma.center.numerator) / gamma.center.denominator
+            for q, e in est.samples:
+                x = g * q
+                dist = min(x - mpmath.floor(x), mpmath.ceil(x) - x)
+                assert e == pytest.approx(float(-mpmath.log(dist) / mpmath.log(q)),
+                                          rel=1e-12, abs=0), q
 
     def test_rational_precision_real_refused(self):
         with pytest.raises(PrecisionExhausted):
