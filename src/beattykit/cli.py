@@ -84,7 +84,7 @@ _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
 # point budgets: discrepancy holds 54 B a point (tracemalloc), generate 352 B
 # (RSS), so they peak at 432 and 548 MB RSS, as a sweep near MAX_LIMIT (580 MB);
 # a depth budget: the golden ratio, whose convergents stay printable longest,
-# peaks at 395 MB RSS in cfrac and 219 MB (38 s) in type-estimate at K = 2e4
+# peaks at 395 MB RSS in cfrac and 215 MB (19 s) in type-estimate at K = 2e4
 MAX_DISCREPANCY_M, MAX_GENERATE_N, MAX_CF_K = 10_000_000, 1_500_000, 20_000
 _FLAGS = {
     "alpha": dict(required=True,
@@ -203,22 +203,22 @@ def _base_params(ns) -> list:
     return [("alpha", ns.alpha_text), ("precision", ns.precision)]
 
 
-def _expansion(ns):
-    """cf_expand(alpha, K), refused once a convergent has more digits than
-    str() prints; the depth doubles to K, so a refusal holds few digits."""
-    from .irrational import cf_expand
-    limit, k = getattr(sys, "get_int_max_str_digits", int)(), 0
-    while k < ns.K:
-        k = min(2 * k or 8, ns.K)
-        cf = cf_expand(ns.alpha, k)
-        if limit and max(map(abs, cf.convergents[-1])) >= 10 ** limit:
+def _refuse_unprintable(ns):
+    """Refuse --K at the first depth whose convergent has more digits than
+    str() prints; the walk stops there, so a refusal holds few digits."""
+    from .irrational import cf_walk
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    cap = 10 ** limit if limit else math.inf
+    for i, (_, p, q, _) in zip(range(ns.K + 1), cf_walk(ns.alpha)):
+        if max(p, -p, q) >= cap:
             raise BeattyKitError(f"--K {ns.K}: convergents pass the {limit}-digit"
-                                 f" limit of int-to-str by depth {k}")
-    return cf
+                                 f" limit of int-to-str at depth {i}")
 
 
 def _run_cfrac(ns) -> Report:
-    cf = _expansion(ns)
+    from .irrational import cf_expand
+    _refuse_unprintable(ns)
+    cf = cf_expand(ns.alpha, ns.K)
     params = _base_params(ns) + [("K", ns.K)]
     if cf.period is not None:
         params += [("period_start", cf.period[0]),
@@ -231,7 +231,7 @@ def _run_cfrac(ns) -> Report:
 def _run_type_estimate(ns) -> Report:
     from .irrational import estimate_type
     if ns.K is not None:    # refuse unprintable denominators before the samples
-        _expansion(ns)
+        _refuse_unprintable(ns)
     est = estimate_type(ns.alpha, K=ns.K)
     params = _base_params(ns) + [("depth", est.depth),
                                  ("tau_hat", est.tau_hat)]
@@ -276,6 +276,9 @@ def _run_sieve(ns) -> Report:
 def _run_count(ns) -> Report:
     from .beatty import BeattyParams
     from .counting import verify_sweep
+    if ns.target == "density" and ns.mode not in ("S", "T"):
+        raise UsageError("--target density: closed-form predictions exist for"
+                         f" modes S and T only, not {ns.mode}")
     r, bp = ns.residue, BeattyParams(ns.alpha, ns.beta)
     cap = bp.term(ns.grid[-1])
     top = r.q * cap + r.a if ns.mode in ("S", "N") else cap

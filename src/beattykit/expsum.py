@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeltaOutOfRange, PointOutOfRange
-from .irrational import Irrational, cf_reaching
+from .irrational import Irrational, cf_walk
 from .sieve import MangoldtTable, ResidueClass, class_records
 
 __all__ = ["PsiDelta", "psi_indicator", "build_psi_delta", "exp_sum_shifted",
@@ -206,10 +206,9 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
         raise ValueError("L must be >= 3")
     cap = max_den if max_den is not None else L
     abs_sum = abs(_phase_sum(table, L, r, 2, theta))
-    cf = cf_reaching(theta, cap + 1)
     rows = []
     seen = set()
-    for num, den in cf.convergents:
+    for _, num, den, _ in cf_walk(theta):
         if den > cap:
             break
         if den in seen:

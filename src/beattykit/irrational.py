@@ -11,14 +11,18 @@ Two interchangeable backends represent every real parameter:
   instead of silently guessing.
 
 Both derive from Irrational (in surd.py, re-exported here).  On top sit the
-shared operations: affine floors, continued-fraction expansion with
-convergents (and period detection for surds), the best convergent below a
-denominator bound, and an empirical estimate of the irrationality type
-from how well convergents approximate.
+shared operations: affine floors and continued fractions.  Partial quotients
+and convergents are formed in one place, the lazy walk cf_walk: a surd's
+walk is exact and endless, a decimal's stops with PrecisionExhausted at the
+first quotient its radius leaves undetermined.  cf_expand (with period
+detection for surds), the best convergent below a denominator bound and an
+empirical estimate of the irrationality type each take as many steps as
+they need.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -33,8 +37,8 @@ from .surd import (_ONE_BELOW, Irrational, QuadraticSurd, exact_floor,
                    fixed_point_floor_frac, to_fixed_point)
 
 __all__ = ["PrecisionReal", "Irrational", "ContinuedFraction", "TypeEstimate",
-           "parse_irrational", "as_exact_ratio", "floor_affine", "cf_expand",
-           "cf_reaching", "best_convergent_below", "estimate_type"]
+           "parse_irrational", "as_exact_ratio", "floor_affine", "cf_walk",
+           "cf_expand", "best_convergent_below", "estimate_type"]
 
 
 def as_exact_ratio(x) -> Fraction:
@@ -204,6 +208,7 @@ def parse_irrational(text: str, default_bits: int = 160) -> Irrational:
     would be rational) raises IrrationalParseError with a reason.
     """
     text = text.strip()
+    shown = repr(text[:60]) + ("..." if len(text) > 60 else "")    # a short echo
     try:    # ValueError: a square radicand, bits < 1, a literal past int()'s limit
         m = _SQRT_RE.match(text)
         if m:
@@ -215,9 +220,9 @@ def parse_irrational(text: str, default_bits: int = 160) -> Irrational:
         if m:
             return PrecisionReal(m.group(1), int(m.group(2) or default_bits))
     except (ValueError, ZeroDivisionError) as exc:
-        raise IrrationalParseError(f"{text!r}: {exc}") from None
+        raise IrrationalParseError(f"{shown}: {exc}") from None
     raise IrrationalParseError(
-        f"{text!r} is not sqrt:<d>, quad:<p>/<q>+sqrt:<d>, or dec:<digits>@<bits>")
+        f"{shown} is not sqrt:<d>, quad:<p>/<q>+sqrt:<d>, or dec:<digits>@<bits>")
 
 
 def floor_affine(alpha: Irrational, n: int, beta=0):
@@ -251,30 +256,24 @@ class ContinuedFraction:
         return len(self.quotients) - 1
 
 
-def cf_expand(gamma: Irrational, K: int) -> ContinuedFraction:
-    """K+1 partial quotients of gamma, with convergents.
+def cf_walk(gamma: Irrational):
+    """(a_i, p_i, q_i, state) for i = 0, 1, 2, ...: the partial quotients of
+    gamma with its convergents p_i/q_i in lowest terms, one step at a time.
 
-    Surds use the exact periodic algorithm on (P + sqrt(D))/Q states; decimal
-    values walk the interval version and raise PrecisionExhausted at the
-    depth where the carried radius no longer determines a quotient.
+    Surds step exactly through states (P + sqrt(D))/Q, state = (P, Q), and
+    walk forever.  Decimals step through the interval (state None) and
+    raise PrecisionExhausted when asked for the first quotient the carried
+    radius leaves undetermined, never earlier.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if isinstance(gamma, QuadraticSurd):
-        quotients, period = _cf_surd(gamma, K)
-    else:
-        quotients, period = _cf_interval(gamma, K), None
-    convergents = []
-    p1, p2 = 1, 0
-    q1, q2 = 0, 1
-    for a in quotients:
+    steps = _cf_surd(gamma) if isinstance(gamma, QuadraticSurd) else _cf_interval(gamma)
+    p1, p2, q1, q2 = 1, 0, 0, 1
+    for a, state in steps:
         p1, p2 = a * p1 + p2, p1
         q1, q2 = a * q1 + q2, q1
-        convergents.append((p1, q1))
-    return ContinuedFraction(quotients, convergents, period)
+        yield a, p1, q1, state
 
 
-def _cf_surd(gamma: QuadraticSurd, K: int):
+def _cf_surd(gamma: QuadraticSurd):
     # state x_i = (P + sqrt(D)) / Q with Q | D - P*P
     if gamma.v > 0:
         P, D, Q = gamma.u, gamma.v * gamma.v * gamma.d, gamma.w
@@ -282,51 +281,42 @@ def _cf_surd(gamma: QuadraticSurd, K: int):
         P, D, Q = -gamma.u, gamma.v * gamma.v * gamma.d, -gamma.w
     if (D - P * P) % Q:
         P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-    quotients = []
-    seen = {}
-    period = None
-    for i in range(K + 1):
-        if period is None:
-            key = (P, Q)
-            if key in seen:
-                period = (seen[key], i - seen[key])
-            else:
-                seen[key] = i
+    while True:
         a = exact_floor(P, 1, Q, D)
-        quotients.append(a)
+        yield a, (P, Q)
         P = a * Q - P
         Q = (D - P * P) // Q
-    return quotients, period
 
 
-def _cf_interval(gamma: PrecisionReal, K: int):
+def _cf_interval(gamma: PrecisionReal):
     lo, hi = gamma.interval()
-    quotients = []
-    for i in range(K + 1):
-        a_lo, a_hi = lo.__floor__(), hi.__floor__()
-        if a_lo != a_hi:
+    for i in itertools.count():
+        a = lo.__floor__()
+        if a != hi.__floor__():
             raise PrecisionExhausted(
                 f"continued fraction undetermined at depth {i}: interval spans a quotient boundary")
-        quotients.append(a_lo)
-        lo, hi = lo - a_lo, hi - a_lo
-        if i == K:
-            break
+        yield a, None
+        lo, hi = lo - a, hi - a
         if lo <= 0:
-            raise PrecisionExhausted(
-                f"continued fraction undetermined at depth {i}: fractional part may vanish")
+            raise PrecisionExhausted(f"continued fraction undetermined at depth {i + 1}:"
+                                     f" the remainder after depth {i} may vanish")
         lo, hi = 1 / hi, 1 / lo
-    return quotients
 
 
-def cf_reaching(gamma: Irrational, q: int) -> ContinuedFraction:
-    """The expansion of gamma at the first depth K = 8, 16, ..., 8192 whose
-    last convergent denominator is >= q; depth 8192 if none is."""
-    K = 8
-    while True:
-        cf = cf_expand(gamma, K)
-        if cf.convergents[-1][1] >= q or K > 4096:
-            return cf
-        K *= 2
+def cf_expand(gamma: Irrational, K: int) -> ContinuedFraction:
+    """K+1 steps of cf_walk, with the period of a surd's expansion read off
+    the first repeated state."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    cf, seen = ContinuedFraction([], []), {}
+    for i, (a, p, q, state) in enumerate(itertools.islice(cf_walk(gamma), K + 1)):
+        cf.quotients.append(a)
+        cf.convergents.append((p, q))
+        if cf.period is None and state is not None:
+            first = seen.setdefault(state, i)
+            if first < i:
+                cf.period = (first, i - first)
+    return cf
 
 
 def best_convergent_below(theta: Irrational, max_den: int):
@@ -337,11 +327,10 @@ def best_convergent_below(theta: Irrational, max_den: int):
     """
     if max_den < 1:
         raise ValueError("denominator bound must be >= 1")
-    cf = cf_reaching(theta, max_den + 1)
-    if cf.convergents[-1][1] <= max_den:
-        raise PrecisionExhausted(
-            f"convergent denominators plateau below {max_den}")
-    return [c for c in cf.convergents if c[1] <= max_den][-1]
+    for _, p, q, _ in cf_walk(theta):    # q_0 = 1, so best is set first
+        if q > max_den:
+            return best
+        best = p, q
 
 
 # -- irrationality type ----------------------------------------------------
@@ -377,21 +366,18 @@ def _rational_near(x: Irrational) -> Fraction:
 def estimate_type(gamma: Irrational, K: Optional[int] = None) -> TypeEstimate:
     """Estimate the irrationality type from convergent denominators.
 
-    With K omitted, the expansion is deepened until q_K >= 10**6.
+    The walk stops at depth K, or with K omitted at the first q_K >= 10**6.
     """
-    if K is None:    # the first depth that reaches the target
-        qs = [q for _, q in cf_reaching(gamma, 10 ** 6).convergents]
-        K = next((i for i, q in enumerate(qs) if q >= 10 ** 6), len(qs) - 1)
-    cf = cf_expand(gamma, K)
-    samples = []
-    for _, q in cf.convergents:
-        if q < 2:
-            continue
-        x = gamma * q
-        t = math.floor(x)
-        dist = _rational_near(min(x - t, t + 1 - x))     # ||gamma*q||
-        samples.append((q, (math.log(dist.denominator)
-                            - math.log(dist.numerator)) / math.log(q)))
+    if K is not None and K < 0:
+        raise ValueError("K must be >= 0")
+    samples, steps = [], None if K is None else K + 1
+    for depth, (_, p, q, _) in enumerate(itertools.islice(cf_walk(gamma), steps)):
+        if q >= 2:    # ||gamma*q|| = |gamma*q - p|, which has the sign (-1)**depth
+            dist = _rational_near(gamma * q - p if depth % 2 == 0 else p - gamma * q)
+            samples.append((q, (math.log(dist.denominator)
+                                - math.log(dist.numerator)) / math.log(q)))
+        if K is None and q >= 10 ** 6:
+            break
     eligible = [(q, e) for q, e in samples if q >= 10]
     if len(eligible) >= 3:
         xs = np.array([1.0 / math.log(q) for q, _ in eligible])
@@ -400,4 +386,4 @@ def estimate_type(gamma: Irrational, K: Optional[int] = None) -> TypeEstimate:
         tau_hat = max(1.0, float(intercept))
     else:
         tau_hat = max([1.0] + [e for _, e in eligible])
-    return TypeEstimate(samples, tau_hat, cf.depth)
+    return TypeEstimate(samples, tau_hat, depth)

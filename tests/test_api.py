@@ -53,17 +53,31 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
-def test_benchmark_tracer_hooks_are_in_place():
-    # bench/child.py wraps owner.__dict__[attr], so a hooked method moved to
-    # a base class would break the benchmark's own suite and nothing here
+def _bench_child():
     path = SRC.parent / "bench" / "child.py"
     spec = importlib.util.spec_from_file_location("bench_child", path)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def test_benchmark_tracer_hooks_are_in_place():
+    # bench/child.py wraps owner.__dict__[attr], so a hooked method moved to
+    # a base class would break the benchmark's own suite and nothing here
+    child = _bench_child()
     for owner, attr, *_ in child.LAYERS:
         assert attr in vars(owner), (owner.__name__, attr)
     # child._table_counts reads these from every traced table
     assert {"is_prime", "log_base"} <= set(vars(sieve.MangoldtTable))
+
+
+def test_benchmark_library_steps_pass(capsys):
+    # the sweep and phase workloads run these steps; they lean on
+    # floor_affine, bulk_membership, cli.render and build_psi_delta
+    child = _bench_child()
+    assert child.lib_membership(10000, "1/3") == 0
+    assert child.lib_sandwich(64, 200, "2/7") == 0
+    assert capsys.readouterr().out.count("# verdict=PASS") == 2
 
 
 def _fresh(code: str):

@@ -180,6 +180,44 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error: --alpha:")
 
+    @pytest.mark.parametrize("alpha", ["sqrt:" + "7" * 4400, "bogus:" + "7" * 4400],
+                             ids=["past-int-limit", "malformed"])
+    def test_alpha_refusal_echoes_a_short_prefix(self, capsys, alpha):
+        assert main(["cfrac", "--alpha", alpha, "--K", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --alpha: {alpha[:60]!r}...")
+        assert len(err) < 300
+
+    @pytest.mark.parametrize("mode", ["N", "M"])
+    def test_density_target_needs_a_closed_form(self, capsys, monkeypatch, mode):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr("beattykit.cli.build_table", no_table)
+        code = main(["count", "sweep", *SWEEP_FLAGS, "--target", "density",
+                     "--mode", mode])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("K,first", [(1301, None), (1302, 1302), (2000, 1302)])
+    def test_unprintable_depth_is_named(self, tmp_path, capsys, K, first):
+        # sqrt(1000001) = [1000; 2000, 2000, ...]: q_1302 is the first
+        # convergent past the default 4300-digit limit of int-to-str
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(["cfrac", "--alpha", "sqrt:1000001", "--K", str(K),
+                         "--out", str(tmp_path / "cf.csv")])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        err = capsys.readouterr().err
+        if first is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert err == (f"error: --K {K}: convergents pass the 4300-digit"
+                           f" limit of int-to-str at depth {first}\n")
+
     def test_verification_failure_is_two(self, capsys):
         code = main(["count", "sweep", "--alpha", "sqrt:2", "--q", "2",
                      "--a", "1", "--grid", "1000,2000", "--tol", "1e-9"])

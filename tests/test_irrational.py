@@ -244,6 +244,17 @@ def test_best_convergent_below(sqrt2, phi):
     assert best_convergent_below(sqrt2, 10 ** 6) == (665857, 470832)
 
 
+def test_best_convergent_below_walks_only_as_deep_as_needed(sqrt2):
+    # q_11 = 13860 > 10**4 settles the answer; depth 16 is past the 40 bits
+    x = parse_irrational("dec:1.41421356237309504880168872420969807856967187537694@40")
+    assert best_convergent_below(x, 10 ** 4) == (8119, 5741)
+    with pytest.raises(PrecisionExhausted, match="at depth 16"):
+        cf_expand(x, 16)
+    # no depth cap: convergents of sqrt 2 solve p*p - 2*q*q = +-1, q_(k+1) < 3*q_k
+    p, q = best_convergent_below(sqrt2, 10 ** 4000)
+    assert abs(p * p - 2 * q * q) == 1 and q <= 10 ** 4000 < 3 * q
+
+
 class TestTypeEstimate:
     def test_quadratics_are_type_one(self, sqrt2, sqrt3, phi):
         for x in (sqrt2, sqrt3, phi):
@@ -268,6 +279,15 @@ class TestTypeEstimate:
         est = estimate_type(sqrt2)
         assert est.samples[-1][0] >= 10 ** 6
         assert 0.95 <= est.tau_hat <= 1.05
+
+    @pytest.mark.parametrize("text", [
+        "quad:1/2+sqrt:5",
+        "dec:1.41421356237309504880168872420969807856967187537694"])
+    def test_adaptive_depth_is_the_first_reaching_a_million(self, text):
+        gamma = parse_irrational(text)
+        est = estimate_type(gamma)
+        assert est == estimate_type(gamma, K=est.depth)
+        assert est.samples[-2][0] < 10 ** 6 <= est.samples[-1][0]
 
     @pytest.mark.parametrize("text,K", [
         ("sqrt:2", 60), ("quad:1/2+sqrt:5", 100),
