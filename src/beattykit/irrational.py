@@ -208,7 +208,7 @@ def parse_irrational(text: str, default_bits: int = 160) -> Irrational:
     would be rational) raises IrrationalParseError with a reason.
     """
     text = text.strip()
-    shown = repr(text[:60]) + ("..." if len(text) > 60 else "")    # a short echo
+    shown = repr(text[:60]) + ("..." if len(text) > 60 else "")  # literals run long
     try:    # ValueError: a square radicand, bits < 1, a literal past int()'s limit
         m = _SQRT_RE.match(text)
         if m:

@@ -199,6 +199,8 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error") and "Traceback" not in err
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.10.7")
     @pytest.mark.parametrize("K,first", [(1301, None), (1302, 1302), (2000, 1302)])
     def test_unprintable_depth_is_named(self, tmp_path, capsys, K, first):
         # sqrt(1000001) = [1000; 2000, 2000, ...]: q_1302 is the first
