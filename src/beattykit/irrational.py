@@ -11,13 +11,11 @@ Two interchangeable backends represent every real parameter:
   instead of silently guessing.
 
 Both derive from Irrational (in surd.py, re-exported here).  On top sit the
-shared operations: affine floors and continued fractions.  Partial quotients
-and convergents are formed in one place, the lazy walk cf_walk: a surd's
-walk is exact and endless, a decimal's stops with PrecisionExhausted at the
-first quotient its radius leaves undetermined.  cf_expand (with period
-detection for surds), the best convergent below a denominator bound and an
-empirical estimate of the irrationality type each take as many steps as
-they need.
+shared operations: affine floors, and one lazy continued-fraction walk,
+cf_walk (exact and endless for a surd; a decimal's stops at the first
+quotient its radius leaves undetermined), from which cf_expand, the best
+convergent below a denominator bound and the type estimate each take as
+many steps as they need.
 """
 
 from __future__ import annotations
