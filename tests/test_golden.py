@@ -109,6 +109,9 @@ OTHER = [
     ("beatty_generate.csv", 0,
      ["beatty", "generate", "--alpha", "sqrt:2", "--beta=-17/10",
       "--N", "40"]),
+    ("beatty_generate_pi.json", 0,
+     ["beatty", "generate", "--alpha", PI, "--beta", "1/3", "--N", "30",
+      "--format", "json"]),
     ("beatty_member_true.csv", 0,
      ["beatty", "member", "--alpha", "quad:1/2+sqrt:5", "--m", "832040"]),
     ("beatty_member_false.csv", 0,
