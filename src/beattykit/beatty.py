@@ -117,4 +117,6 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
     fl1 = (-gamma).affine_floor_frac_many(ms[near], gamma * (beta - 1))[0]
     hit[near] = fl1 < fl[near]
     hit &= live
-    return hit, np.where(hit, -fl, 0)
+    np.negative(fl, out=fl)    # the witnesses, in the floors' own array
+    fl *= hit
+    return hit, fl

@@ -282,7 +282,8 @@ def discrepancy(points) -> float:
     place); less and leq are views of the positions where the value
     changes, vals is the sorted array when the values are distinct, and
     the four candidate arrays take turns in one buffer: 42 bytes a point
-    (tracemalloc, M = 2^18); discrepancy_beatty peaks at 54, in its kernel.
+    (tracemalloc, M = 2^18), which also sets discrepancy_beatty's peak; its
+    kernel step holds 28.
 
     Float filter: with u = 2^-53 and M < 2^53, fl(M*v) is within u*M, each
     term (at most M in size) within 2u*M and each pair sum (at most 2M)
@@ -329,6 +330,8 @@ def discrepancy_beatty(gamma: Irrational, delta, M: int) -> float:
     """Discrepancy of the fractional parts {gamma*m + delta}, m = 1..M."""
     if M < 1:
         raise ValueError("M must be >= 1")
+    # not phases_many: on dec: alphas it takes the center's fractions, a
+    # silent guess here, where a straddled floor must refuse
     _, fr, _ = gamma.affine_floor_frac_many(np.arange(1, M + 1, dtype=np.int64),
                                             delta)
     fr.sort()   # the kernel's own array, sorted in place

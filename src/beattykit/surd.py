@@ -31,7 +31,7 @@ __all__ = ["QuadraticSurd", "make_real", "squarefree_split", "exact_floor",
            "fixed_point_floor_frac"]
 
 _ONE_BELOW = math.nextafter(1.0, 0.0)
-_ONE, _M64, _BLOCK = 1 << 128, (1 << 64) - 1, 1 << 16
+_ONE, _M64, _BLOCK = 1 << 128, (1 << 64) - 1, 1 << 14
 _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
@@ -137,22 +137,38 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
 
     parts = (I, F, J, G, e_theta, e_eta) from a backend's fixed_point:
     theta = I + F/2**128 and eta = J + G/2**128 within e units of 2**-128.
-    F*n + G is formed exactly in uint64 limbs, 2**16 points at a time; a
-    point whose fraction lies within the bound max|n|*e_theta + e_eta units
-    of an integer, or with n < 0, takes (floor, frac) from exact(n).  Floors
-    are exact (FloorOutOfRange outside int64; None with floors=False); err is the
-    bound plus float rounding.
+    F*n + G is formed exactly in uint64 limbs, 2**14 points at a time (as
+    sieve's log blocks: the limb temporaries, about 1.9 MB, stay in cache);
+    a point whose fraction lies within the bound max|n|*e_theta + e_eta
+    units of an integer, or with n < 0, takes (floor, frac) from exact(n).
+    Floors are exact and formed in place (FloorOutOfRange outside int64;
+    None with floors=False); err is the bound plus float rounding.  Beyond
+    ns, the outputs hold 16 bytes a point with floors and 8 without.
     """
     I, F, J, G, e_theta, e_eta = parts
     ns = np.asarray(ns, dtype=np.int64)
+    fracs = np.empty(ns.size)
     if ns.size == 0:
-        return np.empty(0, np.int64) if floors else None, np.empty(0), 0.0
-    lo_i, hi_i = int(ns.argmin()), int(ns.argmax())
-    bound = max(-int(ns[lo_i]), int(ns[hi_i])) * e_theta + e_eta
+        return np.empty(0, np.int64) if floors else None, fracs, 0.0
+    ends = (int(ns.min()), int(ns.max()))
+    bound = max(-ends[0], ends[1]) * e_theta + e_eta
     # certified fractions lie in [b, 2**128 - b), empty once b >= 2**127
-    F1, F0, G1, G0, B1, B0 = (np.uint64(x >> k & _M64) for x in
-                              (F, G, min(bound, _ONE >> 1)) for k in (64, 0))
-    carry, fracs = np.empty(ns.size, np.int64), np.empty(ns.size)
+    b = min(bound, _ONE >> 1)
+    fl = None
+    if floors:
+        # floors are monotone in n, so the extreme indices bound them all;
+        # checked before any floor is written, so none can leave int64.  The
+        # fixed-point floor t is within slack of the exact one
+        slack = (bound >> 128) + 1
+        for n in ends:
+            t = (((I << 128) + F) * n + (J << 128) + G) >> 128
+            if not (-(1 << 63) + slack <= t < (1 << 63) - slack
+                    or -(1 << 63) <= exact(n)[0] < 1 << 63):
+                raise FloorOutOfRange("floor exceeds the int64 result contract")
+        fl = np.empty(ns.size, np.int64)
+        I64, J64 = (np.uint64(x & _M64).view(np.int64) for x in (I, J))
+    F1, F0, G1, G0, B1, B0 = (np.uint64(x >> k & _M64) for x in (F, G, b)
+                              for k in (64, 0))
     for s in range(0, ns.size, _BLOCK):
         nb = ns[s:s + _BLOCK]
         m = nb.view(np.uint64)
@@ -167,22 +183,21 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
         c += hi < hi_g
         ok = (hi > B1) | ((hi == B1) & (lo >= B0))
         ok &= (hi < ~B1) | ((hi == ~B1) & (lo <= ~B0))
-        carry[s:s + nb.size] = c.view(np.int64)
-        fracs[s:s + nb.size] = np.minimum(hi * 2.0 ** -64, _ONE_BELOW)
+        fr = fracs[s:s + nb.size]
+        np.multiply(hi, 2.0 ** -64, out=fr)
+        np.minimum(fr, _ONE_BELOW, out=fr)
+        if floors:
+            # I*n + J + c, wrapping in int64 to the floor the check bounds
+            fb = fl[s:s + nb.size]
+            np.multiply(nb, I64, out=fb)
+            fb += J64
+            fb += c.view(np.int64)
         for i in np.flatnonzero(~(ok & (nb >= 0))).tolist():
-            n = int(nb[i])
-            fl, fracs[s + i] = exact(n)
-            carry[s + i] = fl - I * n - J
+            t, fr[i] = exact(int(nb[i]))
+            if floors:
+                fb[i] = t
     # 5e-16 covers float rounding here (2**-53) and in the exact kernels
-    err = bound / _ONE + 5e-16
-    if not floors:
-        return None, fracs, err
-    # floors are monotone in n, so the extreme indices bound them all
-    if not all(-(1 << 63) <= I * int(ns[i]) + J + int(carry[i]) < 1 << 63
-               for i in (lo_i, hi_i)):
-        raise FloorOutOfRange("floor exceeds the int64 result contract")
-    I64, J64 = (np.uint64(x & _M64).view(np.int64) for x in (I, J))
-    return ns * I64 + J64 + carry, fracs, err
+    return fl, fracs, bound / _ONE + 5e-16
 
 
 def make_real(u: int, v: int, w: int, d: int):
@@ -253,8 +268,9 @@ class QuadraticSurd(Irrational):
     def __init__(self, p: int, q: int, d: int, v: int = 1):
         val = make_real(p, v, q, d)
         if isinstance(val, Fraction):
-            raise ValueError(
-                f"(p + {v}*sqrt({d}))/{q} is rational; use Fraction for rational values")
+            # no digits of p, q or d: they can run to thousands
+            raise ValueError("(p + v*sqrt(d))/q is rational; use Fraction"
+                             " for rational values")
         self.u, self.v, self.w, self.d = val.u, val.v, val.w, val.d
 
     @classmethod

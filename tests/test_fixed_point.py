@@ -15,7 +15,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from beattykit.beatty import BeattyParams, bulk_membership, is_member
-from beattykit.errors import AmbiguousFloor, PrecisionExhausted
+from beattykit.errors import (AmbiguousFloor, FloorOutOfRange,
+                              PrecisionExhausted)
 from beattykit.expsum import exp_sum_shifted
 from beattykit.irrational import PrecisionReal, parse_irrational
 from beattykit.sieve import ResidueClass, build_table
@@ -148,6 +149,73 @@ def test_floors_beyond_int64_rejected_phases_kept():
         x.affine_floor_frac_many(ns)
     want = [fr for _, fr in surd_oracle(x, 0, ns.tolist())]
     assert np.abs(x.phases_many(ns) - want).max() <= 5e-16
+
+
+# -- across blocks: the kernel runs 2**14 points at a time --------------------
+
+BLOCK = 1 << 14
+LENGTHS = (BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5)
+DEC_SQRT2 = "1.41421356237309504880168872420969807856967187537694807317667973799"
+
+
+@st.composite
+def block_cases(draw):
+    """(x, eta, ns, n0): a drawn pool of indices tiled over 2**14 +- 1 or
+    3*2**14 + 5 points, with negative, extreme and guard-band indices placed
+    in later blocks.  On surds eta may be k - x*n0, so that x*n0 + eta is
+    the integer k: the fixed-point value there lies in the guard band."""
+    size = draw(st.sampled_from(LENGTHS))
+    ns = np.resize(np.array(draw(st.lists(st.integers(0, 1 << 20), min_size=1,
+                                          max_size=50)), np.int64), size)
+    n0 = draw(st.integers(1, 1 << 20))
+    if draw(st.booleans()):
+        x = draw(surds)
+        eta = draw(st.one_of(offsets, st.builds(lambda k: k - x * n0,
+                                                 st.integers(-99, 99))))
+    else:
+        x = PrecisionReal(draw(st.sampled_from(["", "-"])) + draw(decimal_digits),
+                          draw(st.integers(160, 240)))
+        eta = draw(offsets)
+    special = st.one_of(st.integers(-N_MAX, -1), st.sampled_from([-N_MAX, N_MAX, n0]))
+    for value in draw(st.lists(special, min_size=1, max_size=6)):
+        ns[draw(st.integers(min(BLOCK, size // 2), size - 1))] = value
+    return x, eta, ns
+
+
+@given(block_cases())
+def test_blocks_match_the_scalar_kernel(case):
+    x, eta, ns = case
+    exact = lambda n: x.affine_floor_frac(n, eta)
+    values, where = np.unique(ns, return_inverse=True)
+    try:
+        want = [exact(n) for n in values.tolist()]
+    except AmbiguousFloor:
+        # a decimal straddle: refused in the bulk as at the point
+        with pytest.raises(AmbiguousFloor):
+            x.affine_floor_frac_many(ns, eta)
+        return
+    floors, fracs, err = x.affine_floor_frac_many(ns, eta)
+    assert np.array_equal(floors, np.array([fl for fl, _ in want])[where])
+    assert np.abs(fracs - np.array([fr for _, fr in want])[where]).max() <= err
+    none, fracs_only, err_only = fixed_point_floor_frac(x.fixed_point(eta), ns,
+                                                        exact, floors=False)
+    assert none is None and err_only == err
+    assert np.array_equal(fracs_only, fracs)
+
+
+@given(st.sampled_from([QuadraticSurd.sqrt(2), PrecisionReal(DEC_SQRT2, 240)]),
+       st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+       st.sampled_from(LENGTHS), st.integers(7 << 60, (1 << 63) - 1))
+def test_only_the_last_block_leaves_int64(x, sign, side, size, n_big):
+    # |sqrt(2)*n| > 2**63 only at the last index, which leaves int64 on
+    # either side; its fraction is still formed
+    x = x * sign
+    ns = np.arange(size, dtype=np.int64)
+    ns[-1] = side * n_big
+    with pytest.raises(FloorOutOfRange):
+        x.affine_floor_frac_many(ns)
+    _, fr = x.affine_floor_frac(int(ns[-1]))
+    assert abs(x.phases_many(ns)[-1] - fr) <= 1e-15
 
 
 decimal_digits = st.builds(
