@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -81,8 +82,10 @@ def _grid(text):
 
 
 _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
-# point budgets: discrepancy holds 54 B a point (tracemalloc), generate 352 B
-# (RSS), so they peak at 432 and 548 MB RSS, as a sweep near MAX_LIMIT (580 MB);
+# point budgets at the caps below: discrepancy holds 42 B a point (tracemalloc,
+# its scan), 433 MB RSS (extrapolated from M = 1e6 and 2e6); generate holds 23 B
+# a term (RSS, its kernel) and writes rows in chunks, 66 MB RSS; a sweep near
+# MAX_LIMIT takes 580 MB;
 # a depth budget: the golden ratio, whose convergents stay printable longest,
 # peaks at 395 MB RSS in cfrac and 215 MB (19 s) in type-estimate at K = 2e4
 MAX_DISCREPANCY_M, MAX_GENERATE_N, MAX_CF_K = 10_000_000, 1_500_000, 20_000
@@ -137,8 +140,25 @@ class Report:
     name: str
     params: list            # (key, value) pairs, insertion order
     columns: tuple
-    rows: list
+    rows: Sequence          # row tuples: a list, or _Terms for generate
     verdict: Optional[bool] = None
+
+
+class _Terms(Sequence):
+    """The rows (n, term), n = 1..N, of a term array, formed when indexed,
+    so that a report holds them one chunk at a time."""
+
+    def __init__(self, terms: np.ndarray):
+        self.terms = terms
+
+    def __len__(self):
+        return self.terms.size
+
+    def __getitem__(self, i):
+        ns = range(1, self.terms.size + 1)[i]
+        if isinstance(ns, int):
+            return ns, int(self.terms[ns - 1])
+        return list(zip(ns, self.terms[i].tolist()))
 
 
 def _fmt(v) -> str:
@@ -161,40 +181,70 @@ def _json_value(v):
     return str(v)
 
 
-def render(report: Report, fmt: str) -> str:
+_CHUNK = 1 << 16    # rows formatted at a time
+
+
+def _columns(rows, start: int, stop: int):
+    """The columns of rows[start:stop]; a term array's without forming rows."""
+    if isinstance(rows, _Terms):
+        terms = rows.terms[start:stop]
+        return range(start + 1, start + terms.size + 1), terms.tolist()
+    return zip(*rows[start:stop])
+
+
+def _pieces(report: Report, fmt: str):
+    """The report's text: its header, one piece per chunk of rows, its end."""
+    rows = report.rows
     if fmt == "json":
         import json
         doc = {
             "name": report.name,
             "params": {k: _json_value(v) for k, v in report.params},
             "columns": list(report.columns),
-            "rows": [[_json_value(v) for v in row] for row in report.rows],
+            "rows": [],
         }
         if report.verdict is not None:
             doc["verdict"] = "PASS" if report.verdict else "FAIL"
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [f"# beattykit {report.name}"]
-    for k, v in report.params:
-        lines.append(f"# {k}={_fmt(v)}")
-    if report.verdict is not None:
-        lines.append(f"# verdict={'PASS' if report.verdict else 'FAIL'}")
-    lines.append(",".join(report.columns))
-    # column by column: plain ints (most cells of large reports) skip _fmt
-    cols = ([str(v) if type(v) is int else _fmt(v) for v in col]
-            for col in zip(*report.rows))
-    lines.extend(map(",".join, zip(*cols)))
-    return "\n".join(lines) + "\n"
+        # json strings hold no raw newline, so this key is found only once
+        head, mark, tail = json.dumps(doc, indent=2).partition('\n  "rows": []')
+        yield head + mark[:-1]
+        # each row laid out as json.dumps(indent=2) lays out the whole array
+        cell, cell_sep, row_sep = (lambda v: json.dumps(_json_value(v)),
+                                   ",\n      ", ",")
+        line = "\n    [\n      {}\n    ]".format
+        last = ("\n  ]" if rows else "]") + tail + "\n"
+    else:
+        lines = [f"# beattykit {report.name}"]
+        for k, v in report.params:
+            lines.append(f"# {k}={_fmt(v)}")
+        if report.verdict is not None:
+            lines.append(f"# verdict={'PASS' if report.verdict else 'FAIL'}")
+        lines.append(",".join(report.columns))
+        yield "\n".join(lines) + "\n"
+        cell, cell_sep, row_sep, line, last = _fmt, ",", "", "{}\n".format, ""
+    for start in range(0, len(rows), _CHUNK):
+        # column by column, lazily; plain ints (most cells of large
+        # reports) skip the formatter
+        cols = ((str(v) if type(v) is int else cell(v) for v in col)
+                for col in _columns(rows, start, start + _CHUNK))
+        rows_text = row_sep.join(map(line, map(cell_sep.join, zip(*cols))))
+        yield (row_sep if start else "") + rows_text
+    yield last
+
+
+def render(report: Report, fmt: str) -> str:
+    return "".join(_pieces(report, fmt))
 
 
 def emit_report(report: Report, path: Optional[str], fmt: str = "csv"):
-    """Write the report to path (or stdout); identical inputs give
-    byte-identical bytes, so artifacts can be diffed across runs."""
-    text = render(report, fmt)
+    """Write the report to path (or stdout) a chunk of rows at a time;
+    identical inputs give byte-identical bytes, so artifacts can be diffed
+    across runs."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_pieces(report, fmt))
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(_pieces(report, fmt))
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -246,9 +296,8 @@ def _beatty_params(ns) -> list:
 def _run_generate(ns) -> Report:
     from .beatty import BeattyParams, generate
     terms = generate(BeattyParams(ns.alpha, ns.beta), ns.N)
-    rows = [(n, int(t)) for n, t in enumerate(terms.tolist(), start=1)]
     return Report("beatty-generate", _beatty_params(ns) + [("N", ns.N)],
-                  ("n", "term"), rows)
+                  ("n", "term"), _Terms(terms))
 
 
 def _run_member(ns) -> Report:

@@ -4,13 +4,14 @@ They are slow and simple on purpose, and the package does not use them.
 """
 
 import decimal
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from beattykit.beatty import BeattyParams
-from beattykit.cli import _fmt
+from beattykit.cli import _fmt, _json_value
 from beattykit.expsum import _validated
 from beattykit.irrational import floor_affine
 from beattykit.surd import (exact_floor_frac, fixed_point_floor_frac,
@@ -222,3 +223,22 @@ def log_correctly_rounded(n: int) -> float:
 def csv_rows_per_cell(report) -> list:
     """The CSV data lines of a report, one _fmt call per cell."""
     return [",".join(_fmt(v) for v in row) for row in report.rows]
+
+
+def render_whole(report, fmt: str) -> str:
+    """A report's text from one document: json.dumps of the whole report,
+    or every CSV line joined at once."""
+    if fmt == "json":
+        doc = {"name": report.name,
+               "params": {k: _json_value(v) for k, v in report.params},
+               "columns": list(report.columns),
+               "rows": [[_json_value(v) for v in row] for row in report.rows]}
+        if report.verdict is not None:
+            doc["verdict"] = "PASS" if report.verdict else "FAIL"
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"# beattykit {report.name}"]
+    lines += [f"# {k}={_fmt(v)}" for k, v in report.params]
+    if report.verdict is not None:
+        lines.append(f"# verdict={'PASS' if report.verdict else 'FAIL'}")
+    lines.append(",".join(report.columns))
+    return "\n".join(lines + csv_rows_per_cell(report)) + "\n"

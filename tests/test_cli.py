@@ -17,7 +17,7 @@ import pytest
 from beattykit.cli import (Report, build_parser, emit_report, main,
                            parse_args, render)
 from beattykit.errors import UsageError
-from oracles import csv_rows_per_cell
+from oracles import csv_rows_per_cell, render_whole
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -180,8 +180,9 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error: --alpha:")
 
-    @pytest.mark.parametrize("alpha", ["sqrt:" + "7" * 4400, "bogus:" + "7" * 4400],
-                             ids=["past-int-limit", "malformed"])
+    @pytest.mark.parametrize("alpha", ["sqrt:" + "7" * 4400, "bogus:" + "7" * 4400,
+                                       "sqrt:1" + "0" * 4000],
+                             ids=["past-int-limit", "malformed", "square"])
     def test_alpha_refusal_echoes_a_short_prefix(self, capsys, alpha):
         assert main(["cfrac", "--alpha", alpha, "--K", "3"]) == 1
         err = capsys.readouterr().err
@@ -225,6 +226,18 @@ class TestExitCodes:
                      "--a", "1", "--grid", "1000,2000", "--tol", "1e-9"])
         assert code == 2
         assert "verdict=FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--alpha", "dec:1.5@8"],
+                                       ["--alpha", "sqrt:2", "--beta=-1e30"]],
+                             ids=["ambiguous", "beyond-int64"])
+    def test_refusal_writes_no_report_byte(self, tmp_path, capsys, flags):
+        argv = ["beatty", "generate", *flags, "--N", "10"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+        path = tmp_path / "report.csv"
+        assert main([*argv, "--out", str(path)]) == 1
+        assert not path.exists()
 
     def test_io_error_is_one(self, capsys):
         code = main(["cfrac", "--alpha", "sqrt:2",
@@ -287,6 +300,31 @@ class TestEmission:
         assert lines[3] == "7,true,-5,0.333333333333,x"
         empty = Report("mixed", [], ("a", "b"), [])
         assert render(empty, "csv") == "# beattykit mixed\na,b\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+    def test_chunks_join_to_the_whole_document(self, monkeypatch, fmt, chunk):
+        # rows are formatted a chunk at a time; the text is what one
+        # rendering of the whole document gives, for every kind of cell
+        columns = [(7, -3, 2 ** 70, 0, 1, -1, 5),
+                   (True, False, True, False, True, True, False),
+                   (np.int64(-5), np.int32(9), np.uint8(200), np.int64(0), 4, 5, 6),
+                   (1 / 3, -0.0, 1e300, np.float64(2 / 3), np.float32(0.1),
+                    float("nan"), -float("inf")),
+                   ("x", Fraction(1, 3), np.bool_(True), "", 'a "b"\n', None, "\u00e9")]
+        reports = [Report("mixed", [("k", 1), ("s", 'q"\n')], tuple("abcde"),
+                          list(zip(*columns)), verdict=False),
+                   Report("empty", [], ("a", "b"), []),
+                   parse_args(GENERATE).run(parse_args(GENERATE))]
+        monkeypatch.setattr("beattykit.cli._CHUNK", chunk)
+        for rep in reports:
+            assert render(rep, fmt) == render_whole(rep, fmt)
+
+    def test_generate_rows_are_a_sequence(self):
+        rep = parse_args(GENERATE).run(parse_args(GENERATE))
+        assert len(rep.rows) == 3
+        assert list(rep.rows) == [(1, 1), (2, 2), (3, 4)]
+        assert rep.rows[1:] == [(2, 2), (3, 4)] and rep.rows[-1] == (3, 4)
 
     def test_emit_to_stdout(self, capsys):
         rep = Report("demo", [], ("v",), [(1,)], verdict=True)

@@ -159,3 +159,35 @@ def test_sieve_psi_totals_pinned():
             for L in (1000, 10_000, 100_000)] == [
         "0x1.50a4563bdc11ep+7", "0x1.a404df836d940p+10",
         "0x1.05e46f5ff1e95p+14"]
+
+
+def _argv_without_format(argv):
+    return argv[:-2] if argv[-2:] == ["--format", "json"] else argv
+
+
+GOLDEN_ARGV = (
+    [(name, ["discrepancy", "--alpha", alpha, "--delta", "1/3", "--M", "20000"])
+     for alpha, name, _ in DISCREPANCY]
+    + [(name, ["count", "sweep", "--alpha", alpha, *SWEEP, "--mode", mode,
+               "--target", target]) for name, alpha, mode, target in COUNT_SWEEP]
+    + [(name, _argv_without_format(argv)) for name, _, argv in OTHER])
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_ARGV,
+                         ids=[case[0] for case in GOLDEN_ARGV])
+def test_emitted_bytes_are_the_rendered_text(tmp_path, capsys, monkeypatch,
+                                             name, argv):
+    # emit_report writes a chunk of rows at a time, here two, to stdout or
+    # to --out; either way the bytes are render's, and the golden file's
+    monkeypatch.setattr(cli, "_CHUNK", 2)
+    ns = cli.parse_args(argv)
+    report = ns.run(ns)
+    for fmt in ("csv", "json"):
+        text = cli.render(report, fmt)
+        if name.endswith(fmt):
+            assert text.encode() == (GOLDEN / name).read_bytes()
+        cli.emit_report(report, None, fmt)
+        assert capsys.readouterr().out == text
+        out = tmp_path / f"report.{fmt}"
+        cli.emit_report(report, str(out), fmt)
+        assert out.read_bytes() == text.encode()
