@@ -1,0 +1,70 @@
+"""Memory regression: the point kernels, and `beatty generate` writing its
+report in chunks, hold a bounded number of bytes a point.
+
+Each test takes the tracemalloc peak of one call, less what was held
+before it, per point, at M = 2^19 points (2e5 terms for generate).  Every
+bound sits a little above the value measured when it was set, given beside
+it, and less than 8 bytes above it: one more full-length int64 or float64
+temporary fails the test.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from beattykit.beatty import BeattyParams, bulk_membership
+from beattykit.cli import main
+from beattykit.irrational import parse_irrational
+
+M = 1 << 19
+ALPHAS = ["sqrt:2", "dec:1.4142135623730950488016887242096980785697@200"]
+
+
+def bytes_per_point(call, points: int) -> float:
+    call()      # imports, caches and first-call costs are not per point
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / points
+
+
+@pytest.fixture(scope="module")
+def ns():
+    return np.arange(1, M + 1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_bulk_membership(ns, alpha):
+    # floors and fractions, the hit masks and the witnesses formed in the
+    # floors' array: 21.0 on both backends
+    params = BeattyParams(parse_irrational(alpha), Fraction(1, 3))
+    assert bytes_per_point(lambda: bulk_membership(params, ns), M) <= 24
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_floor_kernel(ns, alpha):
+    # 16 for floors and fractions, the rest for one block's limbs: 20.0
+    x = parse_irrational(alpha)
+    assert bytes_per_point(lambda: x.affine_floor_frac_many(ns, Fraction(1, 3)),
+                           M) <= 22
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_phase_kernel(ns, alpha):
+    # no floor array: 12.0
+    x = parse_irrational(alpha)
+    assert bytes_per_point(lambda: x.phases_many(ns, Fraction(1, 3)), M) <= 14
+
+
+def test_streamed_generate(tmp_path):
+    # the term array and one chunk of 2^16 rows, which dominates at this
+    # size: 50.7 (323 when the whole report was formed at once)
+    N, out = 200_000, str(tmp_path / "terms.csv")
+    argv = ["beatty", "generate", "--alpha", "sqrt:2", "--N", str(N), "--out", out]
+    assert bytes_per_point(lambda: main(argv), N) <= 80
