@@ -160,7 +160,7 @@ DEC_SQRT2 = "1.41421356237309504880168872420969807856967187537694807317667973799
 
 @st.composite
 def block_cases(draw):
-    """(x, eta, ns, n0): a drawn pool of indices tiled over 2**14 +- 1 or
+    """(x, eta, ns): a drawn pool of indices tiled over 2**14 +- 1 or
     3*2**14 + 5 points, with negative, extreme and guard-band indices placed
     in later blocks.  On surds eta may be k - x*n0, so that x*n0 + eta is
     the integer k: the fixed-point value there lies in the guard band."""
