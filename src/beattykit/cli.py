@@ -51,8 +51,8 @@ def _where(kind, ok, rule: str):
     return parse
 
 
-def _at_least(lo: int, hi: float = math.inf):
-    rule = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}] (the memory budget)"
+def _at_least(lo: int, hi: float = math.inf, budget: str = ""):
+    rule = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}] (the {budget} budget)"
     return _where(int, lambda value: lo <= value <= hi, rule)
 
 
@@ -82,10 +82,11 @@ def _grid(text):
 
 
 _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
-# point budgets at the caps below: discrepancy holds 42 B a point (tracemalloc,
-# its scan), 433 MB RSS (extrapolated from M = 1e6 and 2e6); generate holds 23 B
-# a term (RSS, its kernel) and writes rows in chunks, 66 MB RSS; a sweep near
-# MAX_LIMIT takes 580 MB;
+# a memory budget: discrepancy holds its sorted fractions, 8 B a point, and one
+# block (11.5 B a point at M = 2^19, tracemalloc): 40 MB RSS at M = 1e6, 47 MB
+# at 2e6, 108 MB (2.5 s) at the cap; a sweep near MAX_LIMIT takes 580 MB;
+# a time and output budget: generate writes rows in chunks at 66 MB RSS for any
+# N up to the cap, where it takes 1.8 s for 22 MB of CSV, 1.9 s for 61 MB of JSON;
 # a depth budget: the golden ratio, whose convergents stay printable longest,
 # peaks at 395 MB RSS in cfrac and 215 MB (19 s) in type-estimate at K = 2e4
 MAX_DISCREPANCY_M, MAX_GENERATE_N, MAX_CF_K = 10_000_000, 1_500_000, 20_000
@@ -422,15 +423,16 @@ def build_parser() -> _Parser:
     p = _Parser(prog="beattykit", description=__doc__)
     cmd = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
     _command(cmd, "cfrac", _run_cfrac, "continued fraction of --alpha",
-             "alpha precision K", K={"default": 8, "type": _at_least(1, MAX_CF_K)})
+             "alpha precision K",
+             K={"default": 8, "type": _at_least(1, MAX_CF_K, "depth")})
     _command(cmd, "type-estimate", _run_type_estimate,
              "finite-depth irrationality-type estimate", "alpha precision K",
              K={"help": "expansion depth (default: until q_K >= 1e6)",
-                "type": _at_least(1, MAX_CF_K)})
+                "type": _at_least(1, MAX_CF_K, "depth")})
     beatty = _actions(cmd, "beatty", "the Beatty sequence floor(alpha*n + beta)")
     _command(beatty, "generate", _run_generate,
              "terms floor(alpha*n + beta) for n <= --N", "alpha precision beta N",
-             N={"type": _at_least(0, MAX_GENERATE_N)})
+             N={"type": _at_least(0, MAX_GENERATE_N, "time and output")})
     _command(beatty, "member", _run_member,
              "membership + witness for a single --m", "alpha precision beta m")
     sieve = _actions(cmd, "sieve", "Chebyshev psi / prime counts in a progression")
@@ -458,7 +460,7 @@ def build_parser() -> _Parser:
              "alpha precision delta K", K={"default": 64})
     _command(cmd, "discrepancy", _run_discrepancy,
              "extreme discrepancy of {gamma*m + delta}", "alpha precision delta M",
-             M={"type": _at_least(1, MAX_DISCREPANCY_M)},
+             M={"type": _at_least(1, MAX_DISCREPANCY_M, "memory")},
              delta={"required": False, "default": Fraction(0),
                     "help": "shift in {gamma*m + delta}" + _DEFAULT})
     return p

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DeltaOutOfRange, PointOutOfRange
 from .irrational import Irrational, cf_walk
 from .sieve import MangoldtTable, ResidueClass, class_records
+from .surd import _BLOCK
 
 __all__ = ["PsiDelta", "psi_indicator", "build_psi_delta", "exp_sum_shifted",
            "exp_sum_ap", "substitution_identity_check", "SubstitutionCheck",
@@ -224,49 +225,97 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
 
 # -- extreme discrepancy ---------------------------------------------------
 
-def _validated(points) -> np.ndarray:
-    xs = np.asarray(points, np.float64)
+def _checked(xs: np.ndarray) -> np.ndarray:
+    """Sorted points, checked by their two ends (NaN sorts last)."""
     if xs.size == 0:
         raise ValueError("need at least one sample point")
-    if np.any(~np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
+    if not (xs[0] >= 0.0 and xs[-1] < 1.0):
         raise PointOutOfRange("sample points must lie in [0, 1)")
     return xs
 
 
-def _candidates(a, b, z, buf):
-    """The four families of pair sums, in turn in buf (see discrepancy):
-    float64 arrays for the filter, object arrays of ints for the rescan."""
+def _candidates(a, b, floors, buf):
+    """The four families of pair sums, in turn in buf (see discrepancy); each
+    running maximum is floored by its entry of floors, which holds the
+    virtual ends and, in the filter, the other blocks' maxima.  float64
+    arrays for the filter, object arrays of ints for the rescan."""
+    f1, f2, f3, f4 = floors
     # excess, s ending a run: a_s + max(b_r for r <= s, -z)
     np.maximum.accumulate(b, out=buf)
-    yield np.add(np.maximum(buf, -z, out=buf), a, out=buf)
+    yield np.add(np.maximum(buf, f1, out=buf), a, out=buf)
     # excess, r starting a run: b_r + max(a_s for s >= r)
     np.maximum.accumulate(a[::-1], out=buf[::-1])
-    yield np.add(buf, b, out=buf)
+    yield np.add(np.maximum(buf, f2, out=buf), b, out=buf)
     # deficiency, d closing a gap: b_d + max(a_c for c < d, z)
     buf[0] = -np.inf
     np.maximum.accumulate(a[:-1], out=buf[1:])
-    yield np.add(np.maximum(buf, z, out=buf), b, out=buf)
+    yield np.add(np.maximum(buf, f3, out=buf), b, out=buf)
     # deficiency, c opening a gap: a_c + max(b_d for d > c, 0)
     buf[-1] = -np.inf
     np.maximum.accumulate(b[:0:-1], out=buf[-2::-1])
-    yield np.add(np.maximum(buf, 0, out=buf), a, out=buf)
+    yield np.add(np.maximum(buf, f4, out=buf), a, out=buf)
+
+
+def _blocks(xs: np.ndarray):
+    """(vals, less, leq, a, b) of the sorted points' distinct values, _BLOCK
+    points at a time: a value belongs to the block of its first point, and
+    a block that only continues a run yields nothing."""
+    M = int(xs.size)
+    for p0 in range(0, M, _BLOCK):
+        p1 = min(p0 + _BLOCK, M)
+        x = xs[p0:p1]
+        head = p0 == 0 or x[0] != xs[p0 - 1]
+        step = x[1:] != x[:-1]
+        if head and step.all():     # no ties: less = i, leq = i + 1
+            less, vals = np.arange(p0, p1), x
+        else:
+            less = np.flatnonzero(np.concatenate(([head], step)))
+            if not less.size:
+                continue
+            less += p0
+            vals = xs[less]
+        leq = np.empty_like(less)
+        leq[:-1] = less[1:]
+        # a run that crosses the block's last edge ends further on
+        leq[-1] = (p1 if p1 == M or xs[p1] != x[-1]
+                   else np.searchsorted(xs, x[-1], "right"))
+        mx = M * vals
+        a = leq - mx
+        b = np.subtract(mx, less, out=mx)
+        if p0 == 0 and vals[0] == 0:
+            b[0] = -np.inf          # no interval opens just left of 0
+        yield vals, less, leq, a, b
 
 
 def _kept(xs: np.ndarray):
-    """Sorted points -> (vals, less, leq, cnt0, keep); see discrepancy."""
+    """Sorted points -> (vals, less, leq, cnt0, keep): the distinct values
+    that the float filter keeps, their counts, and their indices among all
+    distinct values; see discrepancy."""
     M = int(xs.size)
-    bounds = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1], [True])))
-    less, leq = bounds[:-1], bounds[1:]
-    vals = xs if less.size == M else xs[less]
-    cnt0 = int(leq[0]) if vals[0] == 0 else 0
-    a, b, buf = leq - M * vals, M * vals - less, np.empty(vals.size)
-    b[0] = -np.inf if cnt0 else b[0]   # no interval opens just left of 0
-    cut = max(float(c.max()) for c in _candidates(a, b, cnt0, buf))
+    cnt0 = int(np.searchsorted(xs, 0.0, "right"))
+    # each block's floors: the maxima of a and b over the blocks before it
+    # (families 1 and 3) and after it (2 and 4), with the virtual ends
+    tops = np.array([(a.max(), b.max()) for *_, a, b in _blocks(xs)])
+    low = np.full((1, 2), -np.inf)
+    before = np.concatenate((low, np.maximum.accumulate(tops)[:-1]))
+    after = np.concatenate((np.maximum.accumulate(tops[::-1])[-2::-1], low))
+    floors = np.column_stack((np.maximum(before[:, 1], -cnt0), after[:, 0],
+                              np.maximum(before[:, 0], cnt0),
+                              np.maximum(after[:, 1], 0.0)))
+    buf = np.empty(_BLOCK)
+    cut = max(float(c.max()) for (*_, a, b), f in zip(_blocks(xs), floors)
+              for c in _candidates(a, b, f, buf[:a.size]))
     cut -= 16.0 * M * 2.0 ** -53
-    hit = np.zeros(vals.size, bool)
-    for c in _candidates(a, b, cnt0, buf):
-        hit |= c >= cut
-    return vals, less, leq, cnt0, np.flatnonzero(hit)
+    kept, base = [], 0
+    for (vals, less, leq, a, b), f in zip(_blocks(xs), floors):
+        hit = np.zeros(a.size, bool)
+        for c in _candidates(a, b, f, buf[:a.size]):
+            hit |= c >= cut
+        at = np.flatnonzero(hit)
+        kept.append((vals[at], less[at], leq[at], at + base))
+        base += a.size
+    vals, less, leq, keep = map(np.concatenate, zip(*kept))
+    return vals, less, leq, cnt0, keep
 
 
 def discrepancy(points) -> float:
@@ -278,12 +327,17 @@ def discrepancy(points) -> float:
     and deficiency pairs b_d with -c_c, c_c = M*v_c - leq_c (c < d); the
     virtual ends 0 and 1 add the terms -cnt0 (cnt0 zeros) and 0.
 
-    One scan: one sort (discrepancy_beatty sorts the kernel's array in
-    place); less and leq are views of the positions where the value
-    changes, vals is the sorted array when the values are distinct, and
-    the four candidate arrays take turns in one buffer: 42 bytes a point
-    (tracemalloc, M = 2^18), which also sets discrepancy_beatty's peak; its
-    kernel step holds 28.
+    One sort (discrepancy_beatty sorts the kernel's array in place), checked
+    by its two ends, then three sweeps over _BLOCK points at a time.  Each
+    forms its block's distinct values, less, leq, a and b afresh (less = i
+    and leq = i + 1 when the block has no ties).  The first takes each
+    block's maxima of a and b; their prefix and suffix maxima floor the
+    four running maxima of the other blocks, exactly, since max is exact.
+    The second finds the cut and the third the kept indices.  So the scan
+    holds one block's arrays beyond the sorted points, plus O(M/_BLOCK)
+    maxima and the kept values: at M = 2^19 (tracemalloc) discrepancy holds
+    10.5 bytes a point, 8 of them its sorted copy, and discrepancy_beatty
+    11.5, where the kernel's block of limbs sets the peak.
 
     Float filter: with u = 2^-53 and M < 2^53, fl(M*v) is within u*M, each
     term (at most M in size) within 2u*M and each pair sum (at most 2M)
@@ -300,42 +354,52 @@ def discrepancy(points) -> float:
 
     Exact rescan: _candidates runs again over the kept indices in Python
     ints, on a common dyadic grid that doubles lie on exactly, with the
-    original counts, z = cnt0 whether or not the value 0 is kept, and
-    b = -inf at the first kept index only if its value is 0.  The kept set
-    holds both ends of an optimal pair (families 1 and 2 keep its s* and
-    r*, 3 and 4 its d* and c*), so the maximum is the true supremum, rounded
-    once to a double.  Near-ties keep more indices, at worst all of them,
-    at O(M) integer cost; the sort makes it O(M log M) overall.
+    original counts, floors (-z, -inf, z, 0) for z = cnt0 whether or not
+    the value 0 is kept, and b = -inf at the first kept index only if its
+    value is 0.  The kept set holds both ends of an optimal pair (families
+    1 and 2 keep its s* and r*, 3 and 4 its d* and c*), so the maximum is
+    the true supremum, rounded once to a double.  Near-ties keep more
+    indices, at worst all of them, at O(M) integer cost; the sort makes it
+    O(M log M) overall.
     """
-    return _scan(np.sort(_validated(points)))
+    return _scan(_checked(np.sort(np.asarray(points, np.float64))))
 
 
 def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
     M = int(xs.size)
-    vals, less, leq, cnt0, keep = _kept(xs)
+    vals, less, leq, cnt0, _ = _kept(xs)
     # a common dyadic grid: the denominators are powers of two
-    kv = vals[keep].tolist()
+    kv = vals.tolist()
     scale = max(v.as_integer_ratio()[1] for v in kv)
     iv = np.array([p * (scale // q) for p, q in map(float.as_integer_ratio, kv)],
                   object)
-    a = leq[keep].astype(object) * scale - M * iv
-    b = M * iv - less[keep].astype(object) * scale
+    a = leq.astype(object) * scale - M * iv
+    b = M * iv - less.astype(object) * scale
     b[0] = -np.inf if iv[0] == 0 else b[0]
-    best = max(c.max() for c in _candidates(a, b, cnt0 * scale,
+    z = cnt0 * scale
+    best = max(c.max() for c in _candidates(a, b, (-z, -np.inf, z, 0),
                                             np.empty(iv.size, object)))
     return float(Fraction(best, M * scale)) if best > 0 else 0.0
 
 
 def discrepancy_beatty(gamma: Irrational, delta, M: int) -> float:
-    """Discrepancy of the fractional parts {gamma*m + delta}, m = 1..M."""
+    """Discrepancy of the fractional parts {gamma*m + delta}, m = 1..M.
+
+    The fractions fill one length-M array, _BLOCK values of m at a time in
+    ascending order, so the kernel holds one block's indices, floors and
+    limbs beside it; each block is certified against its own largest m.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
-    # not phases_many: on dec: alphas it takes the center's fractions, a
-    # silent guess here, where a straddled floor must refuse
-    _, fr, _ = gamma.affine_floor_frac_many(np.arange(1, M + 1, dtype=np.int64),
-                                            delta)
-    fr.sort()   # the kernel's own array, sorted in place
-    return _scan(_validated(fr))
+    fr = np.empty(M)
+    for s in range(0, M, _BLOCK):
+        e = min(s + _BLOCK, M)
+        # not phases_many: on dec: alphas it takes the center's fractions, a
+        # silent guess here, where a straddled floor must refuse
+        fr[s:e] = gamma.affine_floor_frac_many(
+            np.arange(s + 1, e + 1, dtype=np.int64), delta)[1]
+    fr.sort()   # in place
+    return _scan(_checked(fr))
 
 
 def decay_exponent(D: float, M: int) -> float:

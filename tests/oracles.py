@@ -12,10 +12,20 @@ import numpy as np
 
 from beattykit.beatty import BeattyParams
 from beattykit.cli import _fmt, _json_value
-from beattykit.expsum import _validated
+from beattykit.errors import PointOutOfRange
 from beattykit.irrational import floor_affine
 from beattykit.surd import (exact_floor_frac, fixed_point_floor_frac,
                             to_fixed_point)
+
+
+def _validated(points) -> np.ndarray:
+    """The points as float64, each checked (expsum checks the sorted ends)."""
+    xs = np.asarray(points, np.float64)
+    if xs.size == 0:
+        raise ValueError("need at least one sample point")
+    if np.any(~np.isfinite(xs)) or np.any(xs < 0.0) or np.any(xs >= 1.0):
+        raise PointOutOfRange("sample points must lie in [0, 1)")
+    return xs
 
 
 def _scaled_values(vals: np.ndarray):
@@ -67,8 +77,8 @@ def discrepancy_brute(points) -> float:
 def dense_filter(points):
     """(vals, less, leq, cnt0, keep) by the dense float filter that
     expsum._kept replaced: every candidate array at once, by np.unique,
-    np.where and np.concatenate.  The lean filter must keep exactly these
-    indices."""
+    np.where and np.concatenate.  The blocked filter must keep exactly
+    these indices, with these values and counts at them."""
     xs = _validated(points)
     M = int(xs.size)
     vals, cnts = np.unique(xs, return_counts=True)

@@ -377,8 +377,8 @@ BAD_TOL = [pytest.param(["count", "sweep", "--alpha", "sqrt:2", "--q", "1",
                          "--a", "0", "--grid", "10,100,1000", "--tol", tol],
                         "--tol", id=f"count sweep --tol {tol}")
            for tol in ("nan", "inf", "-1")]
-# past a command's memory budget: refused at parse time, so nothing is
-# allocated for the points
+# past a command's budget (memory, time and output, or depth): refused at
+# parse time, so nothing is allocated for the points
 BAD_BUDGET = [pytest.param([*cmd, "--alpha", "sqrt:2", flag, "100000000000"], flag,
                            id=f"{' '.join(cmd)} {flag} over budget")
               for cmd, flag in ((["discrepancy"], "--M"),

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beattykit.errors import PointOutOfRange
+from beattykit.cli import main
+from beattykit.errors import AmbiguousFloor, FloorOutOfRange, PointOutOfRange
 from beattykit.expsum import decay_exponent, discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
 from oracles import discrepancy_brute
@@ -80,6 +81,12 @@ def test_validation():
         discrepancy([-0.1])
     with pytest.raises(PointOutOfRange):
         discrepancy([float("nan")])
+    # the sorted ends decide: NaN sorts last, -inf first, either in the middle
+    for bad in ([0.3, float("nan"), 0.1], [0.3, float("-inf"), 0.1],
+                [0.3, float("inf"), 0.1], [0.3, 1.5, 0.1]):
+        with pytest.raises(PointOutOfRange):
+            discrepancy(bad)
+    assert discrepancy([-0.0, 0.5]) == discrepancy([0.0, 0.5])
     with pytest.raises(ValueError):
         discrepancy([])
 
@@ -122,9 +129,40 @@ def test_near_rational_rotation_frac_rounds_safely():
     assert 0.3 < D < 0.35
 
 
+BLOCK = 1 << 14   # the kernel's block of m
+
+
+@pytest.mark.parametrize("n0", [5, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_guard_band_point_refuses(n0):
+    # delta puts the center of x*n0 + delta on the integer 7, so its floor
+    # straddles 7 at x's radius; no other point comes that near an integer
+    x = parse_irrational("dec:1.4142135623730950488016887242096980785697@200")
+    delta, M = 7 - x.center * n0, 3 * BLOCK + 6
+    with pytest.raises(AmbiguousFloor, match=r"near 7\.0 ") as blocks:
+        discrepancy_beatty(x, delta, M)
+    # one kernel call over m = 1..M refuses at the same first point
+    with pytest.raises(AmbiguousFloor) as whole:
+        x.affine_floor_frac_many(np.arange(1, M + 1), delta)
+    assert str(blocks.value) == str(whole.value)
+
+
+def test_floor_past_int64_in_the_last_block_refuses(sqrt2, capsys):
+    # floor(sqrt(2)*m + delta) fits int64 up to m = BLOCK + 1, not at + 2
+    delta = 2 ** 63 - 23172
+    assert 0 <= discrepancy_beatty(sqrt2, delta, BLOCK + 1) <= 1
+    with pytest.raises(FloorOutOfRange):
+        discrepancy_beatty(sqrt2, delta, BLOCK + 2)
+    argv = ["discrepancy", "--alpha", "sqrt:2", "--delta", str(delta),
+            "--M", str(BLOCK + 2)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_beatty_scan_memory_per_point():
-    # the kernel's fractions are sorted in place and the filter reuses one
-    # buffer; the dense scan held about 147 bytes a point here
+    # the fractions fill one array a block at a time, are sorted in place and
+    # scanned a block at a time: 15.0 here, where one block's temporaries
+    # weigh twice what they do at 2^19 (42.0 with whole-length scan arrays,
+    # about 147 with the dense scan)
     gam, M = parse_irrational("sqrt:2"), 2 ** 18
     discrepancy_beatty(gam, Fraction(1, 3), 64)   # warm the kernel's caches
     tracemalloc.start()
@@ -133,7 +171,7 @@ def test_beatty_scan_memory_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * M
+    assert peak <= 16 * M
 
 
 def test_discrepancy_leaves_its_input_alone():

@@ -10,11 +10,13 @@ would drop the true maximiser.
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from beattykit import expsum
 from beattykit.expsum import _candidates, _kept, discrepancy
 from oracles import dense_filter, discrepancy_brute
 
@@ -66,11 +68,12 @@ def test_scan_equals_oracle_on_near_ties(xs):
 
 
 def _same_kept(xs):
-    """The lean filter over the sorted points keeps the dense filter's
+    """The blocked filter over the sorted points keeps the dense filter's
     indices, with the same values, counts and zeros."""
     lean = _kept(np.sort(np.asarray(xs, np.float64)))
-    dense = dense_filter(xs)
-    for got, want in zip(lean, dense):
+    vals, less, leq, cnt0, keep = dense_filter(xs)
+    dense = (vals[keep], less[keep], leq[keep], cnt0, keep)
+    for got, want in zip(lean, dense, strict=True):
         assert np.array_equal(got, want)
 
 
@@ -93,6 +96,33 @@ def test_lean_filter_keeps_the_dense_filters_indices_on_near_ties(xs):
     _same_kept(xs)
 
 
+def _across_blocks(xs):
+    """At blocks of 1, 2, 3 and 5 points, the filter keeps the dense
+    filter's indices and the scan gives the all-pairs value."""
+    want = discrepancy_brute(xs)
+    for size in (1, 2, 3, 5):
+        with patch.object(expsum, "_BLOCK", size):
+            _same_kept(xs)
+            assert discrepancy(xs) == want, size
+
+
+@given(samples())
+@example([0.5] * 7 + [0.25, 0.75])        # a run over three or more blocks
+@example([0.0] * 6 + [0.5, 0.5, 0.9])     # zeros fill the first block
+@example([0.0] + [0.1] * 7)               # a run from the second point on
+@example([k / 5 for k in range(5)])       # M a block size
+@example([k / 6 for k in range(6)])       # M one more than a block size
+@example([0.2, 0.4, 0.4, 0.6])            # a tie across a block edge
+@example(ALL_TIE[:64])
+def test_block_edges(xs):
+    _across_blocks(xs)
+
+
+@given(perturbed_grids())
+def test_block_edges_on_near_ties(xs):
+    _across_blocks(xs)
+
+
 @given(samples(dyadic))
 @example([0.0, 0.0, 0.5])
 @example([k / 2 ** 10 for k in range(2 ** 10)])
@@ -100,7 +130,7 @@ def test_candidates_agree_across_dtypes(xs):
     # dyadic points with M <= 2^10 make every float candidate exact, so the
     # filter's candidates, scaled to the grid, are the exact rescan's
     M = len(xs)
-    vals, less, leq, cnt0, _ = _kept(np.sort(np.asarray(xs, np.float64)))
+    vals, less, leq, cnt0, _ = dense_filter(xs)
     scale = max(v.as_integer_ratio()[1] for v in vals.tolist())
     iv = np.array([int(v * scale) for v in vals.tolist()], object)
     fa, fb = leq - M * vals, M * vals - less
@@ -108,8 +138,10 @@ def test_candidates_agree_across_dtypes(xs):
     ib = M * iv - less.astype(object) * scale
     if cnt0:
         fb[0] = ib[0] = -np.inf
-    floats = [c * scale for c in _candidates(fa, fb, cnt0, np.empty(vals.size))]
-    ints = [c.copy() for c in _candidates(ia, ib, cnt0 * scale,
+    z = cnt0 * scale
+    floats = [c * scale for c in _candidates(fa, fb, (-cnt0, -np.inf, cnt0, 0),
+                                             np.empty(vals.size))]
+    ints = [c.copy() for c in _candidates(ia, ib, (-z, -np.inf, z, 0),
                                           np.empty(vals.size, object))]
     assert [c.tolist() for c in floats] == [c.tolist() for c in ints]
 

@@ -1,5 +1,6 @@
-"""Memory regression: the point kernels, and `beatty generate` writing its
-report in chunks, hold a bounded number of bytes a point.
+"""Memory regression: the point kernels, the discrepancy scan, and `beatty
+generate` writing its report in chunks, hold a bounded number of bytes a
+point.
 
 Each test takes the tracemalloc peak of one call, less what was held
 before it, per point, at M = 2^19 points (2e5 terms for generate).  Every
@@ -16,6 +17,7 @@ import pytest
 
 from beattykit.beatty import BeattyParams, bulk_membership
 from beattykit.cli import main
+from beattykit.expsum import discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
 
 M = 1 << 19
@@ -60,6 +62,21 @@ def test_phase_kernel(ns, alpha):
     # no floor array: 12.0
     x = parse_irrational(alpha)
     assert bytes_per_point(lambda: x.phases_many(ns, Fraction(1, 3)), M) <= 14
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_discrepancy_beatty(alpha):
+    # the sorted fractions, then one block's kernel or scan temporaries: 11.5
+    # (42.0 when the scan held whole-length arrays)
+    x = parse_irrational(alpha)
+    assert bytes_per_point(lambda: discrepancy_beatty(x, Fraction(1, 3), M),
+                           M) <= 13
+
+
+def test_discrepancy_of_points():
+    # the sorted copy and one block of the scan: 10.5
+    xs = np.random.default_rng(3).random(M)
+    assert bytes_per_point(lambda: discrepancy(xs), M) <= 12
 
 
 def test_streamed_generate(tmp_path):
