@@ -84,7 +84,8 @@ def _grid(text):
 _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
 # a memory budget: discrepancy holds its sorted fractions, 8 B a point, and one
 # block (11.5 B a point at M = 2^19, tracemalloc): 40 MB RSS at M = 1e6, 47 MB
-# at 2e6, 108 MB (2.5 s) at the cap; a sweep near MAX_LIMIT takes 580 MB;
+# at 2e6, 108 MB (2.5 s) at the cap; a mode S sweep at q = 7 to N = 3e7, near
+# MAX_LIMIT, takes 338 MB (1.8 s), about 110 B a record of its class;
 # a time and output budget: generate writes rows in chunks at 66 MB RSS for any
 # N up to the cap, where it takes 1.8 s for 22 MB of CSV, 1.9 s for 61 MB of JSON;
 # a depth budget: the golden ratio, whose convergents stay printable longest,
@@ -97,7 +98,9 @@ _FLAGS = {
                       help="bits carried for dec: alphas" + _DEFAULT),
     "beta": dict(type=_fraction, default=Fraction(0),
                  help="shift, as a decimal or p/q" + _DEFAULT),
-    "q": dict(type=_at_least(1), required=True, help="modulus"),
+    # a sieve budget: no table passes MAX_LIMIT, so a larger modulus leaves at
+    # most one member, n = a, in any table; euler_phi factors q by trial division
+    "q": dict(type=_at_least(1, MAX_LIMIT, "sieve"), required=True, help="modulus"),
     "a": dict(type=int, required=True, help="residue, 0 <= a < q, coprime to q"),
     "grid": dict(type=_grid,
                  help="comma-separated N values, strictly ascending" + _DEFAULT),
@@ -106,7 +109,7 @@ _FLAGS = {
     "delta": dict(type=_fraction, required=True, help="smoothing half-width"),
     "K": dict(type=_at_least(1), help="number of terms or frequencies" + _DEFAULT),
     "segment": dict(type=_at_least(1024), default=DEFAULT_SEGMENT,
-                    help="sieve segment length" + _DEFAULT),
+                    help="sieve segment length, in members of the class" + _DEFAULT),
     "tol": dict(type=_where(float, lambda v: 0 <= v < math.inf, "finite, >= 0"),
                 help="verdict tolerance" + _DEFAULT),
     "N": dict(type=_at_least(0), required=True, help="number of terms"),
@@ -310,7 +313,7 @@ def _run_member(ns) -> Report:
 
 
 def _run_sieve(ns) -> Report:
-    table = build_table(ns.grid[-1], segment_size=ns.segment)
+    table = build_table(ns.grid[-1], residue=ns.residue, segment_size=ns.segment)
     params = [("q", ns.q), ("a", ns.a), ("segment", ns.segment)]
     if ns.action == "pi":
         rows = [(x, prime_pi_ap(table, x, ns.residue)) for x in ns.grid]
@@ -332,7 +335,7 @@ def _run_count(ns) -> Report:
     r, bp = ns.residue, BeattyParams(ns.alpha, ns.beta)
     cap = bp.term(ns.grid[-1])
     top = r.q * cap + r.a if ns.mode in ("S", "N") else cap
-    table = build_table(max(top, 100), segment_size=ns.segment)
+    table = build_table(max(top, 100), residue=r, segment_size=ns.segment)
     rep = verify_sweep(bp, r, ns.grid, ns.mode, table, target=ns.target, tol=ns.tol)
     params = _beatty_params(ns) + [
         ("q", r.q), ("a", r.a), ("mode", ns.mode), ("target", ns.target),
@@ -352,7 +355,8 @@ def _expsum_params(ns) -> list:
 def _run_eval(ns) -> Report:
     from .expsum import exp_sum_shifted
     r, M = ns.residue, ns.M
-    table = build_table(max(r.q * M + r.a, 100), segment_size=ns.segment)
+    table = build_table(max(r.q * M + r.a, 100), residue=r,
+                        segment_size=ns.segment)
     at = class_records(table, r.q * M + r.a, r, r.a + 1)
     lam_sum = float(lambda_units(table.log_base[at])) * 2.0 ** -53
     rows = []
@@ -367,7 +371,8 @@ def _run_eval(ns) -> Report:
 def _run_identity_check(ns) -> Report:
     from .expsum import substitution_identity_check
     r, k = ns.residue, ns.k
-    table = build_table(max(r.q * ns.M + r.a, 100), segment_size=ns.segment)
+    table = build_table(max(r.q * ns.M + r.a, 100), residue=r,
+                        segment_size=ns.segment)
     chk = substitution_identity_check(table, ns.M, r, ns.alpha, k)
     rows = [(k, chk.lhs.real, chk.lhs.imag, chk.rhs.real, chk.rhs.imag,
              chk.residual, chk.relative)]
@@ -381,7 +386,8 @@ def _run_bound_ratio(ns) -> Report:
     from .expsum import bound_ratio_sweep
     # progression sum over n <= M against the generic bound
     theta = (ns.alpha * ns.k) / ns.q
-    table = build_table(max(ns.M, 100), segment_size=ns.segment)
+    table = build_table(max(ns.M, 100), residue=ns.residue,
+                        segment_size=ns.segment)
     rows_raw = bound_ratio_sweep(table, ns.M, ns.residue, theta,
                                  max_den=ns.den_max)
     rows = [(row.den, row.num, row.abs_sum, row.bound, row.ratio,

@@ -1,17 +1,24 @@
 """Segmented sieve for the von Mangoldt function and progression counts.
 
-build_table walks [2, limit] in fixed-size segments (Bays and Hudson, BIT
-17, 1977): each segment is crossed off by the primes up to sqrt(limit) and
-hands on only the primes it holds, so no array of limit + 1 entries is
-ever allocated.  The table is its sorted prime-power records, power and
-base; a record is a prime exactly when power == base.  The few powers
-p**k, k >= 2 (427 up to 5e6), are merged into the primes by position;
-rebuilding a table with a different segment gives bit-identical records.
+build_table sieves the members n = q*m + a <= limit of one primitive class
+a mod q; the class 0 mod 1 is all of [1, limit].  Its segments walk the
+index m (Bays and Hudson, BIT 17, 1977): a base prime p <= sqrt(limit)
+that does not divide q crosses off every p-th member, from the first one
+at or past p*p, and each segment hands on only the primes it holds.  So
+the work is about 1/phi(q) of the range, no array of limit + 1 entries is
+ever allocated, and a base prime that lies in the class survives.  The
+table is its sorted prime-power records, power and base; a record is a
+prime exactly when power == base.  The few powers p**k == a (mod q),
+k >= 2 (427 of all classes up to 5e6), are merged into the primes by
+position.  A class table's records are exactly the full table's records
+of that class, and rebuilding a table with a different segment gives
+bit-identical records.
 
 Each Lambda value is log p correctly rounded to a double, the same on every
 platform: no libm log is called.  The logs are taken when a table's
 log_base is first read, not at build, so a report that reads only the
-records never pays for them.  _log_primes evaluates log p once per record
+records never pays for them, and a class table takes the logs of its own
+records only.  _log_primes evaluates log p once per record
 with a table-driven double-double kernel (Tang, ACM TOMS 16(4), 1990) of
 IEEE + - * / only, whose proven error is below 2**-73 (_log_block).  A
 value within the guard band _LOG_GUARD = 2**-70 of a rounding midpoint is
@@ -46,7 +53,9 @@ __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
            "DEFAULT_SEGMENT", "MAX_LIMIT"]
 
 DEFAULT_SEGMENT = 1 << 20
-MAX_LIMIT = 300_000_000  # 260 MB of records, built at 303 MB RSS; 390 MB with logs; sweeps ~580 MB
+# the class 0 mod 1 up to MAX_LIMIT: 260 MB of records, built at 303 MB RSS,
+# 405-427 MB with logs (heap layout moves it); a class a mod q about 1/phi(q) of it
+MAX_LIMIT = 300_000_000
 _LIMB = 30
 
 
@@ -82,22 +91,27 @@ def _split_class(r) -> tuple:
 
 @dataclass
 class MangoldtTable:
-    """The sorted prime-power records of [1, limit].
+    """The sorted prime-power records n <= limit of the class residue,
+    a mod q; the class 0 mod 1 holds every record of [1, limit].
+    build_table's segments walk m in n = q*m + a, so a class costs about
+    1/phi(q) of the full table's work and memory.
 
-    Lambda(n) = log_base[i] = log(base[i]) where power[i] == n, and 0 off
-    the records; the primes are the records with power == base.  log_base
-    is computed when first read (the kernel works element by element, so a
-    power p**k gets exactly log p); that read is where PrecisionExhausted
-    surfaces.
+    Lambda(n) = log_base[i] = log(base[i]) where power[i] == n, and 0 at
+    the class's other members; the primes are the records with power ==
+    base.  log_base is computed when first read (the kernel works element
+    by element, so a power p**k gets exactly log p), for the class's
+    records only; that read is where PrecisionExhausted surfaces.
     """
     limit: int
-    power: np.ndarray      # int64, sorted prime powers p**k <= limit
+    power: np.ndarray      # int64, sorted prime powers p**k <= limit in the class
     base: np.ndarray       # int64, the p for each record
+    residue: ResidueClass = ResidueClass(0, 1)
 
     @cached_property
     def is_prime(self) -> np.ndarray:
-        """bool, indexed 0..limit: a bitmap derived from the prime records
-        when first read.  It costs limit + 1 bytes, and no command reads it."""
+        """bool, indexed 0..limit: a bitmap of the table's primes, derived
+        from its records when first read.  It costs limit + 1 bytes, and no
+        command reads it."""
         flags = np.zeros(self.limit + 1, bool)
         flags[self.power[self.power == self.base]] = True
         return flags
@@ -113,7 +127,12 @@ class MangoldtTable:
                 f"need values up to {n}, but the table stops at {self.limit}")
 
     def mangoldt_values(self, ns) -> np.ndarray:
-        """Lambda over an int64 array; entries must already be <= limit."""
+        """Lambda over an int64 array; entries must already be <= limit.
+        Only a table of every integer (0 mod 1) knows Lambda everywhere."""
+        if self.residue.q != 1:
+            raise ValueError(
+                f"a table of the class {self.residue.a} mod {self.residue.q}"
+                " does not know Lambda off its class")
         ns = np.asarray(ns, dtype=np.int64)
         out = np.zeros(ns.shape, np.float64)
         if self.power.size == 0:
@@ -320,40 +339,55 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT) -> MangoldtTable:
-    """Sieve [1, limit] into a MangoldtTable."""
+def build_table(limit: int, residue=ResidueClass(0, 1),
+                segment_size: int = DEFAULT_SEGMENT) -> MangoldtTable:
+    """Sieve the members n = q*m + a <= limit of a primitive class a mod q
+    (by default 0 mod 1, all of [1, limit]) into a MangoldtTable;
+    segment_size counts members of the class."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
         raise LimitTooLarge(f"limit {limit} exceeds the budget {MAX_LIMIT}")
     if segment_size < 64:
         raise ValueError("segment size must be at least 64")
-    base_primes = _simple_sieve(math.isqrt(limit))
+    residue = ResidueClass(*_split_class(residue))  # refuses an imprimitive pair
+    a, q = residue.a, residue.q
+    base_primes = _simple_sieve(math.isqrt(limit)).tolist()
+    # p crosses off m == -a/q (mod p) from its first m with q*m + a >= p*p;
+    # a p dividing q divides no member
+    crossing = [(-((a - p * p) // q), -a * pow(q, -1, p) % p, p)
+                for p in base_primes if q % p]
+    m_lo, m_hi = max(-((a - 2) // q), 0), (limit - a) // q
+    step = min(q, limit)  # q > limit leaves only m = 0: n stays in int64
     chunks = [np.empty(0, np.int64)]  # each segment's primes
-    for seg_lo in range(2, limit + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size, limit + 1)
+    for seg_lo in range(m_lo, m_hi + 1, segment_size):
+        seg_hi = min(seg_lo + segment_size, m_hi + 1)
         mask = np.ones(seg_hi - seg_lo, bool)
-        for p in base_primes.tolist():
-            if p * p >= seg_hi:
+        for first, root, p in crossing:
+            if first >= seg_hi:
                 break
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            mask[start - seg_lo:: p] = False
-        chunks.append(np.flatnonzero(mask) + seg_lo)
+            lo = max(first, seg_lo)
+            mask[lo - seg_lo + (root - lo) % p:: p] = False
+        ns = np.flatnonzero(mask)
+        ns *= step
+        ns += step * seg_lo + a
+        chunks.append(ns)
     power = np.concatenate(chunks)  # the primes, until the merge below
     del chunks
-    # the powers p**k, k >= 2, as (p**k, p), merged in by position
+    # the powers p**k == a (mod q), k >= 2, as (p**k, p), merged in by position
     extra = []
-    for p in base_primes.tolist():
+    for p in base_primes:
         pk = p * p
         while pk <= limit:
-            extra.append((pk, p))
+            if pk % q == a:
+                extra.append((pk, p))
             pk *= p
     extra = np.array(sorted(extra), np.int64).reshape(-1, 2)
     at = np.searchsorted(power, extra[:, 0])
     power = np.insert(power, at, extra[:, 0])  # frees the prime-only array
     base = power.copy()  # p at a prime; the j-th p**k lands at at[j] + j
     base[at + np.arange(at.size)] = extra[:, 1]
-    return MangoldtTable(limit, power, base)
+    return MangoldtTable(limit, power, base, residue)
 
 
 def lambda_units(values: np.ndarray) -> int:
@@ -368,15 +402,23 @@ def class_records(table: MangoldtTable, L: int, r, min_n: int = 2,
                   primes: bool = False) -> np.ndarray:
     """Positions in table.power (and log_base) of the records n congruent
     to a mod q with min_n <= n <= L, ascending; with primes, only those
-    that are primes (power == base)."""
+    that are primes (power == base).  The class must lie inside the
+    table's: a mod q with q a multiple of the table's modulus."""
     a, q = _split_class(r)
+    held = table.residue
+    if q % held.q or a % held.q != held.a:
+        raise ValueError(f"a table of the class {held.a} mod {held.q} does not"
+                         f" hold the class {a} mod {q}")
     table.require(L)
-    cut = np.searchsorted(table.power, L, side="right")
-    power = table.power[:cut]
-    keep = (power % q == a) & (power >= min_n)
+    lo = np.searchsorted(table.power, min_n)
+    ns = table.power[lo:np.searchsorted(table.power, L, side="right")]
+    keep = np.ones(ns.size, bool)
+    if q != held.q:
+        # up to L < q the class holds only n = a, and q need not fit an int64
+        keep = ns == a if q > L else ns % q == a
     if primes:
-        keep &= power == table.base[:cut]
-    return np.flatnonzero(keep)
+        keep &= ns == table.base[lo:lo + ns.size]
+    return lo + np.flatnonzero(keep)
 
 
 def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:

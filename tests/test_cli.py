@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beattykit import cli
 from beattykit.cli import (Report, build_parser, emit_report, main,
                            parse_args, render)
 from beattykit.errors import UsageError
+from beattykit.sieve import ResidueClass, build_table
 from oracles import csv_rows_per_cell, render_whole
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -385,12 +387,21 @@ BAD_BUDGET = [pytest.param([*cmd, "--alpha", "sqrt:2", flag, "100000000000"], fl
                                 (["beatty", "generate"], "--N"),
                                 (["cfrac"], "--K"), (["type-estimate"], "--K"))]
 
+# a modulus past the sieve budget, even past int64: no table can hold more
+# than its member n = a
+BAD_Q = [pytest.param(argv, "--q", id=f"{' '.join(argv[:2])} --q past int64")
+         for argv in (["sieve", "pi", "--q", "9223372036854775809", "--a", "1",
+                       "--grid", "1000"],
+                      ["count", "sweep", "--alpha", "sqrt:2", "--mode", "T",
+                       "--q", "100000000000000000000", "--a", "1",
+                       "--grid", "10,100,1000"])]
 
-# None leaves each BAD_TOL and BAD_BUDGET case its own id
-@pytest.mark.parametrize("argv,flag", BAD_VALUES + BAD_TOL + BAD_BUDGET,
+
+# None leaves each BAD_TOL, BAD_BUDGET and BAD_Q case its own id
+@pytest.mark.parametrize("argv,flag", BAD_VALUES + BAD_TOL + BAD_BUDGET + BAD_Q,
                          ids=[" ".join(argv[:2]) + " " + flag
                               for argv, flag in BAD_VALUES]
-                         + [None] * (len(BAD_TOL) + len(BAD_BUDGET)))
+                         + [None] * (len(BAD_TOL) + len(BAD_BUDGET) + len(BAD_Q)))
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -435,6 +446,34 @@ def test_import_loads_no_fallback_module():
     out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == [[], []]
+
+
+# every command that reads one class sieves only that class; one that sieved
+# the whole range would keep every report byte, so only this test sees it
+CLASS_RUNNERS = [
+    ["sieve", "psi", "--grid", "1000"],
+    ["sieve", "pi", "--grid", "1000"],
+    *(["count", "sweep", "--alpha", "sqrt:2", "--grid", "10,100,1000",
+       "--mode", mode] for mode in "STNM"),
+    ["expsum", "eval", "--alpha", "sqrt:2", "--M", "100", "--K", "2"],
+    ["expsum", "identity-check", "--alpha", "sqrt:2", "--M", "100"],
+    ["expsum", "bound-ratio", "--alpha", "sqrt:2", "--M", "100"],
+]
+
+
+@pytest.mark.parametrize("argv", CLASS_RUNNERS, ids=lambda argv: " ".join(
+    argv[:2] + argv[-1:] * (argv[0] == "count")))
+def test_runner_sieves_its_class(monkeypatch, capsys, argv):
+    built = []
+
+    def record(limit, residue=ResidueClass(0, 1), **kw):
+        built.append(residue)
+        return build_table(limit, residue, **kw)
+
+    monkeypatch.setattr(cli, "build_table", record)
+    assert main(argv + ["--q", "7", "--a", "3"]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    assert built == [ResidueClass(3, 7)]
 
 
 def _loaded_after(argv):

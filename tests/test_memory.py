@@ -1,9 +1,10 @@
-"""Memory regression: the point kernels, the discrepancy scan, and `beatty
-generate` writing its report in chunks, hold a bounded number of bytes a
-point.
+"""Memory regression: the point kernels, the discrepancy scan, `beatty
+generate` writing its report in chunks, and the sieve of one residue class,
+hold a bounded number of bytes a point.
 
 Each test takes the tracemalloc peak of one call, less what was held
-before it, per point, at M = 2^19 points (2e5 terms for generate).  Every
+before it, per point, at M = 2^19 points (2e5 terms for generate, the
+58088 records of 3 mod 7 up to 5e6 for the sieve).  Every
 bound sits a little above the value measured when it was set, given beside
 it, and less than 8 bytes above it: one more full-length int64 or float64
 temporary fails the test.
@@ -19,6 +20,7 @@ from beattykit.beatty import BeattyParams, bulk_membership
 from beattykit.cli import main
 from beattykit.expsum import discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
+from beattykit.sieve import ResidueClass, build_table
 
 M = 1 << 19
 ALPHAS = ["sqrt:2", "dec:1.4142135623730950488016887242096980785697@200"]
@@ -85,3 +87,11 @@ def test_streamed_generate(tmp_path):
     N, out = 200_000, str(tmp_path / "terms.csv")
     argv = ["beatty", "generate", "--alpha", "sqrt:2", "--N", str(N), "--out", out]
     assert bytes_per_point(lambda: main(argv), N) <= 80
+
+
+def test_class_table_build():
+    # one segment's mask over the 714286 members (12.3 a record), its
+    # survivors, then power and base: 37.9 (116 for the full table to 5e6)
+    r = ResidueClass(3, 7)
+    records = build_table(5_000_000, r).power.size
+    assert bytes_per_point(lambda: build_table(5_000_000, r), records) <= 40

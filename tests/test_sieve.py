@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from beattykit import sieve
 from beattykit.errors import LimitTooLarge, PrecisionExhausted, TableTooSmall
-from beattykit.sieve import (MAX_LIMIT, MangoldtTable, ResidueClass,
-                             build_table, chebyshev_psi_ap, euler_phi,
-                             lambda_units, prime_pi_ap)
+from beattykit.sieve import (DEFAULT_SEGMENT, MAX_LIMIT, MangoldtTable,
+                             ResidueClass, build_table, chebyshev_psi_ap,
+                             class_records, euler_phi, lambda_units,
+                             prime_pi_ap)
 from oracles import log_correctly_rounded
 
 # the primes up to 5e6 whose glibc math.log is not the correctly rounded log
@@ -124,13 +125,142 @@ def test_psi_partition_close():
 
 
 def test_segment_size_independence():
-    a = build_table(100_000, segment_size=1 << 10)
-    b = build_table(100_000, segment_size=1 << 16)
-    c = build_table(100_000)
-    for other in (b, c):
-        assert np.array_equal(a.power, other.power)
-        assert np.array_equal(a.base, other.base)
-        assert a.log_base.tobytes() == other.log_base.tobytes()
+    for r in (ResidueClass(0, 1), ResidueClass(3, 7), ResidueClass(1, 30)):
+        a = build_table(100_000, r, segment_size=1 << 10)
+        b = build_table(100_000, r, segment_size=1 << 16)
+        c = build_table(100_000, r)
+        for other in (b, c):
+            assert np.array_equal(a.power, other.power)
+            assert np.array_equal(a.base, other.base)
+            assert a.log_base.tobytes() == other.log_base.tobytes()
+
+
+# -- tables of one class against the full table ------------------------------
+
+FULL_LIMIT = 200_000
+
+
+@pytest.fixture(scope="module")
+def full():
+    return build_table(FULL_LIMIT)
+
+
+def assert_class_slice(full, limit, r, segment_size=DEFAULT_SEGMENT):
+    """A class table's records, bases and logs are, bit for bit, the full
+    table's records of that class up to limit."""
+    t = build_table(limit, r, segment_size=segment_size)
+    at = class_records(full, limit, r)
+    assert t.residue == r and t.limit == limit
+    assert np.array_equal(t.power, full.power[at])
+    assert np.array_equal(t.base, full.base[at])
+    assert t.log_base.tobytes() == full.log_base[at].tobytes()
+    return t
+
+
+@st.composite
+def primitive_classes(draw):
+    q = draw(st.integers(1, 1000))
+    a = draw(st.integers(0, q - 1).filter(lambda a: math.gcd(a, q) == 1))
+    return ResidueClass(a, q)
+
+
+@given(st.integers(1, FULL_LIMIT), primitive_classes(),
+       st.sampled_from([64, 65, 1000, DEFAULT_SEGMENT]))
+def test_class_table_is_the_full_tables_slice(full, limit, r, segment_size):
+    assert_class_slice(full, limit, r, segment_size)
+
+
+def test_square_at_a_segment_edge(full):
+    # 29**2 = 3*280 + 1: m = 280 is the last member of its segment at 70
+    # (211..280) and the first at 93 (280..372); there the sieve crosses
+    # off m = 280 first, and the merge puts 841 back as a power of 29
+    r = ResidueClass(1, 3)
+    for segment_size in (70, 93):
+        t = assert_class_slice(full, 1000, r, segment_size)
+        i = t.power.tolist().index(29 ** 2)
+        assert t.base[i] == 29
+
+
+def test_base_prime_inside_the_class(full):
+    # 3, 17 and 31 <= sqrt(1000) are 3 mod 7 and cross off their multiples,
+    # but survive themselves
+    t = assert_class_slice(full, 1000, ResidueClass(3, 7))
+    primes = t.power[t.power == t.base].tolist()
+    assert {3, 17, 31} <= set(primes) and 3 * 17 not in primes
+
+
+def test_primes_dividing_the_modulus(full):
+    # 2, 3 and 5 divide q and no member, and have no inverse mod q; 7
+    # crosses off 7*43 == 1 (mod 30)
+    for r in (ResidueClass(1, 6), ResidueClass(1, 30), ResidueClass(7, 30)):
+        t = assert_class_slice(full, 10_000, r)
+        assert 301 not in t.power.tolist()
+
+
+def test_short_tables(full):
+    # limit < a: no member; q > limit: at most the member n = a
+    assert build_table(5, ResidueClass(7, 10)).power.size == 0
+    assert build_table(100, ResidueClass(37, 1000)).power.tolist() == [37]
+    t = build_table(100, ResidueClass(49, 1000))
+    assert t.power.tolist() == [49] and t.base.tolist() == [7]
+    assert build_table(100, ResidueClass(91, 1000)).power.size == 0
+    assert build_table(100, ResidueClass(1, 1000)).power.size == 0
+    for limit, r in ((5, ResidueClass(7, 10)), (100, ResidueClass(37, 1000)),
+                     (100, ResidueClass(49, 1000))):
+        assert_class_slice(full, limit, r)
+
+
+def test_modulus_past_int64():
+    # neither the sieve nor the class selection forms q as an int64
+    huge = 2 ** 64 + 1
+    t = build_table(1000, ResidueClass(97, huge))
+    assert t.power.tolist() == [97]
+    assert prime_pi_ap(t, 1000, ResidueClass(97, huge)) == 1
+    assert build_table(1000, ResidueClass(1, huge)).power.size == 0
+    full = build_table(1000)
+    assert prime_pi_ap(full, 1000, (97, 2 ** 70)) == 1
+    assert prime_pi_ap(full, 1000, (98, 2 ** 70)) == 0
+    assert chebyshev_psi_ap(full, 1000, (1, 2 ** 70)) == 0.0
+
+
+def test_class_zero_mod_one_is_the_full_table():
+    t, u = build_table(100_000), build_table(100_000, ResidueClass(0, 1))
+    assert t.residue == u.residue == ResidueClass(0, 1)
+    assert np.array_equal(t.power, u.power) and np.array_equal(t.base, u.base)
+
+
+def test_class_table_serves_only_its_classes(full):
+    t = build_table(10_000, ResidueClass(3, 7))
+    for other in (ResidueClass(1, 7), ResidueClass(3, 5), ResidueClass(0, 1),
+                  (1, 14)):
+        with pytest.raises(ValueError, match="does not hold"):
+            class_records(t, 10_000, other)
+        with pytest.raises(ValueError, match="does not hold"):
+            prime_pi_ap(t, 10_000, other)
+    # 3 mod 14 lies inside 3 mod 7
+    for r in (ResidueClass(3, 14), ResidueClass(3, 7)):
+        for primes in (False, True):
+            got = t.power[class_records(t, 10_000, r, primes=primes)]
+            want = full.power[class_records(full, 10_000, r, primes=primes)]
+            assert np.array_equal(got, want)
+        assert chebyshev_psi_ap(t, 10_000, r) == chebyshev_psi_ap(full, 10_000, r)
+
+
+def test_class_table_knows_lambda_only_on_its_class():
+    t = build_table(1000, ResidueClass(3, 7))
+    with pytest.raises(ValueError, match="off its class"):
+        t.mangoldt_values(np.array([3, 4], np.int64))
+    power, logs = t.records_upto(100)
+    assert power.tolist() == [3, 17, 31, 59, 73] and logs.size == 5
+    assert np.flatnonzero(t.is_prime).tolist() == \
+        t.power[t.power == t.base].tolist()
+
+
+def test_build_table_refuses_an_imprimitive_class():
+    for pair in ((2, 4), (0, 3), (6, 9)):
+        with pytest.raises(ValueError, match="not primitive"):
+            build_table(100, pair)
+    assert build_table(100, (3, 7)).residue == ResidueClass(3, 7)
 
 
 def test_log_base_is_an_integer_multiple_of_2_pow_minus_53():
