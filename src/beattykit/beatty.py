@@ -48,9 +48,6 @@ class BeattyParams:
     def terms(self, ns) -> np.ndarray:
         return self.alpha.affine_floor_frac_many(ns, self.beta)[0]
 
-    def alpha_gt_one(self) -> bool:
-        return self.alpha > 1
-
     def __repr__(self):
         return f"BeattyParams(alpha={self.alpha!r}, beta={self.beta!r})"
 
@@ -82,9 +79,8 @@ def is_member(params: BeattyParams, m: int) -> Optional[int]:
 
 
 def _require_alpha_gt_one(params):
-    if not params.alpha_gt_one():
-        raise AlphaNotGreaterThanOne(
-            "membership is only defined for alpha > 1")
+    if not params.alpha > 1:
+        raise AlphaNotGreaterThanOne("membership is only defined for alpha > 1")
 
 
 def bulk_membership(params: BeattyParams, ms) -> tuple:

@@ -11,9 +11,11 @@ class a mod q, all over indices n <= N and with m(n) = floor(alpha*n + beta):
 The predicted main term compares each against 1/alpha times the same
 quantity summed over all integers m <= M = floor(alpha*N + beta), the
 heuristic being that a fraction 1/alpha of all m survive the Beatty
-membership sieve.  Both sides read the table's records of the class,
-q*m + a (S, N) or m (T, M).  Densities q/phi(q) (for S) and 1/phi(q) (for
-T) give the cruder closed-form predictions.
+membership sieve.  Both sides read the class's records, q*m + a (S, N) or
+m (T, M), once a sweep: each weight times the part of [c(m), c(m + 1)),
+the n with m(n) = m (lhs), or of [m, m + 1) (main term) below N + 1 or
+M(N) + 1.  Densities q/phi(q) (for S) and 1/phi(q) (for T) give the
+cruder closed-form predictions.
 
 Every sum is exact until one final rounding: Lambda values are summed as
 integer counts of 2**-53 (sieve.lambda_units), so equal multisets of terms
@@ -29,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .beatty import BeattyParams
-from .sieve import (MangoldtTable, ResidueClass, class_records, euler_phi,
-                    lambda_units)
+from .sieve import (MAX_LIMIT, MangoldtTable, ResidueClass, class_records,
+                    euler_phi, lambda_units)
 
 __all__ = ["SweepRow", "VerificationReport", "beatty_sums", "main_terms",
            "density_prediction", "verify_sweep", "MODES"]
@@ -42,8 +44,9 @@ def _checked_grid(grid, mode: str) -> list:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     grid = [int(x) for x in grid]
-    if not grid or grid[0] < 1:
-        raise ValueError("N grid must be nonempty with every N >= 1")
+    # the lhs lengths add up to the last N, which lambda_units bounds
+    if not grid or grid[0] < 1 or grid[-1] > MAX_LIMIT:
+        raise ValueError(f"N grid must be nonempty with every N in [1, {MAX_LIMIT}]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("N grid must be strictly ascending")
     return grid
@@ -59,11 +62,22 @@ def _records(r: ResidueClass, mode: str, table: MangoldtTable, lo: int,
     return at, (table.power[at] - shift) // scale
 
 
-def _total(table: MangoldtTable, at, mode: str, times) -> float:
-    """Each record's weight times times[i], summed exactly, rounded once."""
-    if mode in ("N", "M"):
-        return float(int(times.sum()))
-    return float(lambda_units(np.repeat(table.log_base[at], times))) * 2.0 ** -53
+def _carried_totals(table: MangoldtTable, at, mode: str, start, stop, cuts):
+    """For each ascending cut x, the sum of the records' weights times the
+    length of [start, stop) below x + 1, exact and rounded once.  Those
+    ending by x + 1 form a prefix whose total is carried from cut to cut,
+    and as no two overlap, at most the next record crosses x."""
+    # S and T weigh a record its Lambda value, N and M one unit (2**-53)
+    weighted = mode in ("S", "T")
+    lam = table.log_base[at] if weighted else np.full(at.size, 2.0 ** -53)
+    ends = np.searchsorted(stop, np.add(cuts, 1), "right").tolist()
+    totals, carried = [], 0
+    for x, lo, k in zip(cuts, [0] + ends, ends):
+        carried += lambda_units(lam[lo:k], stop[lo:k] - start[lo:k])
+        cross = np.maximum(x + 1 - start[k:k + 1], 0)
+        total = carried + lambda_units(lam[k:k + 1], cross)
+        totals.append(float(total) * 2.0 ** -53 if weighted else float(total))
+    return totals
 
 
 def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -86,10 +100,7 @@ def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
     inner = (ks > lo) & (ks <= hi)
     c = np.where(ks > hi, L + 1, 1)
     c[inner] = -(-gamma).affine_floor_frac_many(ks[inner], gamma * params.beta)[0]
-    start, stop = np.split(c, 2)
-    return [_total(table, at, mode,
-                   np.maximum(np.minimum(stop, N + 1) - start, 0))
-            for N in grid]
+    return _carried_totals(table, at, mode, *np.split(c, 2), grid)
 
 
 def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -106,7 +117,7 @@ def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
     tops = [params.term(N) for N in grid]
     at, m = _records(r, mode, table, 1, tops[-1])
     gf = float(params.gamma)
-    return [gf * _total(table, at, mode, m <= top) for top in tops]
+    return [gf * t for t in _carried_totals(table, at, mode, m, m + 1, tops)]
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,
@@ -134,18 +145,15 @@ class VerificationReport:
 
     rel_err is abs_err/N when graded against the asymptotic main term (N is
     the natural error scale) and abs_err/|main| for closed-form density
-    targets.
-    The fitted exponent is the least-squares slope of log |abs_err| against
-    log N; PASS requires the last rel_err under tolerance and, when at least
-    three nonzero errors allow a fit, an exponent below 1.
+    targets.  The fitted exponent is the least-squares slope of log
+    |abs_err| against log N; PASS requires the last rel_err under tolerance
+    and, when at least three nonzero errors allow a fit, an exponent below 1.
     """
     mode: str
     target: str
-    normalize: str
     tolerance: float
     rows: list
     fitted_exponent: Optional[float] = None
-    fit_residual: Optional[float] = None
     observed: dict = field(default_factory=dict)
     passed: bool = False
 
@@ -169,25 +177,19 @@ def verify_sweep(params: BeattyParams, r: ResidueClass, grid, mode: str,
         main = main_terms(params, r, grid, mode, table)
     else:
         main = [density_prediction(params, r, N, mode) for N in grid]
-    normalize = "N" if target == "main" else "prediction"
     rows = []
     for N, s, m in zip(grid, lhs, main):
         err = abs(s - m)
-        scale = N if normalize == "N" else abs(m)
+        scale = N if target == "main" else abs(m)
         rows.append(SweepRow(N, s, m, err, err / scale if scale else math.inf))
-    report = VerificationReport(mode, target, normalize, tol, rows)
+    report = VerificationReport(mode, target, tol, rows)
     fit_pts = [(math.log(row.N), math.log(row.abs_err))
                for row in rows if row.abs_err > 0 and row.N > 1]
     if len(fit_pts) >= 3:
-        xs = np.array([p[0] for p in fit_pts])
-        ys = np.array([p[1] for p in fit_pts])
+        xs, ys = np.array(fit_pts).T
         slope, intercept = np.polyfit(xs, ys, 1)
-        resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
         report.fitted_exponent = float(slope)
-        report.fit_residual = resid
         report.observed = {"kappa_hat": 1.0 - float(slope),
                            "C_hat": float(math.exp(intercept))}
-    ok_tol = bool(rows and rows[-1].rel_err <= tol)
-    ok_exp = report.fitted_exponent is None or report.fitted_exponent < 1.0
-    report.passed = ok_tol and ok_exp
+    report.passed = rows[-1].rel_err <= tol and (report.fitted_exponent or 0) < 1
     return report

@@ -30,11 +30,12 @@ to MAX_LIMIT, 5 of the 16.3 million primes fall in the band.
 Sums of Lambda values are exact until one final rounding (lambda_units).
 Each value is a double log p with log 2 <= log p < 2**6: log p >= log 2 >
 1/2 makes it a multiple of 2**-53, so Lambda * 2**53 is an integer below
-2**59 and fits an int64.  Such integers are summed in two limbs below 2**30
-each, so the int64 limb sums could overflow only past 2**33 values, and
-float(units) * 2**-53 is the correctly rounded sum of the exact values.
-Equal multisets of values thus give bit-identical totals however they are
-ordered or cut (Demmel and Nguyen, ARITH 2013).
+2**59 and fits an int64.  Such integers are summed in two limbs, below
+2**29 and 2**30, each times a multiplicity: while those add to less than
+2**33 the limb sums stay in int64, and float(units) * 2**-53 is the
+correctly rounded sum of the exact values.  Equal multisets of values thus
+give bit-identical totals however they are ordered or cut (Demmel and
+Nguyen, ARITH 2013).
 """
 
 from __future__ import annotations
@@ -390,12 +391,13 @@ def build_table(limit: int, residue=ResidueClass(0, 1),
     return MangoldtTable(limit, power, base, residue)
 
 
-def lambda_units(values: np.ndarray) -> int:
-    """The exact sum of an array of Lambda values (each 0 or a table's
-    log p), as an integer count of 2**-53; see the module docstring."""
+def lambda_units(values: np.ndarray, times=1) -> int:
+    """The exact sum of values[i] * times[i], over Lambda values (each a
+    multiple of 2**-53 below 2**6, such as 0 or a table's log p) and
+    integer multiplicities >= 0, as an integer count of 2**-53."""
     fixed = (values * 2.0 ** 53).astype(np.int64)
-    return (int((fixed >> _LIMB).sum()) << _LIMB) + \
-        int((fixed & ((1 << _LIMB) - 1)).sum())
+    return (int(((fixed >> _LIMB) * times).sum()) << _LIMB) + \
+        int(((fixed & ((1 << _LIMB) - 1)) * times).sum())
 
 
 def class_records(table: MangoldtTable, L: int, r, min_n: int = 2,

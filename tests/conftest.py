@@ -1,7 +1,16 @@
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+# hypothesis's pytest plugin imports this module when a test fails, to
+# print the falsifying example; its libcst import warns, which the
+# "error" filter below would raise inside that hook (an INTERNALERROR in
+# place of the example).  Importing it here, once, keeps the warning out.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from beattykit import build_table, parse_irrational
 

@@ -3,16 +3,19 @@ the sweep verdict machinery.  Oracles are direct per-index loops through
 the exact floor."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from beattykit import counting
 from beattykit.beatty import BeattyParams
 from beattykit.counting import (MODES, beatty_sums, density_prediction,
                                 main_terms, verify_sweep)
 from beattykit.errors import TableTooSmall
 from beattykit.irrational import floor_affine, parse_irrational
-from beattykit.sieve import ResidueClass, build_table, euler_phi, prime_pi_ap
+from beattykit.sieve import (MAX_LIMIT, ResidueClass, build_table, euler_phi,
+                             lambda_units, prime_pi_ap)
 from oracles import _is_prime, oracle_S, oracle_T
 
 
@@ -72,6 +75,34 @@ def test_spec_validation(table, sqrt2):
         beatty_sums(p, r, [100, 10], "S", table)
     with pytest.raises(ValueError):
         beatty_sums(p, r, [10], "X", table)
+    # past the sieve budget the lhs lengths could overflow lambda_units
+    with pytest.raises(ValueError):
+        beatty_sums(p, r, [MAX_LIMIT + 1], "S", table)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_sweep_reads_each_record_once(monkeypatch, sqrt2, mode):
+    # the carried pass hands lambda_units each record once, plus at most one
+    # record crossing each grid point; a per-N re-read would hand it 300x
+    p = BeattyParams(sqrt2, Fraction(1, 3))
+    r = ResidueClass(1, 7)
+    table = build_table(7 * p.term(200_000) + 1, r)
+    read = []
+
+    def counted(values, times=1):
+        read.append(values.size)
+        return lambda_units(values, times)
+
+    monkeypatch.setattr(counting, "lambda_units", counted)
+    grid = [200_000 * i // 300 for i in range(1, 301)]
+    for f in (beatty_sums, main_terms):
+        read.clear()
+        f(p, r, grid[-1:], mode, table)
+        once = sum(read)
+        assert once > 1000
+        read.clear()
+        f(p, r, grid, mode, table)
+        assert sum(read) <= once + len(grid)
 
 
 def test_main_term_is_scaled_progression_sum(table, sqrt2):

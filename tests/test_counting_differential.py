@@ -71,3 +71,21 @@ def test_engine_equals_oracles(table, alpha, beta, r, grid, mode):
         [oracle(p, r, N, table) for N in grid]
     assert main_terms(p, r, grid, mode, table) == \
         [oracle_main(p, r, N, mode, table) for N in grid]
+
+
+@given(st.sampled_from(sorted(ALPHAS)),
+       st.fractions(-4, 4, max_denominator=12), classes,
+       st.lists(st.integers(1, 300), min_size=1, max_size=50,
+                unique=True).map(sorted),
+       st.sampled_from(MODES))
+@example(TINY, Fraction(3), ResidueClass(1, 2), list(range(1, 300, 7)), "S")
+@example("quad:0/2+sqrt:2", Fraction(-1, 3), ResidueClass(2, 3),
+         list(range(251, 301)), "N")                        # alpha < 1
+def test_carried_pass_equals_one_point_grids(table, alpha, beta, r, grid,
+                                             mode):
+    # one pass carries the totals across the grid; each must be the total a
+    # sweep of its N alone gives
+    p = BeattyParams(ALPHAS[alpha], beta)
+    for f in (beatty_sums, main_terms):
+        assert f(p, r, grid, mode, table) == \
+            [f(p, r, [N], mode, table)[0] for N in grid]

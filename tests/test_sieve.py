@@ -291,6 +291,16 @@ def test_lambda_units_is_fsum_exactly():
     units = lambda_units(t.mangoldt_values(3 * ns + 1))
     assert (float(units) * 2.0 ** -53).hex() == "0x1.d1efecacd87f6p+12"
     assert lambda_units(np.zeros(0)) == 0
+    # times[i] copies of values[i]
+    for _ in range(100):
+        lam = t.log_base[rng.integers(0, t.log_base.size, int(rng.integers(0, 50)))]
+        times = rng.integers(0, 1000, lam.size)
+        assert lambda_units(lam, times) == lambda_units(np.repeat(lam, times))
+    # the largest log a table holds, times just under 2**33, stays in int64
+    top = sieve._log_primes(np.array([sympy.prevprime(MAX_LIMIT + 1)]))
+    big = 2 ** 33 - 1
+    assert lambda_units(top, np.array([big])) == \
+        int(Fraction(float(top[0])) * 2 ** 53) * big
 
 
 def test_residue_class_validation():
