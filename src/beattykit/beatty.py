@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import AlphaNotGreaterThanOne, FloorOutOfRange, NotPositive
 from .irrational import Irrational, _as_offset
+from .surd import _BLOCK
 
 __all__ = ["BeattyParams", "generate", "is_member", "bulk_membership"]
 
@@ -90,29 +91,42 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
     non-members, matching is_member pointwise.  With w = gamma*(beta - m),
     the witness is -floor(w) and m is hit exactly when {w} < gamma; points
     whose {w} the error bounds cannot place take the exact floor at m + 1.
+
+    The kernel runs _BLOCK values of m at a time, and each block's band is
+    sized by its own largest |m|: a point near the band's edge may take
+    the exact floor in one block and the fixed-point one in another, and
+    on dec: alphas a straddle refuses at the first block that meets it.
+    The decisions are exact either way.  Beyond ms, the outputs hold 9
+    bytes a point.
     """
     _require_alpha_gt_one(params)
     ms = np.asarray(ms, dtype=np.int64)
     gamma, beta = params.gamma, params.beta
-    # m <= floor(beta) has a witness n <= 0: not a member.  The kernel sees
-    # a live stand-in instead, since its floors could leave int64 there
-    live = ms > math.floor(beta)
-    if not live.any():
-        return live, np.zeros(ms.size, np.int64)
-    if not live.all():
-        ms = np.where(live, ms, ms.max())
+    # m <= floor(beta) has a witness n <= 0: not a member.  The kernel
+    # sees a live stand-in instead, since its floors could leave int64
+    dead = math.floor(beta)
+    hit, witness = np.zeros(ms.size, bool), np.zeros(ms.size, np.int64)
+    if not ms.size or ms.max() <= dead:
+        return hit, witness
+    neg, eta, eta1 = -gamma, gamma * beta, gamma * (beta - 1)
     _, (gf,), g_err = gamma.affine_floor_frac_many([1])
-    fl, fr, err = (-gamma).affine_floor_frac_many(ms, gamma * beta)
-    if fl.min() == np.iinfo(np.int64).min:
-        raise FloorOutOfRange("witness 2**63 exceeds the int64 result contract")
-    # fr is within err of {w} and gf within g_err of gamma, float rounding
-    # included, so outside this band the sign of fr - gf decides {w} < gamma
-    fr -= gf
-    hit = fr < 0
-    near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
-    fl1 = (-gamma).affine_floor_frac_many(ms[near], gamma * (beta - 1))[0]
-    hit[near] = fl1 < fl[near]
-    hit &= live
-    np.negative(fl, out=fl)    # the witnesses, in the floors' own array
-    fl *= hit
-    return hit, fl
+    for s in range(0, ms.size, _BLOCK):
+        mb, h = ms[s:s + _BLOCK], hit[s:s + _BLOCK]
+        live = mb > dead
+        if not live.any():
+            continue
+        if not live.all():
+            mb = np.where(live, mb, mb.max())
+        fl, fr, err = neg.affine_floor_frac_many(mb, eta)
+        if fl.min() == np.iinfo(np.int64).min:
+            raise FloorOutOfRange("witness 2**63 exceeds the int64 result contract")
+        # fr is within err of {w} and gf within g_err of gamma, float
+        # rounding included, so outside this band fr - gf decides {w} < gamma
+        fr -= gf
+        np.less(fr, 0, out=h)
+        near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
+        h[near] = neg.affine_floor_frac_many(mb[near], eta1)[0] < fl[near]
+        h &= live
+        np.negative(fl, out=fl)
+        np.multiply(fl, h, out=witness[s:s + _BLOCK])
+    return hit, witness

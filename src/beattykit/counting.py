@@ -33,6 +33,7 @@ import numpy as np
 from .beatty import BeattyParams
 from .sieve import (MAX_LIMIT, MangoldtTable, ResidueClass, class_records,
                     euler_phi, lambda_units)
+from .surd import _BLOCK
 
 __all__ = ["SweepRow", "VerificationReport", "beatty_sums", "main_terms",
            "density_prediction", "verify_sweep", "MODES"]
@@ -54,30 +55,65 @@ def _checked_grid(grid, mode: str) -> list:
 
 def _records(r: ResidueClass, mode: str, table: MangoldtTable, lo: int,
              hi: int) -> tuple:
-    """(positions in the table's records, values m) of the class's records
-    with lo <= m <= hi, ascending; only primes for N and M."""
+    """(values m, Lambda values or None) of the class's records with lo <=
+    m <= hi, ascending; only primes for N and M, which weigh no Lambda."""
     scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
     at = class_records(table, scale * hi + shift, r, max(scale * lo + shift, 2),
                        primes=mode in ("N", "M"))
-    return at, (table.power[at] - shift) // scale
+    m = table.power[at]
+    m -= shift
+    m //= scale
+    return m, table.log_base[at] if mode in ("S", "T") else None
 
 
-def _carried_totals(table: MangoldtTable, at, mode: str, start, stop, cuts):
+def _units(lam, at: slice, lengths) -> int:
+    """The exact total of the records at, each weighted by its length: in
+    units of 2**-53 times its Lambda value (S, T), or one per n (N, M)."""
+    return int(lengths.sum()) if lam is None else lambda_units(lam[at], lengths)
+
+
+def _carried_totals(lam, start, stop, cuts) -> list:
     """For each ascending cut x, the sum of the records' weights times the
     length of [start, stop) below x + 1, exact and rounded once.  Those
     ending by x + 1 form a prefix whose total is carried from cut to cut,
     and as no two overlap, at most the next record crosses x."""
-    # S and T weigh a record its Lambda value, N and M one unit (2**-53)
-    weighted = mode in ("S", "T")
-    lam = table.log_base[at] if weighted else np.full(at.size, 2.0 ** -53)
     ends = np.searchsorted(stop, np.add(cuts, 1), "right").tolist()
     totals, carried = [], 0
     for x, lo, k in zip(cuts, [0] + ends, ends):
-        carried += lambda_units(lam[lo:k], stop[lo:k] - start[lo:k])
-        cross = np.maximum(x + 1 - start[k:k + 1], 0)
-        total = carried + lambda_units(lam[k:k + 1], cross)
-        totals.append(float(total) * 2.0 ** -53 if weighted else float(total))
+        carried += _units(lam, slice(lo, k), stop[lo:k] - start[lo:k])
+        total = carried + _units(lam, slice(k, k + 1),
+                                 np.maximum(x + 1 - start[k:k + 1], 0))
+        totals.append(float(total) if lam is None else float(total) * 2.0 ** -53)
     return totals
+
+
+def _lhs(params: BeattyParams, grid: list, m, lam) -> list:
+    """beatty_sums over the records m (ascending, none above m(L)) with
+    their Lambda values lam; those below m(1) are skipped."""
+    L, gamma = grid[-1], params.gamma
+    lo, hi = params.term(1), params.term(L)
+    i = int(np.searchsorted(m, lo))
+    m, lam = m[i:], None if lam is None else lam[i:]
+    neg, eta = -gamma, gamma * params.beta
+    start, stop = np.empty_like(m), np.empty_like(m)
+    for s in range(0, m.size, _BLOCK):
+        for ks, c in ((m[s:s + _BLOCK], start[s:s + _BLOCK]),
+                      (m[s:s + _BLOCK] + 1, stop[s:s + _BLOCK])):
+            # ks ascend, so lo < k <= hi is one run of the block
+            a, b = np.searchsorted(ks, (lo, hi), "right").tolist()
+            c[:a], c[b:] = 1, L + 1
+            np.negative(neg.affine_floor_frac_many(ks[a:b], eta)[0], out=c[a:b])
+    return _carried_totals(lam, start, stop, grid)
+
+
+def _main(params: BeattyParams, grid: list, m, lam) -> list:
+    """main_terms over the records m (ascending, none above M(L)) with
+    their Lambda values lam; those below 1 are skipped."""
+    tops = [params.term(N) for N in grid]
+    i = int(np.searchsorted(m, 1))
+    m, lam = m[i:], None if lam is None else lam[i:]
+    gf = float(params.gamma)
+    return [gf * t for t in _carried_totals(lam, m, m + 1, tops)]
 
 
 def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -91,16 +127,15 @@ def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
     unfloored.  So every floor taken, at m(1) < k <= m(L), has c(k) in
     [2, L]: inside int64, and off k = beta, where a dec: alpha cannot
     floor gamma*(k - beta) = 0.
+
+    The ceilings are written straight into the records' start and stop
+    arrays, _BLOCK records at a time, and each block's band is sized by
+    its own largest k: on dec: alphas a straddle refuses at the first
+    block that meets it, and every ceiling taken is exact.
     """
     grid = _checked_grid(grid, mode)
-    L, gamma = grid[-1], params.gamma
-    lo, hi = params.term(1), params.term(L)
-    at, m = _records(r, mode, table, lo, hi)
-    ks = np.concatenate([m, m + 1])
-    inner = (ks > lo) & (ks <= hi)
-    c = np.where(ks > hi, L + 1, 1)
-    c[inner] = -(-gamma).affine_floor_frac_many(ks[inner], gamma * params.beta)[0]
-    return _carried_totals(table, at, mode, *np.split(c, 2), grid)
+    lo, hi = params.term(1), params.term(grid[-1])
+    return _lhs(params, grid, *_records(r, mode, table, lo, hi))
 
 
 def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -114,10 +149,7 @@ def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
     M: gamma * pi(M; q, a)
     """
     grid = _checked_grid(grid, mode)
-    tops = [params.term(N) for N in grid]
-    at, m = _records(r, mode, table, 1, tops[-1])
-    gf = float(params.gamma)
-    return [gf * t for t in _carried_totals(table, at, mode, m, m + 1, tops)]
+    return _main(params, grid, *_records(r, mode, table, 1, params.term(grid[-1])))
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,
@@ -172,9 +204,12 @@ def verify_sweep(params: BeattyParams, r: ResidueClass, grid, mode: str,
     if target not in ("main", "density"):
         raise ValueError("target is 'main' or 'density'")
     grid = _checked_grid(grid, mode)
-    lhs = beatty_sums(params, r, grid, mode, table)
+    # [min(m(1), 1), M(L)] holds the records of both sides: select it once
+    records = _records(r, mode, table, min(params.term(1), 1),
+                       params.term(grid[-1]))
+    lhs = _lhs(params, grid, *records)
     if target == "main":
-        main = main_terms(params, r, grid, mode, table)
+        main = _main(params, grid, *records)
     else:
         main = [density_prediction(params, r, N, mode) for N in grid]
     rows = []

@@ -139,17 +139,36 @@ betas = st.one_of(st.integers(-40, 40),
                   st.builds(Fraction, st.integers(-400, 400), st.integers(1, 9)))
 
 
+BLOCK = surd._BLOCK
+SIZES = (0, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
 @given(st.one_of(st.sampled_from(ALPHAS), decimals), betas,
-       st.lists(st.integers(-300, 3000), max_size=30))
-@example("sqrt:2", -(1 << 62), [(1 << 62) + 1, 5])
-@example("sqrt:2", 10 ** 30, [0, 7, (1 << 63) - 1, -(1 << 63)])
-@example("dec:1.4142135623730950488@160", 2, [2, 1, 3, 3, -4])
-def test_bulk_membership_matches_is_member_and_terms(alpha, beta, ms):
-    # ms are unsorted, with duplicates and negatives; on decimals either
-    # function may refuse, never guess
+       st.lists(st.integers(-300, 3000), max_size=30), st.sampled_from(SIZES),
+       st.booleans())
+@example("sqrt:2", -(1 << 62), [(1 << 62) + 1, 5], 0, False)
+@example("sqrt:2", 10 ** 30, [0, 7, (1 << 63) - 1, -(1 << 63)], 0, False)
+@example("dec:1.4142135623730950488@160", 2, [2, 1, 3, 3, -4], 0, False)
+@example("sqrt:3", Fraction(-7, 2), [-9, 2999, 4, -3, 5], 3 * BLOCK + 5, True)
+@example("dec:1.4142135623730950488@200", 5, [7, -300, 2998, 41], BLOCK + 1,
+         True)
+@example("quad:1/2+sqrt:5", 0, [1, 2, 3, 2000], BLOCK, False)
+def test_bulk_membership_matches_is_member_and_terms(alpha, beta, pool, size,
+                                                     dead_block):
+    # the pool is unsorted, with duplicates and negatives, and is tiled over
+    # size points when size > 0, across 2**14-point kernel blocks; with
+    # dead_block its second block (its first, when it has no second) holds
+    # only m <= floor(beta), of either sign.  On decimals either function
+    # may refuse, never guess
     p = BeattyParams(parse_irrational(alpha), beta)
-    want = [_scalar(p, m) for m in ms]
-    for m, n in zip(ms, want):
+    ms = np.array(pool, np.int64)
+    if size and ms.size:
+        ms = np.resize(ms, size)
+    if dead_block:
+        dead = ms[BLOCK:2 * BLOCK] if ms.size > BLOCK else ms[:BLOCK]
+        dead[:] = math.floor(p.beta) - np.arange(dead.size) % 50
+    want = {m: _scalar(p, m) for m in set(ms.tolist())}
+    for m, n in want.items():
         truth = _truth(p, m)
         if REFUSED not in (n, truth):
             assert n == truth, (alpha, beta, m)
@@ -159,6 +178,7 @@ def test_bulk_membership_matches_is_member_and_terms(alpha, beta, ms):
         assert isinstance(p.alpha, PrecisionReal)
         return
     # whatever is_member refuses, the bulk path refuses too
+    want = [want[m] for m in ms.tolist()]
     assert mask.tolist() == [n is not None for n in want]
     assert ns.tolist() == [n or 0 for n in want]
 

@@ -15,7 +15,7 @@ from beattykit.counting import (MODES, beatty_sums, density_prediction,
 from beattykit.errors import TableTooSmall
 from beattykit.irrational import floor_affine, parse_irrational
 from beattykit.sieve import (MAX_LIMIT, ResidueClass, build_table, euler_phi,
-                             lambda_units, prime_pi_ap)
+                             prime_pi_ap)
 from oracles import _is_prime, oracle_S, oracle_T
 
 
@@ -82,18 +82,18 @@ def test_spec_validation(table, sqrt2):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_sweep_reads_each_record_once(monkeypatch, sqrt2, mode):
-    # the carried pass hands lambda_units each record once, plus at most one
-    # record crossing each grid point; a per-N re-read would hand it 300x
+    # the carried pass totals each record's length once, plus at most one
+    # record crossing each grid point; a per-N re-read would total it 300x
     p = BeattyParams(sqrt2, Fraction(1, 3))
     r = ResidueClass(1, 7)
     table = build_table(7 * p.term(200_000) + 1, r)
-    read = []
+    read, units = [], counting._units
 
-    def counted(values, times=1):
-        read.append(values.size)
-        return lambda_units(values, times)
+    def counted(lam, at, lengths):
+        read.append(lengths.size)
+        return units(lam, at, lengths)
 
-    monkeypatch.setattr(counting, "lambda_units", counted)
+    monkeypatch.setattr(counting, "_units", counted)
     grid = [200_000 * i // 300 for i in range(1, 301)]
     for f in (beatty_sums, main_terms):
         read.clear()

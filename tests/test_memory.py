@@ -1,10 +1,12 @@
 """Memory regression: the point kernels, the discrepancy scan, `beatty
-generate` writing its report in chunks, and the sieve of one residue class,
-hold a bounded number of bytes a point.
+generate` writing its report in chunks, the sieve of one residue class
+and a count sweep's sums over its records hold a bounded number of bytes
+a point.
 
 Each test takes the tracemalloc peak of one call, less what was held
 before it, per point, at M = 2^19 points (2e5 terms for generate, the
-58088 records of 3 mod 7 up to 5e6 for the sieve).  Every
+58088 records of 3 mod 7 up to 5e6 for the sieve, the 109784 records of
+3 mod 7 up to 7*floor(sqrt(2)*1e6 + 1/3) + 3 for the sums).  Every
 bound sits a little above the value measured when it was set, given beside
 it, and less than 8 bytes above it: one more full-length int64 or float64
 temporary fails the test.
@@ -18,6 +20,7 @@ import pytest
 
 from beattykit.beatty import BeattyParams, bulk_membership
 from beattykit.cli import main
+from beattykit.counting import beatty_sums
 from beattykit.expsum import discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table
@@ -45,10 +48,10 @@ def ns():
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bulk_membership(ns, alpha):
-    # floors and fractions, the hit masks and the witnesses formed in the
-    # floors' array: 21.0 on both backends
+    # the hit mask and the witnesses, then one block's floors, fractions
+    # and limbs: 12.8 on both backends (21.0 with whole-length floors)
     params = BeattyParams(parse_irrational(alpha), Fraction(1, 3))
-    assert bytes_per_point(lambda: bulk_membership(params, ns), M) <= 24
+    assert bytes_per_point(lambda: bulk_membership(params, ns), M) <= 14
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -87,6 +90,19 @@ def test_streamed_generate(tmp_path):
     N, out = 200_000, str(tmp_path / "terms.csv")
     argv = ["beatty", "generate", "--alpha", "sqrt:2", "--N", str(N), "--out", out]
     assert bytes_per_point(lambda: main(argv), N) <= 80
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_count_sweep_sums(alpha):
+    # the records' values, Lambda values, starts and stops, then the carried
+    # totals' temporaries over the records the grid's last cut reads: 54.0
+    # a record of 3 mod 7 (117.3 when the ceilings were one kernel call)
+    p, r = BeattyParams(parse_irrational(alpha), Fraction(1, 3)), ResidueClass(3, 7)
+    grid = [10 ** 4, 10 ** 5, 10 ** 6]
+    table = build_table(7 * p.term(grid[-1]) + 3, r)
+    records = table.power.size
+    assert bytes_per_point(lambda: beatty_sums(p, r, grid, "S", table),
+                           records) <= 56
 
 
 def test_class_table_build():
