@@ -15,8 +15,15 @@ import math
 import numpy as np
 
 from beattykit import (build_psi_delta, build_table, chebyshev_psi_ap,
-                       exp_sum_shifted, parse_irrational, psi_indicator,
-                       ResidueClass, substitution_identity_check)
+                       exp_sum_shifted, parse_irrational, ResidueClass,
+                       substitution_identity_check)
+
+
+def psi_indicator(x, gamma):
+    """Period-1 indicator of (0, gamma]: 1 when 0 < {x} <= gamma, else 0."""
+    r = x - math.floor(x)
+    return 1.0 if 0 < r <= gamma else 0.0
+
 
 gamma = 1 / math.sqrt(2)
 pd = build_psi_delta(gamma, 0.02, 400)

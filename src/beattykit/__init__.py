@@ -21,8 +21,7 @@ _PUBLIC = {  # submodule: the public names it defines
               "PointOutOfRange PrecisionExhausted TableTooSmall UsageError",
     "expsum": "PsiDelta SubstitutionCheck bound_ratio_sweep build_psi_delta "
               "decay_exponent discrepancy discrepancy_beatty exp_sum_ap "
-              "exp_sum_shifted progression_sum_bound psi_indicator "
-              "substitution_identity_check",
+              "exp_sum_shifted progression_sum_bound substitution_identity_check",
     "irrational": "ContinuedFraction Irrational PrecisionReal TypeEstimate "
                   "as_exact_ratio best_convergent_below cf_expand estimate_type "
                   "floor_affine parse_irrational",

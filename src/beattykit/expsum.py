@@ -29,18 +29,12 @@ from .irrational import Irrational, cf_walk
 from .sieve import MangoldtTable, ResidueClass, class_records
 from .surd import _BLOCK
 
-__all__ = ["PsiDelta", "psi_indicator", "build_psi_delta", "exp_sum_shifted",
-           "exp_sum_ap", "substitution_identity_check", "SubstitutionCheck",
+__all__ = ["PsiDelta", "build_psi_delta", "exp_sum_shifted", "exp_sum_ap",
+           "substitution_identity_check", "SubstitutionCheck",
            "bound_ratio_sweep", "progression_sum_bound", "BoundRatioRow",
            "discrepancy", "discrepancy_beatty", "decay_exponent"]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def psi_indicator(x, gamma) -> float:
-    """Period-1 indicator of (0, gamma]: 1 when 0 < {x} <= gamma, else 0."""
-    r = x - math.floor(x)
-    return 1.0 if 0 < r <= gamma else 0.0
 
 
 @dataclass
@@ -234,28 +228,6 @@ def _checked(xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _candidates(a, b, floors, buf):
-    """The four families of pair sums, in turn in buf (see discrepancy); each
-    running maximum is floored by its entry of floors, which holds the
-    virtual ends and, in the filter, the other blocks' maxima.  float64
-    arrays for the filter, object arrays of ints for the rescan."""
-    f1, f2, f3, f4 = floors
-    # excess, s ending a run: a_s + max(b_r for r <= s, -z)
-    np.maximum.accumulate(b, out=buf)
-    yield np.add(np.maximum(buf, f1, out=buf), a, out=buf)
-    # excess, r starting a run: b_r + max(a_s for s >= r)
-    np.maximum.accumulate(a[::-1], out=buf[::-1])
-    yield np.add(np.maximum(buf, f2, out=buf), b, out=buf)
-    # deficiency, d closing a gap: b_d + max(a_c for c < d, z)
-    buf[0] = -np.inf
-    np.maximum.accumulate(a[:-1], out=buf[1:])
-    yield np.add(np.maximum(buf, f3, out=buf), b, out=buf)
-    # deficiency, c opening a gap: a_c + max(b_d for d > c, 0)
-    buf[-1] = -np.inf
-    np.maximum.accumulate(b[:0:-1], out=buf[-2::-1])
-    yield np.add(np.maximum(buf, f4, out=buf), a, out=buf)
-
-
 def _blocks(xs: np.ndarray):
     """(vals, less, leq, a, b) of the sorted points' distinct values, _BLOCK
     points at a time: a value belongs to the block of its first point, and
@@ -282,104 +254,80 @@ def _blocks(xs: np.ndarray):
         mx = M * vals
         a = leq - mx
         b = np.subtract(mx, less, out=mx)
-        if p0 == 0 and vals[0] == 0:
-            b[0] = -np.inf          # no interval opens just left of 0
         yield vals, less, leq, a, b
 
 
-def _kept(xs: np.ndarray):
-    """Sorted points -> (vals, less, leq, cnt0, keep): the distinct values
-    that the float filter keeps, their counts, and their indices among all
-    distinct values; see discrepancy."""
-    M = int(xs.size)
-    cnt0 = int(np.searchsorted(xs, 0.0, "right"))
-    # each block's floors: the maxima of a and b over the blocks before it
-    # (families 1 and 3) and after it (2 and 4), with the virtual ends
-    tops = np.array([(a.max(), b.max()) for *_, a, b in _blocks(xs)])
-    low = np.full((1, 2), -np.inf)
-    before = np.concatenate((low, np.maximum.accumulate(tops)[:-1]))
-    after = np.concatenate((np.maximum.accumulate(tops[::-1])[-2::-1], low))
-    floors = np.column_stack((np.maximum(before[:, 1], -cnt0), after[:, 0],
-                              np.maximum(before[:, 0], cnt0),
-                              np.maximum(after[:, 1], 0.0)))
-    buf = np.empty(_BLOCK)
-    cut = max(float(c.max()) for (*_, a, b), f in zip(_blocks(xs), floors)
-              for c in _candidates(a, b, f, buf[:a.size]))
-    cut -= 16.0 * M * 2.0 ** -53
-    kept, base = [], 0
-    for (vals, less, leq, a, b), f in zip(_blocks(xs), floors):
-        hit = np.zeros(a.size, bool)
-        for c in _candidates(a, b, f, buf[:a.size]):
-            hit |= c >= cut
-        at = np.flatnonzero(hit)
-        kept.append((vals[at], less[at], leq[at], at + base))
-        base += a.size
-    vals, less, leq, keep = map(np.concatenate, zip(*kept))
-    return vals, less, leq, cnt0, keep
+def _exact_top(vals: np.ndarray, cnt: np.ndarray, M: int, sign: int) -> Fraction:
+    """max of sign*(cnt - M*v) over the values, exactly: with m the 53-bit
+    mantissa and e the exponent of each v (np.frexp), v*2^k = m*2^(e - e_min)
+    for k = 53 - e_min, so every term is a Python int over 2^k."""
+    f, e = np.frexp(vals)
+    e_min = int(e.min())
+    k = 53 - e_min
+    terms = zip(cnt.tolist(), np.ldexp(f, 53).astype(np.int64).tolist(),
+                (e - e_min).tolist())
+    return Fraction(max(sign * ((c << k) - M * (m << s)) for c, m, s in terms),
+                    1 << k)
 
 
 def discrepancy(points) -> float:
     """Extreme discrepancy over open subintervals (c, d) of [0, 1), exactly.
 
     With M points, distinct values v_i, leq_i points <= v_i and less_i
-    points < v_i, each candidate is a sum of two endpoint terms: excess
-    pairs a_s = leq_s - M*v_s with b_r = M*v_r - less_r (r <= s, v_r > 0),
-    and deficiency pairs b_d with -c_c, c_c = M*v_c - leq_c (c < d); the
-    virtual ends 0 and 1 add the terms -cnt0 (cnt0 zeros) and 0.
+    points < v_i, put a_i = leq_i - M*v_i and b_i = M*v_i - less_i; then
+    M*D = max a + max b.  Every pair (i, j) is an interval: for j <= i and
+    v_j > 0, (c, d) closing in on v_j..v_i has excess tending to a_i + b_j;
+    for j > i, (v_i, v_j) has deficiency a_i + b_j; for v_j = 0, b_j = 0
+    and a_i is the deficiency of (v_i, 1).  No interval does better: an
+    end at 0 adds the number of points at 0, which is a at the value 0 if
+    it occurs and 0 < max a otherwise (the last a is M - M*v > 0); an end
+    at 1 adds the term 0 <= M*v_0 = b_0.  This is D = 1/M + max(i/M -
+    x_i) - min(i/M - x_i) (Kuipers and Niederreiter, Uniform Distribution
+    of Sequences, 1974, ch. 2, sec. 1), with ties.  The points are read
+    flat, whatever their shape.
 
     One sort (discrepancy_beatty sorts the kernel's array in place), checked
-    by its two ends, then three sweeps over _BLOCK points at a time.  Each
-    forms its block's distinct values, less, leq, a and b afresh (less = i
-    and leq = i + 1 when the block has no ties).  The first takes each
-    block's maxima of a and b; their prefix and suffix maxima floor the
-    four running maxima of the other blocks, exactly, since max is exact.
-    The second finds the cut and the third the kept indices.  So the scan
-    holds one block's arrays beyond the sorted points, plus O(M/_BLOCK)
-    maxima and the kept values: at M = 2^19 (tracemalloc) discrepancy holds
-    10.5 bytes a point, 8 of them its sorted copy, and discrepancy_beatty
-    11.5, where the kernel's block of limbs sets the peak.
+    by its two ends, then one sweep of _BLOCK points at a time.  It forms a
+    block's distinct values, less, leq, a and b afresh in float64 (less = i
+    and leq = i + 1 when the block has no ties), and keeps the values whose
+    a, or b, lies within the slack of the running maximum of a, or of b.
 
-    Float filter: with u = 2^-53 and M < 2^53, fl(M*v) is within u*M, each
-    term (at most M in size) within 2u*M and each pair sum (at most 2M)
-    within 6u*M of its exact value, so within e = 8*M*2^-53.  If T is the
-    largest float candidate, the optimum is >= T - e and its float value
-    >= T - 2e (the slack absorbs the rounding of T - 2e), so only indices
-    that end a pair whose float value is >= T - 2e are kept.  The pair of
-    both virtual ends (cnt0) ties the pair from the value 0 to the end 1.
-    The candidates equal the dense form's (tests/oracles.py) bit for bit:
-    c_c = -a_c exactly (rounding is symmetric), so b_d - min(c) = b_d +
-    max(a) and x - c_c = x + a_c; only index 0 can hold the value 0, and
-    b_0 = -inf there bars it as r and d; r-indexed excess candidates never
-    top the s-indexed ones (the same pairs, rounded monotonically).
+    Float filter: with u = 2^-53 and M < 2^53, fl(M*v) is within u*M of
+    M*v and the subtraction from a count (|term| <= M) adds at most u*M,
+    so each float term is within e = 2u*M of its exact value.  The exact
+    maximiser's float term is then >= T - 2e, for T the float maximum at
+    any point of the sweep; the slack 8u*M covers 2e and the rounding of
+    T - 8u*M, so both maximisers are kept.  A value kept against a running
+    maximum that later rises only costs its share of the rescan.
 
-    Exact rescan: _candidates runs again over the kept indices in Python
-    ints, on a common dyadic grid that doubles lie on exactly, with the
-    original counts, floors (-z, -inf, z, 0) for z = cnt0 whether or not
-    the value 0 is kept, and b = -inf at the first kept index only if its
-    value is 0.  The kept set holds both ends of an optimal pair (families
-    1 and 2 keep its s* and r*, 3 and 4 its d* and c*), so the maximum is
-    the true supremum, rounded once to a double.  Near-ties keep more
-    indices, at worst all of them, at O(M) integer cost; the sort makes it
-    O(M log M) overall.
+    Exact rescan: _exact_top takes each side's maximum over its kept
+    values in Python ints, on a dyadic grid that doubles lie on exactly,
+    and D is (A + B)/M rounded once to a double.  Near-ties keep more
+    values, at worst all of them (on the grid k/2^18 every a is 1 and
+    every b 0: 0.15-0.19 s and 154 bytes a point), at O(M) integer cost;
+    the sort makes it O(M log M) overall.
+
+    Memory: one block's arrays beyond the sorted points, plus the kept
+    values.  At M = 2^19 (tracemalloc) discrepancy holds 10.2 bytes a point,
+    8 of them its sorted copy, and discrepancy_beatty 11.5, where the
+    kernel's block of limbs sets the peak.
     """
-    return _scan(_checked(np.sort(np.asarray(points, np.float64))))
+    return _scan(_checked(np.sort(np.asarray(points, np.float64), axis=None)))
 
 
 def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
     M = int(xs.size)
-    vals, less, leq, cnt0, _ = _kept(xs)
-    # a common dyadic grid: the denominators are powers of two
-    kv = vals.tolist()
-    scale = max(v.as_integer_ratio()[1] for v in kv)
-    iv = np.array([p * (scale // q) for p, q in map(float.as_integer_ratio, kv)],
-                  object)
-    a = leq.astype(object) * scale - M * iv
-    b = M * iv - less.astype(object) * scale
-    b[0] = -np.inf if iv[0] == 0 else b[0]
-    z = cnt0 * scale
-    best = max(c.max() for c in _candidates(a, b, (-z, -np.inf, z, 0),
-                                            np.empty(iv.size, object)))
-    return float(Fraction(best, M * scale)) if best > 0 else 0.0
+    slack = M * 2.0 ** -50
+    top = [-np.inf, -np.inf]
+    kept = ([], [])
+    for vals, less, leq, a, b in _blocks(xs):
+        for side, t, cnt in ((0, a, leq), (1, b, less)):
+            top[side] = max(top[side], t.max())
+            at = t >= top[side] - slack
+            kept[side].append((vals[at], cnt[at]))
+    A, B = (_exact_top(*map(np.concatenate, zip(*parts)), M, sign)
+            for parts, sign in zip(kept, (1, -1)))
+    return float((A + B) / M)
 
 
 def discrepancy_beatty(gamma: Irrational, delta, M: int) -> float:

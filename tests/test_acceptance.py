@@ -25,11 +25,11 @@ from beattykit.counting import beatty_sums, density_prediction, verify_sweep
 from beattykit.expsum import (progression_sum_bound, bound_ratio_sweep,
                               build_psi_delta, decay_exponent, discrepancy,
                               discrepancy_beatty, exp_sum_shifted,
-                              psi_indicator, substitution_identity_check)
+                              substitution_identity_check)
 from beattykit.irrational import as_exact_ratio, parse_irrational
 from beattykit.sieve import (ResidueClass, chebyshev_psi_ap, euler_phi,
                              prime_pi_ap)
-from oracles import discrepancy_brute
+from oracles import discrepancy_brute, psi_indicator
 
 LIMIT = 10 ** 6
 

@@ -32,7 +32,7 @@ PACKAGE_ALL = [
     "discrepancy", "discrepancy_beatty", "estimate_type", "euler_phi",
     "exp_sum_ap", "exp_sum_shifted", "floor_affine", "generate", "is_member",
     "main_terms", "make_real", "parse_irrational", "prime_pi_ap",
-    "progression_sum_bound", "psi_indicator", "squarefree_split",
+    "progression_sum_bound", "squarefree_split",
     "substitution_identity_check", "verify_sweep",
 ]
 
@@ -69,6 +69,18 @@ def test_benchmark_tracer_hooks_are_in_place():
         assert attr in vars(owner), (owner.__name__, attr)
     # child._table_counts reads these from every traced table
     assert {"is_prime", "log_base"} <= set(vars(sieve.MangoldtTable))
+    # lib_membership and lib_sandwich call these by name
+    surd = child.irrational.parse_irrational(child.SANDWICH_ALPHA)
+    for owner, attr in [(child.irrational, "parse_irrational"),
+                        (child.irrational, "floor_affine"),
+                        (child.beatty, "BeattyParams"),
+                        (child.beatty, "bulk_membership"),
+                        (child.expsum, "build_psi_delta"),
+                        (child.expsum.PsiDelta, "evaluate"),
+                        (surd, "phases_many"),
+                        (child.beattykit.cli, "Report"),
+                        (child.beattykit.cli, "render")]:
+        assert callable(getattr(owner, attr, None)), attr
 
 
 def test_benchmark_library_steps_pass(capsys):

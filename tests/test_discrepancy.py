@@ -91,6 +91,18 @@ def test_validation():
         discrepancy([])
 
 
+@pytest.mark.parametrize("points", [[[0.25, 0.75], [0.5, 0.5]], [[0.3]],
+                                    [[0.1], [0.9]], [[[0.0, 0.6]], [[0.2, 0.2]]]])
+def test_points_read_flat(points):
+    # any shape is a set of points: D is that of the flattened array
+    flat = np.ravel(points)
+    assert discrepancy(np.array(points)) == discrepancy(flat) \
+        == discrepancy_brute(flat)
+    assert discrepancy(points) == discrepancy(flat.tolist())
+    with pytest.raises(PointOutOfRange):
+        discrepancy([[0.5, 1.0], [0.2, 0.3]])
+
+
 def test_beatty_sequence_decay(sqrt2, phi):
     for gam in (sqrt2.inverse(), phi.inverse()):
         d_small = discrepancy_beatty(gam, 0, 100)

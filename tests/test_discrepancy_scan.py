@@ -1,11 +1,12 @@
 """Differential suite: the float-filtered discrepancy scan against the
-all-pairs oracle, bit for bit, on inputs built to stress the filter.
+all-pairs oracle and the linear exact oracle, bit for bit, on inputs built
+to stress the filter.
 
-The filter keeps only the indices whose float candidates lie within a
-stated band of the float maximum; the exact rescan decides among them.
-Grids, duplicates, zeros, tiny values and near-ties (candidates that
-differ by less than the float error) are where a band that is too narrow
-would drop the true maximiser.
+The filter keeps only the values whose float terms lie within a stated
+slack of the running maxima; the exact rescan decides among them.  Grids,
+duplicates, zeros, tiny values and near-ties (terms that differ by less
+than the float error) are where a slack that is too narrow would drop the
+true maximiser, and block edges are where a run's counts could go wrong.
 """
 
 import math
@@ -13,12 +14,14 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from beattykit import expsum
-from beattykit.expsum import _candidates, _kept, discrepancy
-from oracles import dense_filter, discrepancy_brute
+from beattykit.expsum import discrepancy, discrepancy_beatty
+from beattykit.irrational import parse_irrational
+from oracles import discrepancy_brute, discrepancy_linear
 
 ALMOST_ONE = math.nextafter(1.0, 0.0)
 SPECIAL = (0.0, 2.0 ** -1000, 5e-324, ALMOST_ONE, 0.5)
@@ -51,15 +54,27 @@ def perturbed_grids(draw):
     return [x for x in xs if x < 1.0]
 
 
+ALL_TIE = [k / 2 ** 12 for k in range(2 ** 12)]
+
+
 @given(samples())
 @example([ALMOST_ONE])
 @example([2.0 ** -1000, 2.0 ** -1000, 0.0])
 @example([0.0, 0.0, 0.0])
-@example([0.0, 0.0, 0.0, 0.1, 0.2])   # zeros not kept: z without its index
+@example([0.0, 0.0, 0.0, 0.1, 0.2])   # the value 0 is not a maximiser
 @example([0.0, 0.5, 0.5, 0.5, 0.5])
-@example([0.0, 0.0, 0.9])             # the kept set starts at the value 0
+@example([0.0, 0.0, 0.9])             # the value 0 maximises a
+@example([0.0])                       # M = 1 at the value 0
+@example([0.5])                       # M = 1 off it
+@example([0.0, 0.0, 0.25, 0.5])       # led by a run of zeros
+@example([0.0, 5e-324, 5e-324, ALMOST_ONE])
+@example(ALL_TIE)                     # every gap ties: every value is kept
+@example(ALL_TIE + [0.0] * 3)
 def test_scan_equals_oracle(xs):
-    assert discrepancy(xs) == discrepancy_brute(xs)
+    # the all-pairs oracle takes seconds on the all-tie grids; the linear
+    # one stands in for it there (test_linear_oracle_equals_brute)
+    oracle = discrepancy_brute if len(xs) <= 100 else discrepancy_linear
+    assert discrepancy(xs) == oracle(xs)
 
 
 @given(perturbed_grids())
@@ -67,42 +82,19 @@ def test_scan_equals_oracle_on_near_ties(xs):
     assert discrepancy(xs) == discrepancy_brute(xs)
 
 
-def _same_kept(xs):
-    """The blocked filter over the sorted points keeps the dense filter's
-    indices, with the same values, counts and zeros."""
-    lean = _kept(np.sort(np.asarray(xs, np.float64)))
-    vals, less, leq, cnt0, keep = dense_filter(xs)
-    dense = (vals[keep], less[keep], leq[keep], cnt0, keep)
-    for got, want in zip(lean, dense, strict=True):
-        assert np.array_equal(got, want)
-
-
-ALL_TIE = [k / 2 ** 12 for k in range(2 ** 12)]
-
-
 @given(samples())
-@example([0.0])                       # M = 1 at the value 0
-@example([0.5])                       # M = 1 off it
-@example([0.0, 0.0, 0.25, 0.5])       # led by a run of zeros
+@example([2.0 ** -1000, 0.0, 0.0])
 @example([0.0, 5e-324, 5e-324, ALMOST_ONE])
-@example(ALL_TIE)                     # every gap ties: every index is kept
-@example(ALL_TIE + [0.0] * 3)
-def test_lean_filter_keeps_the_dense_filters_indices(xs):
-    _same_kept(xs)
-
-
-@given(perturbed_grids())
-def test_lean_filter_keeps_the_dense_filters_indices_on_near_ties(xs):
-    _same_kept(xs)
+def test_linear_oracle_equals_brute(xs):
+    assert discrepancy_linear(xs) == discrepancy_brute(xs)
 
 
 def _across_blocks(xs):
-    """At blocks of 1, 2, 3 and 5 points, the filter keeps the dense
-    filter's indices and the scan gives the all-pairs value."""
+    """At blocks of 1, 2, 3 and 5 points, the scan gives the all-pairs
+    value."""
     want = discrepancy_brute(xs)
     for size in (1, 2, 3, 5):
         with patch.object(expsum, "_BLOCK", size):
-            _same_kept(xs)
             assert discrepancy(xs) == want, size
 
 
@@ -123,27 +115,21 @@ def test_block_edges_on_near_ties(xs):
     _across_blocks(xs)
 
 
-@given(samples(dyadic))
-@example([0.0, 0.0, 0.5])
-@example([k / 2 ** 10 for k in range(2 ** 10)])
-def test_candidates_agree_across_dtypes(xs):
-    # dyadic points with M <= 2^10 make every float candidate exact, so the
-    # filter's candidates, scaled to the grid, are the exact rescan's
-    M = len(xs)
-    vals, less, leq, cnt0, _ = dense_filter(xs)
-    scale = max(v.as_integer_ratio()[1] for v in vals.tolist())
-    iv = np.array([int(v * scale) for v in vals.tolist()], object)
-    fa, fb = leq - M * vals, M * vals - less
-    ia = leq.astype(object) * scale - M * iv
-    ib = M * iv - less.astype(object) * scale
-    if cnt0:
-        fb[0] = ib[0] = -np.inf
-    z = cnt0 * scale
-    floats = [c * scale for c in _candidates(fa, fb, (-cnt0, -np.inf, cnt0, 0),
-                                             np.empty(vals.size))]
-    ints = [c.copy() for c in _candidates(ia, ib, (-z, -np.inf, z, 0),
-                                          np.empty(vals.size, object))]
-    assert [c.tolist() for c in floats] == [c.tolist() for c in ints]
+BLOCK = expsum._BLOCK
+ALPHAS = ["sqrt:2", "quad:1/2+sqrt:5",
+          "dec:1.4142135623730950488016887242096980785697@200"]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("M", [BLOCK + 1, 3 * BLOCK + 5])
+def test_beatty_scan_across_kernel_blocks(alpha, M):
+    # the real block size: the last block holds one point, or five; the
+    # fractions are formed over the same m blocks as discrepancy_beatty's
+    x, delta = parse_irrational(alpha), Fraction(1, 3)
+    fr = np.concatenate([
+        x.affine_floor_frac_many(np.arange(s + 1, min(s + BLOCK, M) + 1), delta)[1]
+        for s in range(0, M, BLOCK)])
+    assert discrepancy_beatty(x, delta, M) == discrepancy_linear(fr)
 
 
 @given(element)
@@ -156,7 +142,7 @@ def test_single_point(x):
 def test_hand_built_near_tie():
     # k/12 with three points moved by one or two ulps: the widest gap,
     # (2/3, 3/4 + 2 ulps), beats the next one by 4/2^54, which is less than
-    # the filter's bound e = 8*M/2^53 in the scan's units (M times D)
+    # the filter's slack 8*M/2^53 in the scan's units (M times D)
     xs = np.arange(12) / 12
     xs[1] = math.nextafter(xs[1], 0.0)
     xs[2] = math.nextafter(xs[2], 1.0)

@@ -10,10 +10,10 @@ import pytest
 from beattykit.errors import DeltaOutOfRange
 from beattykit.expsum import (progression_sum_bound, bound_ratio_sweep,
                               build_psi_delta, exp_sum_ap, exp_sum_shifted,
-                              psi_indicator, substitution_identity_check)
+                              substitution_identity_check)
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table, chebyshev_psi_ap
-from oracles import smoothed_indicator
+from oracles import psi_indicator, smoothed_indicator
 
 
 @pytest.fixture(scope="module")
