@@ -315,9 +315,11 @@ def discrepancy(points) -> float:
     return _scan(_checked(np.sort(np.asarray(points, np.float64), axis=None)))
 
 
-def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
-    M = int(xs.size)
-    slack = M * 2.0 ** -50
+def _kept(xs: np.ndarray):
+    """The float filter over sorted, valid points: for a (with leq) and then
+    for b (with less), the values and counts whose float term lies within
+    the slack of the running maximum."""
+    slack = xs.size * 2.0 ** -50
     top = [-np.inf, -np.inf]
     kept = ([], [])
     for vals, less, leq, a, b in _blocks(xs):
@@ -325,8 +327,13 @@ def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
             top[side] = max(top[side], t.max())
             at = t >= top[side] - slack
             kept[side].append((vals[at], cnt[at]))
-    A, B = (_exact_top(*map(np.concatenate, zip(*parts)), M, sign)
-            for parts, sign in zip(kept, (1, -1)))
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in kept]
+
+
+def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
+    M = int(xs.size)
+    A, B = (_exact_top(vals, cnt, M, sign)
+            for (vals, cnt), sign in zip(_kept(xs), (1, -1)))
     return float((A + B) / M)
 
 

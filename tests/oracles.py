@@ -90,6 +90,22 @@ def discrepancy_linear(points) -> float:
     return float(Fraction(A + B, M * scale))
 
 
+def exact_maximisers(points):
+    """(vals, less, leq, top_a, top_b) over the distinct values, dense and
+    exact: top_a and top_b mark the indices whose a = leq - M*v, or
+    b = M*v - less, is the maximum, compared in integers on the grid of
+    _scaled_values.  A float filter must keep every marked index."""
+    xs = _validated(points)
+    M = int(xs.size)
+    vals, cnts = np.unique(xs, return_counts=True)
+    leq = np.cumsum(cnts)
+    less = leq - cnts
+    iv, scale = _scaled_values(vals)
+    a = [h * scale - M * v for h, v in zip(leq.tolist(), iv)]
+    b = [M * v - h * scale for h, v in zip(less.tolist(), iv)]
+    return (vals, less, leq, np.array(a) == max(a), np.array(b) == max(b))
+
+
 def psi_indicator(x, gamma) -> float:
     """Period-1 indicator of (0, gamma]: 1 when 0 < {x} <= gamma, else 0."""
     r = x - math.floor(x)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from beattykit import expsum
 from beattykit.expsum import discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
-from oracles import discrepancy_brute, discrepancy_linear
+from oracles import discrepancy_brute, discrepancy_linear, exact_maximisers
 
 ALMOST_ONE = math.nextafter(1.0, 0.0)
 SPECIAL = (0.0, 2.0 ** -1000, 5e-324, ALMOST_ONE, 0.5)
@@ -80,6 +80,37 @@ def test_scan_equals_oracle(xs):
 @given(perturbed_grids())
 def test_scan_equals_oracle_on_near_ties(xs):
     assert discrepancy(xs) == discrepancy_brute(xs)
+
+
+def _same_kept(xs):
+    """The blocked float filter keeps the values of every index the dense
+    exact computation marks as a maximiser of a, or of b, and each value it
+    keeps comes once, in order, with its true leq, or less."""
+    kept = expsum._kept(np.sort(np.asarray(xs, np.float64)))
+    vals, less, leq, top_a, top_b = exact_maximisers(xs)
+    for (got, cnt), want, top in zip(kept, (leq, less), (top_a, top_b),
+                                     strict=True):
+        at = np.searchsorted(vals, got)
+        assert np.array_equal(vals[at], got)
+        assert np.all(np.diff(at) > 0)
+        assert np.array_equal(cnt, want[at])
+        assert np.isin(np.flatnonzero(top), at).all()
+
+
+@given(samples())
+@example([0.0])                       # M = 1 at the value 0
+@example([0.5])                       # M = 1 off it
+@example([0.0, 0.0, 0.25, 0.5])       # led by a run of zeros
+@example([0.0, 5e-324, 5e-324, ALMOST_ONE])
+@example(ALL_TIE)                     # every gap ties: every index is kept
+@example(ALL_TIE + [0.0] * 3)
+def test_lean_filter_keeps_the_dense_filters_indices(xs):
+    _same_kept(xs)
+
+
+@given(perturbed_grids())
+def test_lean_filter_keeps_the_dense_filters_indices_on_near_ties(xs):
+    _same_kept(xs)
 
 
 @given(samples())
