@@ -44,10 +44,12 @@ MODES = ("S", "T", "N", "M")
 def _checked_grid(grid, mode: str) -> list:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    grid = [int(x) for x in grid]
+    given = list(grid)
+    grid = [int(x) for x in given]
     # the lhs lengths add up to the last N, which lambda_units bounds
-    if not grid or grid[0] < 1 or grid[-1] > MAX_LIMIT:
-        raise ValueError(f"N grid must be nonempty with every N in [1, {MAX_LIMIT}]")
+    if grid != given or not grid or grid[0] < 1 or grid[-1] > MAX_LIMIT:
+        raise ValueError(f"N grid must be nonempty with every N an integer"
+                         f" in [1, {MAX_LIMIT}]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("N grid must be strictly ascending")
     return grid

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (AmbiguousFloor, IrrationalParseError, NotPositive,
                      PrecisionExhausted)
-from .surd import (_ONE_BELOW, Irrational, QuadraticSurd, exact_floor,
-                   fixed_point_floor_frac, to_fixed_point)
+from .surd import (_ONE_BELOW, Irrational, QuadraticSurd, _conj_bits,
+                   exact_floor, fixed_point_floor_frac, to_fixed_point)
 
 __all__ = ["PrecisionReal", "Irrational", "ContinuedFraction", "TypeEstimate",
            "parse_irrational", "as_exact_ratio", "floor_affine", "cf_walk",
@@ -350,11 +350,10 @@ class TypeEstimate:
 
 def _rational_near(x: Irrational) -> Fraction:
     """A rational within 2**-48 of x > 0, relatively: a surd rounded once, as
-    x >= 1/(w*(|u| + |v|*sqrt(d))) (x times its conjugate is a nonzero integer
-    over w*w); a decimal's center, or PrecisionExhausted if its radius is wider."""
+    x > 2**-b for b = surd._conj_bits; a decimal's center, or
+    PrecisionExhausted if its radius is wider."""
     if isinstance(x, QuadraticSurd):
-        inv = x.w * (abs(x.u) + abs(x.v) * (math.isqrt(x.d) + 1))
-        return x.approx_fraction(inv.bit_length() + 48)
+        return x.approx_fraction(_conj_bits(x.u, x.v, x.w, x.d) + 48)
     if x.radius * (1 << 48) > x.center:
         raise PrecisionExhausted(f"{float(x.center):.3g} is not certified to 2**-48"
                                  f" of itself at radius {float(x.radius):.3g}")

@@ -3,17 +3,19 @@
 A value is stored as (u + v*sqrt(d)) / w with integers u, v, w and a
 squarefree radicand d > 1.  Canonical form has w > 0, gcd(u, v, w) = 1 and
 v != 0, so equality is structural and every sign, comparison and floor
-decision reduces to integer arithmetic.  Nothing is rounded until a float
-is explicitly requested, and the floats we do hand out (fractional parts,
-phases) are accurate to a few ulp because the integer part is removed
-exactly first.  A radicand is split into f*f*d, d squarefree, once, when a
-surd is built (make_real): field arithmetic keeps d and never factors again.
+decision reduces to integer arithmetic.  One primitive, to_fixed_point,
+truncates a value exactly to a multiple of 2**-bits; floors, signs and
+fractional parts all come from it.  Nothing is rounded until a float is
+explicitly requested, and a fractional part handed out as a float is within
+half an ulp plus 2**-64 relative of the exact one.  A radicand is split
+into f*f*d, d squarefree, once, when a surd is built (make_real): field
+arithmetic keeps d and never factors again.
 
 Irrational, the base class of QuadraticSurd and irrational.PrecisionReal,
 states the orderings once from each backend's certified sign().  The module
 also hosts the bulk kernel of both backends: theta and the offset as
 128-bit fixed-point values, F*n formed exactly, and an error bound of
-n*2**-128 (isqrt truncation), plus n*radius for decimals.  Points within
+n*2**-128 (exact truncation), plus n*radius for decimals.  Points within
 the bound of an integer go to the exact scalar kernel, so floors are exact.
 """
 
@@ -56,70 +58,47 @@ def squarefree_split(d: int):
     return f, d0
 
 
-def _cmp_c_vsqrt(c: int, v: int, d: int) -> int:
-    """Sign of c - v*sqrt(d); nonzero whenever v != 0 since d is not a square."""
-    if v == 0:
-        return (c > 0) - (c < 0)
-    if v > 0:
-        if c <= 0:
-            return -1
-        a, b = c * c, v * v * d
-        return (a > b) - (a < b)
-    if c >= 0:
-        return 1
-    a, b = c * c, v * v * d
-    return (b > a) - (b < a)
+def to_fixed_point(U: int, V: int, W: int, d: int = 0, bits: int = 128):
+    """(I, F) with I*2**bits + F = floor(x*2**bits) exactly, where
+    x = (U + V*sqrt(d))/W: x truncated, less than one unit of 2**-bits below.
+
+    Precondition: W != 0, d >= 0, and V*V*d is 0 or not a perfect square; d
+    need not be squarefree (irrational._cf_surd passes v*v*d*Q*Q).  Proof:
+    take W > 0 and y = V*sqrt(d)*2**bits.  When V != 0, y is irrational, so
+    it lies strictly between s = isqrt(V*V*d*4**bits) and the next integer
+    toward it: floor(y) is s for V > 0 and -s - 1 for V < 0.  No multiple of
+    W lies strictly between two consecutive integers, so floor((U*2**bits
+    + y)/W) = floor((U*2**bits + floor(y))/W).  When V*V*d = 0, y = s = 0.
+    """
+    if W < 0:
+        U, V, W = -U, -V, -W
+    s = math.isqrt(V * V * d << 2 * bits)
+    return divmod(((U << bits) + (-s - 1 if V < 0 < s else s)) // W, 1 << bits)
 
 
 def exact_floor(U: int, V: int, W: int, d: int) -> int:
     """floor((U + V*sqrt(d)) / W) by pure integer arithmetic."""
-    if W < 0:
-        U, V, W = -U, -V, -W
-    if V == 0:
-        return U // W
-    s = math.isqrt(V * V * d)
-    # bracket the numerator in a unit interval, then fix up exactly
-    lo = U + s if V > 0 else U - s - 1
-    t = lo // W
-    while _cmp_c_vsqrt((t + 1) * W - U, V, d) < 0:
-        t += 1
-    while _cmp_c_vsqrt(t * W - U, V, d) > 0:
-        t -= 1
-    return t
+    return to_fixed_point(U, V, W, d, 0)[0]
 
 
-def _frac_from_parts(Ur: int, V: int, W: int, d: int) -> float:
-    # value (Ur + V*sqrt(d)) / W already known to lie in [0, 1)
-    if V == 0:
-        return Ur / W
-    vvd = V * V * d
-    s = math.isqrt(vvd)
-    num = vvd - s * s
-    # sqrt(vvd) = s + rho with rho = num / (s + sqrt(vvd)); the ratio num/s**2
-    # is small enough to evaluate in floats at every scale
-    rho = num / (s + s * math.sqrt(1.0 + num / s / s))
-    if V > 0:
-        r = (Ur + s + rho) / W
-    else:
-        r = (Ur - s - 1 + (1.0 - rho)) / W
-    if r >= 1.0:
-        return _ONE_BELOW
-    return 0.0 if r < 0.0 else r
+def _conj_bits(u: int, v: int, w: int, d: int) -> int:
+    """b with |x| > 2**-b for x = (u + v*sqrt(d))/w != 0, v = 0 or d not a
+    square: x times its conjugate is a nonzero integer over w*w, and the
+    conjugate is below (|u| + |v|*(isqrt(d) + 1))/|w| in size."""
+    return (abs(w) * (abs(u) + abs(v) * (math.isqrt(d) + 1))).bit_length()
 
 
 def exact_floor_frac(U: int, V: int, W: int, d: int):
-    """(floor, frac) of (U + V*sqrt(d)) / W; the frac is a float in [0, 1)."""
-    if W < 0:
-        U, V, W = -U, -V, -W
-    t = exact_floor(U, V, W, d)
-    return t, _frac_from_parts(U - t * W, V, W, d)
-
-
-def to_fixed_point(U: int, V: int, W: int, d: int = 0, bits: int = 128):
-    """(I, F) with I + F/2**bits within 2**-bits of (U + V*sqrt(d))/W, W != 0,
-    taking V*sqrt(d) as the isqrt of V*V*d*4**bits, signed like V."""
-    s = math.isqrt(V * V * d << 2 * bits)
-    return divmod(((U << bits) + (s if V > 0 else -s)) // W, 1 << bits)
+    """(floor, frac) of (U + V*sqrt(d)) / W; the frac is a float in [0, 1),
+    within half an ulp plus 2**-64 relative of the exact one (or
+    nextafter(1, 0) where that rounds to 1): it is the truncation to 64 bits
+    beyond _conj_bits, correctly rounded by int/int division."""
+    # the frac is (U - t*W + V*sqrt(d))/W with |U - t*W| < |W| + |V|*sqrt(d),
+    # so the bound taken at u = W, v = 2*V holds for it without knowing t
+    bits = 64 + _conj_bits(W, 2 * V, W, d)
+    t, F = to_fixed_point(U, V, W, d, bits)
+    F /= 1 << bits
+    return t, F if F < 1.0 else _ONE_BELOW
 
 
 def _mul_wide(a, b):
@@ -196,7 +175,8 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
             t, fr[i] = exact(int(nb[i]))
             if floors:
                 fb[i] = t
-    # 5e-16 covers float rounding here (2**-53) and in the exact kernels
+    # 5e-16 covers float rounding here (2**-53); a fraction from exact(n) is
+    # within half an ulp plus 2**-64 relative (surd) or its center's (decimal)
     return fl, fracs, bound / _ONE + 5e-16
 
 
@@ -280,8 +260,8 @@ class QuadraticSurd(Irrational):
     # -- basic queries ----------------------------------------------------
 
     def sign(self) -> int:
-        # u + v*sqrt(d) > 0  iff  v*sqrt(d) > -u
-        return -_cmp_c_vsqrt(-self.u, self.v, self.d)
+        # the value is irrational, so never 0
+        return -1 if self.floor() < 0 else 1
 
     def conjugate(self):
         return _make(self.u, -self.v, self.w, self.d)
@@ -391,11 +371,17 @@ class QuadraticSurd(Irrational):
 
     def affine_floor_frac(self, n: int, eta=0):
         """Exact (floor, frac) of self*n + eta for one integer n."""
+        return self._exact(eta)(n)
+
+    def _exact(self, eta):
+        # affine_floor_frac(., eta), its coefficients formed once for the
+        # kernel's per-point fallback
         A, B, C, E, W = self.affine_coeffs(eta)
-        return exact_floor_frac(A * n + B, C * n + E, W, self.d)
+        return lambda n: exact_floor_frac(A * n + B, C * n + E, W, self.d)
 
     def fixed_point(self, eta=0):
-        """(I, F, J, G, 1, 1): self and eta to 128 bits by isqrt, one unit off."""
+        """(I, F, J, G, 1, 1): self and eta to 128 bits, each truncated, less
+        than one unit below."""
         A, B, C, E, W = self.affine_coeffs(eta)
         return (*to_fixed_point(A, C, W, self.d),
                 *to_fixed_point(B, E, W, self.d), 1, 1)
@@ -403,15 +389,13 @@ class QuadraticSurd(Irrational):
     def affine_floor_frac_many(self, ns, eta=0):
         """(floors, fracs, frac error bound) of self*n + eta over an integer
         array, by the fixed-point kernel; see fixed_point_floor_frac."""
-        return fixed_point_floor_frac(self.fixed_point(eta), ns,
-                                      lambda n: self.affine_floor_frac(n, eta))
+        return fixed_point_floor_frac(self.fixed_point(eta), ns, self._exact(eta))
 
     def phases_many(self, ns, eta=0):
         """Fractional parts of self*n + eta, each within (|n| + 1)*2**-128
         plus rounding; points that close to an integer (or n < 0) are exact.
         No floors are formed, so the integer part may exceed int64."""
-        return fixed_point_floor_frac(self.fixed_point(eta), ns,
-                                      lambda n: self.affine_floor_frac(n, eta),
+        return fixed_point_floor_frac(self.fixed_point(eta), ns, self._exact(eta),
                                       floors=False)[1]
 
     # -- conversions ------------------------------------------------------

@@ -78,6 +78,10 @@ def test_spec_validation(table, sqrt2):
     # past the sieve budget the lhs lengths could overflow lambda_units
     with pytest.raises(ValueError):
         beatty_sums(p, r, [MAX_LIMIT + 1], "S", table)
+    # a non-integral N is refused, not truncated; an integral float is an N
+    with pytest.raises(ValueError, match="integer"):
+        beatty_sums(p, r, [1000.9], "S", table)
+    assert beatty_sums(p, r, [1e3], "S", table) == beatty_sums(p, r, [1000], "S", table)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -12,9 +12,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from beattykit.surd import (QuadraticSurd, exact_floor, exact_floor_frac,
-                            make_real, squarefree_split)
+from beattykit.surd import (_ONE_BELOW, QuadraticSurd, exact_floor,
+                            exact_floor_frac, make_real, squarefree_split,
+                            to_fixed_point)
 from oracles import bulk_floor_frac
 
 mpmath.mp.prec = 300
@@ -22,6 +25,14 @@ mpmath.mp.prec = 300
 
 def mp_value(u, v, w, d):
     return (u + v * mpmath.sqrt(d)) / w
+
+
+def assert_frac_bound(fr, ref):
+    """fr is ref's fractional part (clamped below 1) within half an ulp
+    plus 2**-64 relative, as exact_floor_frac states."""
+    exact = ref - mpmath.floor(ref)
+    assert 0.0 <= fr < 1.0
+    assert abs(fr - min(exact, _ONE_BELOW)) <= math.ulp(fr) / 2 + exact * 2.0 ** -64
 
 
 def test_squarefree_split_basics():
@@ -136,6 +147,8 @@ def test_exact_floor_rational_case():
     assert exact_floor(7, 0, 2, 5) == 3
     assert exact_floor(-7, 0, 2, 5) == -4
     assert exact_floor(8, 0, 2, 5) == 4
+    # a rational fraction that rounds to 1 is clamped below it too
+    assert exact_floor_frac((1 << 60) - 1, 0, 1 << 60, 5) == (0, _ONE_BELOW)
 
 
 def test_exact_floor_frac_accuracy():
@@ -148,8 +161,58 @@ def test_exact_floor_frac_accuracy():
         fl, fr = exact_floor_frac(U, V, W, d)
         ref = mp_value(U, V, W, d)
         assert fl == int(mpmath.floor(ref))
-        assert abs(fr - float(ref - mpmath.floor(ref))) < 5e-13
-        assert 0.0 <= fr < 1.0
+        assert_frac_bound(fr, ref)
+
+
+@given(st.integers(-2 ** 80, 2 ** 80), st.integers(-2 ** 80, 2 ** 80),
+       st.integers(-2 ** 40, 2 ** 40).filter(bool),
+       st.sampled_from([0, 2, 3, 5, 8, 12, 13, 1234567]),
+       st.sampled_from([0, 1, 64, 128]))
+@example(1, -1, 1, 2, 0)      # floor(1 - sqrt 2) = -1
+@example(-1, 1, -1, 2, 1)
+@example(7, 0, -3, 0, 64)     # a decimal's parts: V = 0, d = 0
+@example(5, -3, 7, 0, 128)
+@example(0, 1, 1, 8, 128)     # d need not be squarefree, only not a square
+def test_to_fixed_point_is_the_exact_truncation(U, V, W, d, bits):
+    I, F = to_fixed_point(U, V, W, d, bits)
+    assert 0 <= F < 1 << bits
+    # x*2**bits, below 2**220 in size, is an integer or over 2**-261 from
+    # one (its conjugate bound): 1024 bits decide the floor
+    with mpmath.workprec(1024):
+        ref = mpmath.floor(mp_value(U, V, W, d) * mpmath.mpf(2) ** bits)
+    assert (I << bits) + F == int(ref)
+
+
+def near_integers():
+    """p - q*x and q*x - p, as (U, V, W, d), at the first 40 convergents
+    p/q of x = sqrt(2) and of the golden ratio (1 + sqrt(5))/2."""
+    p, q = 1, 1
+    for _ in range(40):
+        yield (p, -q, 1, 2)
+        yield (-p, q, 1, 2)
+        p, q = p + 2 * q, p + q
+    p, q = 1, 1
+    for _ in range(40):
+        yield (2 * p - q, -q, 2, 5)
+        yield (q - 2 * p, q, 2, 5)
+        p, q = p + q, p
+
+
+def test_floor_frac_at_convergents():
+    # the fractions nearest an integer are the guard-band points the bulk
+    # kernel hands to exact_floor_frac
+    for U, V, W, d in near_integers():
+        fl, fr = exact_floor_frac(U, V, W, d)
+        ref = mp_value(U, V, W, d)
+        assert fl == int(mpmath.floor(ref)), (U, V, W, d)
+        assert_frac_bound(fr, ref)
+
+
+def test_sign_at_convergents():
+    for U, V, W, d in near_integers():
+        x = make_real(U, V, W, d)
+        ref = 1 if mp_value(U, V, W, d) > 0 else -1
+        assert x.sign() == ref and (-x).sign() == -ref, (U, V, W, d)
 
 
 def test_floor_frac_near_integer():
