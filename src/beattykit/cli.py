@@ -361,8 +361,8 @@ def _run_eval(ns) -> Report:
     at = class_records(table, r.q * M + r.a, r, r.a + 1)
     lam_sum = float(lambda_units(table.log_base[at])) * 2.0 ** -53
     rows = []
-    for k in range(1, ns.K + 1):
-        s = exp_sum_shifted(table, M, r, ns.alpha, k)
+    ks = range(1, ns.K + 1)
+    for k, s in zip(ks, exp_sum_shifted(table, M, r, ns.alpha, ks)):
         ratio = abs(s) / lam_sum if lam_sum else 0.0
         rows.append((k, s.real, s.imag, abs(s), lam_sum, ratio))
     return Report("expsum-eval", _expsum_params(ns) + [("K", ns.K)],

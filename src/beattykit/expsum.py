@@ -11,7 +11,12 @@ most 1/(pi^2 K Delta) pointwise.
 
 Exponential sums use exact phase reduction (the integer part of theta*n is
 removed in integer arithmetic before any trigonometry), so cancellation
-down at the 1e-12 level is measured, not drowned in rounding noise.
+down at the 1e-12 level is measured, not drowned in rounding noise.  All
+the sums one call asks for (every k of exp_sum_shifted given a sequence,
+both sides of substitution_identity_check) come from one pass over the
+class's records, _BLOCK at a time, and each is summed exactly in integers
+and rounded once, as math.fsum would: beyond the table, 8 bytes a record
+for the records' positions and one block's temporaries.
 """
 
 from __future__ import annotations
@@ -108,26 +113,79 @@ def build_psi_delta(gamma: float, delta: float, K: int) -> PsiDelta:
 
 # -- exponential sums over primes ------------------------------------------
 
-def _phase_sum(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,
-               theta: Irrational, shifted: bool = False) -> complex:
-    """Sum of Lambda(n) e(theta*x) over the records n == a mod q with
-    min_n <= n <= L, where x = n, or x = (n - a)/q when shifted."""
+def _exact_units(x: np.ndarray) -> int:
+    """The exact sum of the float64 terms x, at most _BLOCK of them, each
+    below 2**5 in size, as a whole number of 2**-1074 (the spacing of the
+    subnormals, so every double is a whole number of them).
+
+    A term of size >= 2**-35 is a multiple of 2**-87 (53 bits down from its
+    leading one), so x*2**44 splits exactly (np.modf) into a whole part h,
+    |h| < 2**49, and a fraction f with f*2**44 whole and below 2**44: two
+    int64 limbs on the grid 2**-88.  Over 2**14 terms their sums stay below
+    2**63 and 2**58, so neither wraps.  A smaller term (a cosine within
+    2**-35 of zero, rare) is added on its own, from its exact ratio n/d
+    with d a power of two no larger than 2**1074.
+    """
+    tiny = np.abs(x) < 2.0 ** -35
+    units = 0
+    if tiny.any():
+        units = sum((n << 1074) // d
+                    for n, d in map(float.as_integer_ratio, x[tiny]))
+        x = np.where(tiny, 0.0, x)
+    f, h = np.modf(np.ldexp(x, 44))
+    return (units + (int(h.astype(np.int64).sum()) << 1074 - 44)
+            + (int(np.ldexp(f, 44).astype(np.int64).sum()) << 1074 - 88))
+
+
+def _phase_sums(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,
+                jobs) -> list:
+    """For each job (theta, shifted), the sum of Lambda(n) e(theta*x) over
+    the records n == a mod q with min_n <= n <= L, where x = n, or
+    x = (n - a)/q when shifted.
+
+    One pass over the records, _BLOCK at a time: a block's n, Lambda and m
+    are read once for every job, and each job's phases come from one
+    phases_many call per block, whose guard band is sized by that block's
+    largest |x| (as in discrepancy_beatty).  Blocks run from the top down,
+    so a dec: theta whose phases cannot be certified at the largest |x|
+    refuses before any sum is formed.  Each real and imaginary part is an
+    exact integer (_exact_units) until one correctly rounded int/int
+    division, which gives math.fsum's result bit for bit.  Beyond one
+    block, only the records' positions span the range: 8 bytes a record.
+    """
     at = class_records(table, L, r, min_n)
-    ns, lam = table.power[at], table.log_base[at]
-    ang = _TWO_PI * theta.phases_many((ns - r.a) // r.q if shifted else ns)
-    re = lam * np.cos(ang)
-    im = lam * np.sin(ang)
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+    sums = [[0, 0] for _ in jobs]
+    shifted = any(sh for _, sh in jobs)
+    for s in reversed(range(0, at.size, _BLOCK)):
+        pos = at[s:s + _BLOCK]
+        ns, lam = table.power[pos], table.log_base[pos]
+        ms = (ns - r.a) // r.q if shifted else None
+        for (theta, sh), acc in zip(jobs, sums):
+            ang = _TWO_PI * theta.phases_many(ms if sh else ns)
+            acc[0] += _exact_units(lam * np.cos(ang))
+            acc[1] += _exact_units(lam * np.sin(ang))
+    return [complex(re / (1 << 1074), im / (1 << 1074)) for re, im in sums]
 
 
 def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
-                    gamma: Irrational, k: int) -> complex:
-    """Sum of Lambda(q*m + a) e(gamma*k*m) over 1 <= m <= M."""
-    if k == 0:
+                    gamma: Irrational, k):
+    """Sum of Lambda(q*m + a) e(gamma*k*m) over 1 <= m <= M.
+
+    k is one nonzero frequency, or a sequence of them, which gives the list
+    of their sums from one pass over the records (_phase_sums): each sum is
+    exact until one rounding, so it has the same bits either way.  Beyond
+    the table, a pass holds the records' positions (8 bytes a record) and
+    one block's temporaries: 18 bytes a record for k = 1..8 over the
+    206759 records of 1 mod 3 up to 6e6 + 1 (tracemalloc).
+    """
+    one = np.ndim(k) == 0
+    ks = [k] if one else list(k)
+    if 0 in ks:
         raise ValueError("frequency k must be nonzero")
-    if M < 1:
-        return 0j
-    return _phase_sum(table, r.q * M + r.a, r, r.q + r.a, gamma * k, shifted=True)
+    sums = (_phase_sums(table, r.q * M + r.a, r, r.q + r.a,
+                        [(gamma * j, True) for j in ks]) if M >= 1 and ks
+            else [0j] * len(ks))
+    return sums[0] if one else sums
 
 
 def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,
@@ -138,7 +196,7 @@ def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,
     if M < 2:
         table.require(max(M, 0))
         return 0j
-    return _phase_sum(table, M, r, 2, gamma * k)
+    return _phase_sums(table, M, r, 2, [(gamma * k, False)])[0]
 
 
 @dataclass
@@ -160,10 +218,11 @@ def substitution_identity_check(table: MangoldtTable, M: int, r: ResidueClass,
     """
     if k == 0:
         raise ValueError("frequency k must be nonzero")
-    lhs = exp_sum_shifted(table, M, r, gamma, k)
     theta = (gamma * k) / r.q
-    L = r.q * M + r.a
-    tail = _phase_sum(table, L, r, r.a + 1, theta) if M >= 1 else 0j
+    # n == a mod q with n > a is n >= q + a: both sides read the same records
+    lhs, tail = (_phase_sums(table, r.q * M + r.a, r, r.q + r.a,
+                             [(gamma * k, True), (theta, False)])
+                 if M >= 1 else (0j, 0j))
     phase_a = theta.phases_many(np.array([r.a]))[0] if r.a else 0.0
     rhs = cmath.exp(-2j * math.pi * phase_a) * tail
     residual = abs(lhs - rhs)
@@ -200,7 +259,7 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
     if L < 3:
         raise ValueError("L must be >= 3")
     cap = max_den if max_den is not None else L
-    abs_sum = abs(_phase_sum(table, L, r, 2, theta))
+    abs_sum = abs(_phase_sums(table, L, r, 2, [(theta, False)])[0])
     rows = []
     seen = set()
     for _, num, den, _ in cf_walk(theta):

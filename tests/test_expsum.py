@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from beattykit import expsum
 from beattykit.errors import DeltaOutOfRange
-from beattykit.expsum import (progression_sum_bound, bound_ratio_sweep,
-                              build_psi_delta, exp_sum_ap, exp_sum_shifted,
-                              substitution_identity_check)
+from beattykit.expsum import (_exact_units, progression_sum_bound,
+                              bound_ratio_sweep, build_psi_delta, exp_sum_ap,
+                              exp_sum_shifted, substitution_identity_check)
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table, chebyshev_psi_ap
 from oracles import psi_indicator, smoothed_indicator
@@ -174,6 +177,69 @@ class TestExpSums:
         s = exp_sum_ap(table, 100_000, r, sqrt2, 1)
         psi = chebyshev_psi_ap(table, 100_000, r)
         assert abs(s) / psi <= 0.1
+
+
+# every term of a sum is Lambda times a cosine or sine: below 2^5 in size
+_TOP = math.nextafter(32.0, 0.0)
+_TERMS = st.one_of(st.floats(-_TOP, _TOP),
+                   st.floats(-2.0 ** -35, 2.0 ** -35),     # down to subnormals
+                   st.sampled_from([0.0, _TOP, -_TOP, 5e-324]))
+
+
+def exact_sum(xs) -> float:
+    return _exact_units(np.array(xs, np.float64)) / (1 << 1074)
+
+
+@given(st.lists(_TERMS, max_size=40), st.booleans())
+@example([1.0, 1e-16, -1.0], False)     # np.sum gives 0.0
+@example([], False)
+@example([_TOP, 2.0 ** -36, -_TOP], True)
+def test_exact_sum_is_fsum(xs, cancel):
+    if cancel:      # exact cancellation to 0.0
+        xs = xs + [-x for x in reversed(xs)]
+    assert exact_sum(xs).hex() == math.fsum(xs).hex()
+
+
+@pytest.mark.parametrize("top", [_TOP, -_TOP])
+def test_exact_sum_of_a_full_block_does_not_wrap(top):
+    xs = [top] * expsum._BLOCK
+    assert exact_sum(xs) == math.fsum(xs) == top * expsum._BLOCK
+
+
+def fsum_oracle(table, M, r, gamma, k) -> complex:
+    """The shifted sum with phases over all m at once and math.fsum."""
+    ms = np.arange(1, M + 1, dtype=np.int64)
+    lam = table.mangoldt_values(r.q * ms + r.a)
+    ang = (2.0 * math.pi) * (gamma * k).phases_many(ms[lam > 0])
+    lam = lam[lam > 0]
+    return complex(math.fsum((lam * np.cos(ang)).tolist()),
+                   math.fsum((lam * np.sin(ang)).tolist()))
+
+
+def bits(sums) -> list:
+    return [(z.real.hex(), z.imag.hex()) for z in sums]
+
+
+@pytest.mark.parametrize("alpha", [
+    "sqrt:2", "dec:1.4142135623730950488016887242096980785697@200"])
+def test_one_pass_keeps_every_bit(table, alpha, monkeypatch):
+    gam, r, M, ks = parse_irrational(alpha), ResidueClass(1, 3), 10 ** 4, \
+        range(1, 9)
+    want = bits(fsum_oracle(table, M, r, gam, k) for k in ks)
+    assert bits(exp_sum_shifted(table, M, r, gam, ks)) == want
+    assert bits(exp_sum_shifted(table, M, r, gam, k) for k in ks) == want
+    assert bits(substitution_identity_check(table, M, r, gam, k).lhs
+                for k in ks) == want
+    monkeypatch.setattr(expsum, "_BLOCK", 64)    # 27 blocks of records
+    assert bits(exp_sum_shifted(table, M, r, gam, ks)) == want
+
+
+def test_sequence_of_frequencies(table, sqrt2):
+    r = ResidueClass(1, 3)
+    assert exp_sum_shifted(table, 100, r, sqrt2, []) == []
+    assert exp_sum_shifted(table, 0, r, sqrt2, (1, 2)) == [0j, 0j]
+    with pytest.raises(ValueError):
+        exp_sum_shifted(table, 100, r, sqrt2, [1, 0])
 
 
 class TestSubstitutionIdentity:

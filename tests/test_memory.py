@@ -1,12 +1,13 @@
 """Memory regression: the point kernels, the discrepancy scan, `beatty
-generate` writing its report in chunks, the sieve of one residue class
-and a count sweep's sums over its records hold a bounded number of bytes
-a point.
+generate` writing its report in chunks, the sieve of one residue class,
+a count sweep's sums over its records and the exponential sums over them
+hold a bounded number of bytes a point.
 
 Each test takes the tracemalloc peak of one call, less what was held
 before it, per point, at M = 2^19 points (2e5 terms for generate, the
 58088 records of 3 mod 7 up to 5e6 for the sieve, the 109784 records of
-3 mod 7 up to 7*floor(sqrt(2)*1e6 + 1/3) + 3 for the sums).  Every
+3 mod 7 up to 7*floor(sqrt(2)*1e6 + 1/3) + 3 for the sums, the 206759
+records of 1 mod 3 up to 6e6 + 1 for the exponential sums).  Every
 bound sits a little above the value measured when it was set, given beside
 it, and less than 8 bytes above it: one more full-length int64 or float64
 temporary fails the test.
@@ -21,7 +22,7 @@ import pytest
 from beattykit.beatty import BeattyParams, bulk_membership
 from beattykit.cli import main
 from beattykit.counting import beatty_sums
-from beattykit.expsum import discrepancy, discrepancy_beatty
+from beattykit.expsum import discrepancy, discrepancy_beatty, exp_sum_shifted
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table
 
@@ -104,6 +105,18 @@ def test_count_sweep_sums(alpha):
     records = table.power.size
     assert bytes_per_point(lambda: beatty_sums(p, r, grid, "S", table),
                            records) <= 56
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_exp_sums(alpha):
+    # the records' positions, then one block's temporaries for k = 1..8:
+    # 18.2 a record (80.0 with a pass and whole-length arrays per k)
+    r, x = ResidueClass(1, 3), parse_irrational(alpha)
+    table = build_table(6_000_001, r)
+    records = table.power.size
+    assert bytes_per_point(
+        lambda: exp_sum_shifted(table, 2 * 10 ** 6, r, x, range(1, 9)),
+        records) <= 20
 
 
 def test_class_table_build():
