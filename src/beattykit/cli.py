@@ -13,6 +13,9 @@ invocations produce byte-identical files; there are no timestamps.
 
 Exit codes: 0 for a pass (or a purely informational report), 2 when a
 verification verdict fails, 1 for usage or runtime errors.
+
+Start-up: a call builds only the invoked command's grammar (and the list of
+commands), and only the commands that read a table load the sieve.
 """
 
 from __future__ import annotations
@@ -21,17 +24,13 @@ import argparse
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 # runners import the other modules, so a command loads only what it runs
 from .errors import BeattyKitError, UsageError
-from .sieve import (DEFAULT_SEGMENT, MAX_LIMIT, ResidueClass, build_table,
-                    chebyshev_psi_ap, class_records, euler_phi, lambda_units,
-                    prime_pi_ap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +63,7 @@ def _fraction(text):
 
 
 def _grid(text):
+    from .sieve import MAX_LIMIT
     toks = text.split(",")
     try:
         values = [float(tok) for tok in toks]
@@ -99,18 +99,11 @@ _FLAGS = {
                       help="bits carried for dec: alphas" + _DEFAULT),
     "beta": dict(type=_fraction, default=Fraction(0),
                  help="shift, as a decimal or p/q" + _DEFAULT),
-    # a sieve budget: no table passes MAX_LIMIT, so a larger modulus leaves at
-    # most one member, n = a, in any table; euler_phi factors q by trial division
-    "q": dict(type=_at_least(1, MAX_LIMIT, "sieve"), required=True, help="modulus"),
     "a": dict(type=int, required=True, help="residue, 0 <= a < q, coprime to q"),
-    "grid": dict(type=_grid,
-                 help="comma-separated N values, strictly ascending" + _DEFAULT),
     "mode": dict(choices=("S", "T", "N", "M"), default="S", help="counting sum" + _DEFAULT),
     "target": dict(choices=("main", "density"), default="main", help=_DEFAULT),
     "delta": dict(type=_fraction, required=True, help="smoothing half-width"),
     "K": dict(type=_at_least(1), help="number of terms or frequencies" + _DEFAULT),
-    "segment": dict(type=_at_least(1024), default=DEFAULT_SEGMENT,
-                    help="sieve segment length, in members of the class" + _DEFAULT),
     "tol": dict(type=_where(float, lambda v: 0 <= v < math.inf, "finite, >= 0"),
                 help="verdict tolerance" + _DEFAULT),
     "N": dict(type=_at_least(0), required=True, help="number of terms"),
@@ -124,24 +117,22 @@ _FLAGS = {
 }
 
 
-def _command(group, name, run, text, flags, **override):
-    """A subparser reading exactly the space-separated flags plus --out and
-    --format; override maps a flag to changes of its _FLAGS entry."""
-    sub = group.add_parser(name, help=text, description=text)
-    sub.set_defaults(run=run)
-    for flag in flags.split() + ["out", "format"]:
-        sub.add_argument("--" + flag, **{**_FLAGS[flag], **override.get(flag, {})})
-
-
-def _actions(group, name, text):
-    sub = group.add_parser(name, help=text, description=text)
-    return sub.add_subparsers(dest="action", required=True, metavar="ACTION")
+def _table_flags() -> dict:
+    """--q, --grid and --segment of the commands that read a table, which
+    alone load the sieve.  A sieve budget bounds --q: no table passes
+    MAX_LIMIT, so a larger modulus leaves at most one member, n = a, in any
+    table; euler_phi factors q by trial division."""
+    from .sieve import DEFAULT_SEGMENT, MAX_LIMIT
+    return {"q": dict(type=_at_least(1, MAX_LIMIT, "sieve"), required=True, help="modulus"),
+            "grid": dict(type=_grid, help="comma-separated N values, strictly"
+                         " ascending" + _DEFAULT),
+            "segment": dict(type=_at_least(1024), default=DEFAULT_SEGMENT, help="sieve"
+                            " segment length, in members of the class" + _DEFAULT)}
 
 
 # -- report emission -------------------------------------------------------
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     name: str
     params: list            # (key, value) pairs, insertion order
     columns: tuple
@@ -314,6 +305,7 @@ def _run_member(ns) -> Report:
 
 
 def _run_sieve(ns) -> Report:
+    from .sieve import build_table, chebyshev_psi_ap, euler_phi, prime_pi_ap
     table = build_table(ns.grid[-1], residue=ns.residue, segment_size=ns.segment)
     params = [("q", ns.q), ("a", ns.a), ("segment", ns.segment)]
     if ns.action == "pi":
@@ -336,7 +328,7 @@ def _run_count(ns) -> Report:
     r, bp = ns.residue, BeattyParams(ns.alpha, ns.beta)
     cap = bp.term(ns.grid[-1])
     top = r.q * cap + r.a if ns.mode in ("S", "N") else cap
-    table = build_table(max(top, 100), residue=r, segment_size=ns.segment)
+    table = _table(ns, top)
     rep = verify_sweep(bp, r, ns.grid, ns.mode, table, target=ns.target, tol=ns.tol)
     params = _beatty_params(ns) + [
         ("q", r.q), ("a", r.a), ("mode", ns.mode), ("target", ns.target),
@@ -349,20 +341,25 @@ def _run_count(ns) -> Report:
                   rows, verdict=rep.passed)
 
 
+def _table(ns, limit: int):
+    """The table of the class --q/--a up to limit, at least 100."""
+    from .sieve import build_table
+    return build_table(max(limit, 100), residue=ns.residue, segment_size=ns.segment)
+
+
 def _expsum_params(ns) -> list:
     return _base_params(ns) + [("q", ns.q), ("a", ns.a), ("M", ns.M)]
 
 
 def _run_eval(ns) -> Report:
-    from .expsum import exp_sum_shifted
-    r, M = ns.residue, ns.M
-    table = build_table(max(r.q * M + r.a, 100), residue=r,
-                        segment_size=ns.segment)
-    at = class_records(table, r.q * M + r.a, r, r.a + 1)
-    lam_sum = float(lambda_units(table.log_base[at])) * 2.0 ** -53
+    from .expsum import _phase_sums
+    r, L, ks = ns.residue, ns.residue.q * ns.M + ns.residue.a, range(1, ns.K + 1)
+    # exp_sum_shifted's one pass, which also sums Lambda over its records
+    sums, units = _phase_sums(_table(ns, L), L, r, r.q + r.a,
+                              [(ns.alpha * k, True) for k in ks])
+    lam_sum = float(units) * 2.0 ** -53
     rows = []
-    ks = range(1, ns.K + 1)
-    for k, s in zip(ks, exp_sum_shifted(table, M, r, ns.alpha, ks)):
+    for k, s in zip(ks, sums):
         ratio = abs(s) / lam_sum if lam_sum else 0.0
         rows.append((k, s.real, s.imag, abs(s), lam_sum, ratio))
     return Report("expsum-eval", _expsum_params(ns) + [("K", ns.K)],
@@ -372,9 +369,8 @@ def _run_eval(ns) -> Report:
 def _run_identity_check(ns) -> Report:
     from .expsum import substitution_identity_check
     r, k = ns.residue, ns.k
-    table = build_table(max(r.q * ns.M + r.a, 100), residue=r,
-                        segment_size=ns.segment)
-    chk = substitution_identity_check(table, ns.M, r, ns.alpha, k)
+    chk = substitution_identity_check(_table(ns, r.q * ns.M + r.a), ns.M, r,
+                                      ns.alpha, k)
     rows = [(k, chk.lhs.real, chk.lhs.imag, chk.rhs.real, chk.rhs.imag,
              chk.residual, chk.relative)]
     return Report("expsum-identity-check", _expsum_params(ns) + [("tol", ns.tol)],
@@ -387,9 +383,7 @@ def _run_bound_ratio(ns) -> Report:
     from .expsum import bound_ratio_sweep
     # progression sum over n <= M against the generic bound
     theta = (ns.alpha * ns.k) / ns.q
-    table = build_table(max(ns.M, 100), residue=ns.residue,
-                        segment_size=ns.segment)
-    rows_raw = bound_ratio_sweep(table, ns.M, ns.residue, theta,
+    rows_raw = bound_ratio_sweep(_table(ns, ns.M), ns.M, ns.residue, theta,
                                  max_den=ns.den_max)
     rows = [(row.den, row.num, row.abs_sum, row.bound, row.ratio,
              row.hypothesis_ok) for row in rows_raw]
@@ -426,57 +420,83 @@ def _run_discrepancy(ns) -> Report:
 
 # -- grammar ---------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="beattykit", description=__doc__)
+def _word(group, name, text, run=None, flags="", **override):
+    """Add the word name to group, a subparsers action holding argv's words
+    from its level on (None: a group argv does not invoke).  If argv invokes
+    it, a command reads exactly the space-separated flags plus --out and
+    --format, override mapping a flag to changes of its _FLAGS entry, and a
+    group (run None) returns the action of its words."""
+    if group is None:
+        return None
+    invoked = group.words[:1] == [name]     # a word not invoked never parses
+    sub = group.add_parser(name, help=text, description=text, add_help=invoked)
+    if not invoked:
+        return None
+    if run is None:
+        sub = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
+        sub.words = group.words[1:]
+        return sub
+    sub.set_defaults(run=run)
+    flags = flags.split() + ["out", "format"]
+    spec = {**_FLAGS, **_table_flags()} if "q" in flags else _FLAGS
+    for flag in flags:
+        sub.add_argument("--" + flag, **{**spec[flag], **override.get(flag, {})})
+
+
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The grammar argv needs: every command word, and under them only the
+    words argv invokes, found as argparse finds them: the first two tokens
+    that are not options."""
+    p = _Parser(prog="beattykit",
+                description=__doc__ and __doc__.partition("\n\nStart-up:")[0])
     cmd = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    _command(cmd, "cfrac", _run_cfrac, "continued fraction of --alpha",
-             "alpha precision K",
-             K={"default": 8, "type": _at_least(1, MAX_CF_K, "depth")})
-    _command(cmd, "type-estimate", _run_type_estimate,
-             "finite-depth irrationality-type estimate", "alpha precision K",
-             K={"help": "expansion depth (default: until q_K >= 1e6)",
-                "type": _at_least(1, MAX_CF_K, "depth")})
-    beatty = _actions(cmd, "beatty", "the Beatty sequence floor(alpha*n + beta)")
-    _command(beatty, "generate", _run_generate,
-             "terms floor(alpha*n + beta) for n <= --N", "alpha precision beta N",
-             N={"type": _at_least(0, MAX_GENERATE_N, "time and output")})
-    _command(beatty, "member", _run_member,
-             "membership + witness for a single --m", "alpha precision beta m")
-    sieve = _actions(cmd, "sieve", "Chebyshev psi / prime counts in a progression")
+    cmd.words = [tok for tok in argv if not tok.startswith("-")]
+    _word(cmd, "cfrac", "continued fraction of --alpha", _run_cfrac,
+          "alpha precision K",
+          K={"default": 8, "type": _at_least(1, MAX_CF_K, "depth")})
+    _word(cmd, "type-estimate", "finite-depth irrationality-type estimate",
+          _run_type_estimate, "alpha precision K",
+          K={"help": "expansion depth (default: until q_K >= 1e6)",
+             "type": _at_least(1, MAX_CF_K, "depth")})
+    beatty = _word(cmd, "beatty", "the Beatty sequence floor(alpha*n + beta)")
+    _word(beatty, "generate", "terms floor(alpha*n + beta) for n <= --N",
+          _run_generate, "alpha precision beta N",
+          N={"type": _at_least(0, MAX_GENERATE_N, "time and output")})
+    _word(beatty, "member", "membership + witness for a single --m", _run_member,
+          "alpha precision beta m")
+    sieve = _word(cmd, "sieve", "Chebyshev psi / prime counts in a progression")
     for name in ("psi", "pi"):
-        _command(sieve, name, _run_sieve, f"{name}(L; q, a) at each --grid value",
-                 "q a grid segment", grid={"default": (10 ** 6,)})
-    count = _actions(cmd, "count", "counting sums along a Beatty sequence")
-    _command(count, "sweep", _run_count,
-             "S/T/N/M counting sums vs main term over an --grid",
-             "alpha precision beta q a grid mode target tol segment",
-             grid={"default": (10 ** 4, 10 ** 5, 10 ** 6)}, tol={"default": 0.03})
-    expsum = _actions(cmd, "expsum", "exponential sums over primes")
-    _command(expsum, "eval", _run_eval, "shifted exponential sums for k = 1..K",
-             "alpha precision q a M K segment", K={"default": 8})
-    _command(expsum, "identity-check", _run_identity_check,
-             "reindexing identity residual (PASS/FAIL)",
-             "alpha precision q a M k tol segment", tol={"default": 1e-9})
-    _command(expsum, "bound-ratio", _run_bound_ratio,
-             "progression-sum bound sweep over denominators",
-             "alpha precision q a M k den-max segment",
-             M={"type": _at_least(3)})
-    psi_delta = _actions(cmd, "psi-delta", "the smoothed indicator of [0, alpha)")
-    _command(psi_delta, "inspect", _run_psi_delta,
-             "smoothed-indicator coefficients vs their bound",
-             "alpha precision delta K", K={"default": 64})
-    _command(cmd, "discrepancy", _run_discrepancy,
-             "extreme discrepancy of {gamma*m + delta}", "alpha precision delta M",
-             M={"type": _at_least(1, MAX_DISCREPANCY_M, "memory")},
-             delta={"required": False, "default": Fraction(0),
-                    "help": "shift in {gamma*m + delta}" + _DEFAULT})
+        _word(sieve, name, f"{name}(L; q, a) at each --grid value", _run_sieve,
+              "q a grid segment", grid={"default": (10 ** 6,)})
+    count = _word(cmd, "count", "counting sums along a Beatty sequence")
+    _word(count, "sweep", "S/T/N/M counting sums vs main term over an --grid",
+          _run_count, "alpha precision beta q a grid mode target tol segment",
+          grid={"default": (10 ** 4, 10 ** 5, 10 ** 6)}, tol={"default": 0.03})
+    expsum = _word(cmd, "expsum", "exponential sums over primes")
+    _word(expsum, "eval", "shifted exponential sums for k = 1..K", _run_eval,
+          "alpha precision q a M K segment", K={"default": 8})
+    _word(expsum, "identity-check", "reindexing identity residual (PASS/FAIL)",
+          _run_identity_check, "alpha precision q a M k tol segment",
+          tol={"default": 1e-9})
+    _word(expsum, "bound-ratio", "progression-sum bound sweep over denominators",
+          _run_bound_ratio, "alpha precision q a M k den-max segment",
+          M={"type": _at_least(3)})
+    psi_delta = _word(cmd, "psi-delta", "the smoothed indicator of [0, alpha)")
+    _word(psi_delta, "inspect", "smoothed-indicator coefficients vs their bound",
+          _run_psi_delta, "alpha precision delta K", K={"default": 64})
+    _word(cmd, "discrepancy", "extreme discrepancy of {gamma*m + delta}",
+          _run_discrepancy, "alpha precision delta M",
+          M={"type": _at_least(1, MAX_DISCREPANCY_M, "memory")},
+          delta={"required": False, "default": Fraction(0),
+                 "help": "shift in {gamma*m + delta}" + _DEFAULT})
     return p
 
 
 def parse_args(argv) -> argparse.Namespace:
     """Parse a command line; the runner is ns.run.  After argparse, --alpha
     is read at --precision bits and --q/--a become ns.residue."""
-    ns = build_parser().parse_args(list(argv))
+    argv = list(argv)
+    ns = build_parser(argv).parse_args(argv)
     if "alpha" in ns:
         from .irrational import parse_irrational
         ns.alpha_text = ns.alpha
@@ -485,6 +505,7 @@ def parse_args(argv) -> argparse.Namespace:
         except BeattyKitError as exc:
             raise UsageError(f"--alpha: {exc}")
     if "q" in ns:
+        from .sieve import ResidueClass
         if not 0 <= ns.a < ns.q:
             raise UsageError("--a: need 0 <= a < q")
         if math.gcd(ns.a, ns.q) != 1:

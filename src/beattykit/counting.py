@@ -25,8 +25,7 @@ give bit-identical totals however the index set is ordered or cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -164,8 +163,7 @@ def density_prediction(params: BeattyParams, r: ResidueClass, N: int,
     raise ValueError("closed-form predictions exist for modes 'S' and 'T' only")
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     N: int
     lhs: float
     main: float
@@ -173,8 +171,7 @@ class SweepRow:
     rel_err: float
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Sweep of lhs against main term over an N-grid, with an error-exponent fit.
 
     rel_err is abs_err/N when graded against the asymptotic main term (N is
@@ -187,9 +184,9 @@ class VerificationReport:
     target: str
     tolerance: float
     rows: list
-    fitted_exponent: Optional[float] = None
-    observed: dict = field(default_factory=dict)
-    passed: bool = False
+    fitted_exponent: Optional[float]
+    observed: dict
+    passed: bool
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -219,14 +216,12 @@ def verify_sweep(params: BeattyParams, r: ResidueClass, grid, mode: str,
         err = abs(s - m)
         scale = N if target == "main" else abs(m)
         rows.append(SweepRow(N, s, m, err, err / scale if scale else math.inf))
-    report = VerificationReport(mode, target, tol, rows)
     fit_pts = [(math.log(row.N), math.log(row.abs_err))
                for row in rows if row.abs_err > 0 and row.N > 1]
+    slope, observed = None, {}
     if len(fit_pts) >= 3:
         xs, ys = np.array(fit_pts).T
-        slope, intercept = np.polyfit(xs, ys, 1)
-        report.fitted_exponent = float(slope)
-        report.observed = {"kappa_hat": 1.0 - float(slope),
-                           "C_hat": float(math.exp(intercept))}
-    report.passed = rows[-1].rel_err <= tol and (report.fitted_exponent or 0) < 1
-    return report
+        slope, intercept = map(float, np.polyfit(xs, ys, 1))
+        observed = {"kappa_hat": 1.0 - slope, "C_hat": math.exp(intercept)}
+    passed = rows[-1].rel_err <= tol and (slope or 0) < 1
+    return VerificationReport(mode, target, tol, rows, slope, observed, passed)

@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DeltaOutOfRange, PointOutOfRange
 from .irrational import Irrational, cf_walk
-from .sieve import MangoldtTable, ResidueClass, class_records
 from .surd import _BLOCK
+
+if TYPE_CHECKING:   # the sieve loads where a table is read, in _phase_sums
+    from .sieve import MangoldtTable, ResidueClass
 
 __all__ = ["PsiDelta", "build_psi_delta", "exp_sum_shifted", "exp_sum_ap",
            "substitution_identity_check", "SubstitutionCheck",
@@ -42,8 +43,7 @@ __all__ = ["PsiDelta", "build_psi_delta", "exp_sum_shifted", "exp_sum_ap",
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass
-class PsiDelta:
+class PsiDelta(NamedTuple):
     """Truncated Fourier data of the smoothed indicator.
 
     g[k-1] multiplies e(k x) and conj(g[k-1]) multiplies e(-k x); the mean
@@ -138,10 +138,10 @@ def _exact_units(x: np.ndarray) -> int:
 
 
 def _phase_sums(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,
-                jobs) -> list:
+                jobs) -> tuple:
     """For each job (theta, shifted), the sum of Lambda(n) e(theta*x) over
     the records n == a mod q with min_n <= n <= L, where x = n, or
-    x = (n - a)/q when shifted.
+    x = (n - a)/q when shifted; and their exact Lambda total (lambda_units).
 
     One pass over the records, _BLOCK at a time: a block's n, Lambda and m
     are read once for every job, and each job's phases come from one
@@ -153,18 +153,20 @@ def _phase_sums(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,
     division, which gives math.fsum's result bit for bit.  Beyond one
     block, only the records' positions span the range: 8 bytes a record.
     """
+    from .sieve import class_records, lambda_units
     at = class_records(table, L, r, min_n)
-    sums = [[0, 0] for _ in jobs]
+    sums, units = [[0, 0] for _ in jobs], 0
     shifted = any(sh for _, sh in jobs)
     for s in reversed(range(0, at.size, _BLOCK)):
         pos = at[s:s + _BLOCK]
         ns, lam = table.power[pos], table.log_base[pos]
         ms = (ns - r.a) // r.q if shifted else None
+        units += lambda_units(lam)
         for (theta, sh), acc in zip(jobs, sums):
             ang = _TWO_PI * theta.phases_many(ms if sh else ns)
             acc[0] += _exact_units(lam * np.cos(ang))
             acc[1] += _exact_units(lam * np.sin(ang))
-    return [complex(re / (1 << 1074), im / (1 << 1074)) for re, im in sums]
+    return [complex(re / (1 << 1074), im / (1 << 1074)) for re, im in sums], units
 
 
 def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
@@ -183,7 +185,7 @@ def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
     if 0 in ks:
         raise ValueError("frequency k must be nonzero")
     sums = (_phase_sums(table, r.q * M + r.a, r, r.q + r.a,
-                        [(gamma * j, True) for j in ks]) if M >= 1 and ks
+                        [(gamma * j, True) for j in ks])[0] if M >= 1 and ks
             else [0j] * len(ks))
     return sums[0] if one else sums
 
@@ -196,11 +198,10 @@ def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,
     if M < 2:
         table.require(max(M, 0))
         return 0j
-    return _phase_sums(table, M, r, 2, [(gamma * k, False)])[0]
+    return _phase_sums(table, M, r, 2, [(gamma * k, False)])[0][0]
 
 
-@dataclass
-class SubstitutionCheck:
+class SubstitutionCheck(NamedTuple):
     """Both sides of the reindexing identity linking the shifted sum to a
     progression sum at frequency theta = gamma*k/q over n <= q*M + a."""
     lhs: complex
@@ -221,7 +222,7 @@ def substitution_identity_check(table: MangoldtTable, M: int, r: ResidueClass,
     theta = (gamma * k) / r.q
     # n == a mod q with n > a is n >= q + a: both sides read the same records
     lhs, tail = (_phase_sums(table, r.q * M + r.a, r, r.q + r.a,
-                             [(gamma * k, True), (theta, False)])
+                             [(gamma * k, True), (theta, False)])[0]
                  if M >= 1 else (0j, 0j))
     phase_a = theta.phases_many(np.array([r.a]))[0] if r.a else 0.0
     rhs = cmath.exp(-2j * math.pi * phase_a) * tail
@@ -238,8 +239,7 @@ def progression_sum_bound(L: int, d: int) -> float:
     return (L / math.sqrt(d) + math.sqrt(d * L) + L ** 0.8) * math.log(L) ** 3
 
 
-@dataclass
-class BoundRatioRow:
+class BoundRatioRow(NamedTuple):
     den: int
     num: int
     abs_sum: float
@@ -259,7 +259,7 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
     if L < 3:
         raise ValueError("L must be >= 3")
     cap = max_den if max_den is not None else L
-    abs_sum = abs(_phase_sums(table, L, r, 2, [(theta, False)])[0])
+    abs_sum = abs(_phase_sums(table, L, r, 2, [(theta, False)])[0][0])
     rows = []
     seen = set()
     for _, num, den, _ in cf_walk(theta):

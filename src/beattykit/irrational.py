@@ -23,9 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -238,8 +237,7 @@ def _as_offset(beta):
 
 # -- continued fractions ---------------------------------------------------
 
-@dataclass
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     """Partial quotients a_0..a_K with convergents p_i/q_i in lowest terms.
 
     For quadratic surds, period = (start, length) marks the detected cycle
@@ -306,15 +304,15 @@ def cf_expand(gamma: Irrational, K: int) -> ContinuedFraction:
     the first repeated state."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    cf, seen = ContinuedFraction([], []), {}
+    quotients, convergents, period, seen = [], [], None, {}
     for i, (a, p, q, state) in enumerate(itertools.islice(cf_walk(gamma), K + 1)):
-        cf.quotients.append(a)
-        cf.convergents.append((p, q))
-        if cf.period is None and state is not None:
+        quotients.append(a)
+        convergents.append((p, q))
+        if period is None and state is not None:
             first = seen.setdefault(state, i)
             if first < i:
-                cf.period = (first, i - first)
-    return cf
+                period = (first, i - first)
+    return ContinuedFraction(quotients, convergents, period)
 
 
 def best_convergent_below(theta: Irrational, max_den: int):
@@ -333,8 +331,7 @@ def best_convergent_below(theta: Irrational, max_den: int):
 
 # -- irrationality type ----------------------------------------------------
 
-@dataclass
-class TypeEstimate:
+class TypeEstimate(NamedTuple):
     """Finite-depth evidence about the irrationality type of a number.
 
     samples holds (q_k, e_k) with e_k = -log ||gamma*q_k|| / log q_k over

@@ -41,7 +41,6 @@ Nguyen, ARITH 2013).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -60,19 +59,27 @@ MAX_LIMIT = 300_000_000
 _LIMB = 30
 
 
-@dataclass(frozen=True)
 class ResidueClass:
     """A primitive residue class a mod q."""
-    a: int
-    q: int
+    __slots__ = ("a", "q")
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.q}")
-        if not 0 <= self.a < self.q:
-            raise ValueError(f"residue {self.a} outside [0, {self.q})")
-        if math.gcd(self.a, self.q) != 1:
-            raise ValueError(f"residue class {self.a} mod {self.q} is not primitive")
+    def __init__(self, a: int, q: int):
+        if q < 1:
+            raise ValueError(f"modulus must be >= 1, got {q}")
+        if not 0 <= a < q:
+            raise ValueError(f"residue {a} outside [0, {q})")
+        if math.gcd(a, q) != 1:
+            raise ValueError(f"residue class {a} mod {q} is not primitive")
+        self.a, self.q = a, q
+
+    def __eq__(self, other):
+        return type(other) is ResidueClass and (self.a, self.q) == (other.a, other.q)
+
+    def __hash__(self):
+        return hash((self.a, self.q))
+
+    def __repr__(self):
+        return f"ResidueClass(a={self.a}, q={self.q})"
 
 
 def _split_class(r) -> tuple:
@@ -90,12 +97,12 @@ def _split_class(r) -> tuple:
     return a, q
 
 
-@dataclass
 class MangoldtTable:
     """The sorted prime-power records n <= limit of the class residue,
-    a mod q; the class 0 mod 1 holds every record of [1, limit].
-    build_table's segments walk m in n = q*m + a, so a class costs about
-    1/phi(q) of the full table's work and memory.
+    a mod q, as int64 arrays power (each p**k) and base (its p); the class
+    0 mod 1 holds every record of [1, limit].  build_table's segments walk
+    m in n = q*m + a, so a class costs about 1/phi(q) of the full table's
+    work and memory.
 
     Lambda(n) = log_base[i] = log(base[i]) where power[i] == n, and 0 at
     the class's other members; the primes are the records with power ==
@@ -103,10 +110,10 @@ class MangoldtTable:
     by element, so a power p**k gets exactly log p), for the class's
     records only; that read is where PrecisionExhausted surfaces.
     """
-    limit: int
-    power: np.ndarray      # int64, sorted prime powers p**k <= limit in the class
-    base: np.ndarray       # int64, the p for each record
-    residue: ResidueClass = ResidueClass(0, 1)
+
+    def __init__(self, limit: int, power: np.ndarray, base: np.ndarray,
+                 residue: ResidueClass = ResidueClass(0, 1)):
+        self.limit, self.power, self.base, self.residue = limit, power, base, residue
 
     @cached_property
     def is_prime(self) -> np.ndarray:

@@ -16,6 +16,7 @@ import beattykit
 from beattykit import cli, counting, sieve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+HELP = Path(__file__).resolve().parent / "golden" / "help"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(beattykit.__path__))
 
@@ -125,28 +126,41 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(beattykit, "nope")
 
 
-def _subparsers(parser, path=()):
+def _words(parser) -> dict:
+    return next((act.choices for act in parser._actions
+                 if isinstance(act, argparse._SubParsersAction)), {})
+
+
+def _subparsers(path=()):
+    """(path, parser) for every command path, the top level first; each
+    parser comes from build_parser(path), which builds out only that path."""
+    parser = cli.build_parser(path)
+    for word in path:
+        parser = _words(parser)[word]
     yield path, parser
-    for act in parser._actions:
-        if isinstance(act, argparse._SubParsersAction):
-            for name, sub in act.choices.items():
-                yield from _subparsers(sub, path + (name,))
+    for name in _words(parser):
+        yield from _subparsers(path + (name,))
 
 
 def test_mode_choices_are_counting_modes():
     # cli spells the choices out, so the parser does not import counting
-    sweep = dict(_subparsers(cli.build_parser()))[("count", "sweep")]
+    sweep = dict(_subparsers())[("count", "sweep")]
     mode, = [act for act in sweep._actions if act.dest == "mode"]
     assert tuple(mode.choices) == counting.MODES
 
 
-HELP_PATHS = [path for path, _ in _subparsers(cli.build_parser())]
+HELP_PATHS = [path for path, _ in _subparsers()]
 
 
 @pytest.mark.parametrize("path", HELP_PATHS,
                          ids=[" ".join(("beattykit",) + p) for p in HELP_PATHS])
-def test_help_exits_zero(capsys, path):
+def test_help_exits_zero(capsys, monkeypatch, path):
+    # every help text byte for byte; argparse wraps help to the terminal's
+    # width, so the width is fixed
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main([*path, "-h"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: beattykit")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: beattykit")
+    assert out == (HELP / ("_".join(("beattykit",) + path) + ".txt")).read_text()

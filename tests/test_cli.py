@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beattykit import cli
+from beattykit import cli, sieve
 from beattykit.cli import (Report, build_parser, emit_report, main,
                            parse_args, render)
 from beattykit.errors import UsageError
@@ -22,10 +22,29 @@ from beattykit.sieve import ResidueClass, build_table
 from oracles import csv_rows_per_cell, render_whole
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 GENERATE = ["beatty", "generate", "--alpha", "sqrt:2", "--N", "3"]
 SWEEP_FLAGS = ["--alpha", "sqrt:2", "--beta", "0", "--q", "2", "--a", "1",
                "--grid", "1e4,1e5"]
+
+
+def _words(parser) -> dict:
+    return next((act.choices for act in parser._actions
+                 if isinstance(act, argparse._SubParsersAction)), {})
+
+
+def _commands(path=()):
+    """(path, flags) of every command under path, each parser built by
+    build_parser(path), which builds out only that path."""
+    parser = build_parser(path)
+    for word in path:
+        parser = _words(parser)[word]
+    if not _words(parser):
+        yield path, [opt for act in parser._actions for opt in act.option_strings
+                     if opt not in ("-h", "--help")]
+    for name in _words(parser):
+        yield from _commands(path + (name,))
 
 
 class TestParseConfig:
@@ -53,12 +72,16 @@ class TestParseConfig:
             parse_args(["sieve", "pi", "--q", "3", "--a", "1", "--grid", "1e9"])
 
     def test_unknown_command_and_action(self):
-        with pytest.raises(UsageError):
-            parse_args(["orbit"])
-        with pytest.raises(UsageError):
-            parse_args(["beatty", "frobnicate"])
-        with pytest.raises(UsageError):
-            parse_args(["cfrac", "extra", "--alpha", "sqrt:2"])
+        # each message byte for byte: an unknown command, an unknown action,
+        # a missing action, a foreign flag, a missing required flag, bad flag
+        # values and misplaced words (argparse takes the first token that is
+        # not an option as the command, and the next one as the action)
+        cases = json.loads((GOLDEN / "usage_errors.json").read_text())
+        assert ["count", "--alpha", "sqrt:2", "sweep"] in [argv for argv, _ in cases]
+        for argv, message in cases:
+            with pytest.raises(UsageError) as exc:
+                parse_args(argv)
+            assert str(exc.value) == message, argv
 
     def test_bad_beta_and_delta(self):
         with pytest.raises(UsageError, match="--beta"):
@@ -111,18 +134,7 @@ class TestParseConfig:
             (10 ** 6,)
 
     def test_each_command_declares_only_its_flags(self):
-        def walk(parser, path):
-            subs = [act for act in parser._actions
-                    if isinstance(act, argparse._SubParsersAction)]
-            if not subs:
-                yield path, [opt for act in parser._actions
-                             for opt in act.option_strings
-                             if opt not in ("-h", "--help")]
-            for act in subs:
-                for name, sub in act.choices.items():
-                    yield from walk(sub, path + (name,))
-
-        paths = dict(walk(build_parser(), ()))
+        paths = dict(_commands())
         assert len(paths) == 12
         assert sum(len(flags) for flags in paths.values()) <= 87
         assert sorted(paths[("cfrac",)]) == [
@@ -195,7 +207,7 @@ class TestExitCodes:
     def test_density_target_needs_a_closed_form(self, capsys, monkeypatch, mode):
         def no_table(*args, **kwargs):
             raise AssertionError("a table was built")
-        monkeypatch.setattr("beattykit.cli.build_table", no_table)
+        monkeypatch.setattr("beattykit.sieve.build_table", no_table)
         code = main(["count", "sweep", *SWEEP_FLAGS, "--target", "density",
                      "--mode", mode])
         err = capsys.readouterr().err
@@ -470,41 +482,80 @@ def test_runner_sieves_its_class(monkeypatch, capsys, argv):
         built.append(residue)
         return build_table(limit, residue, **kw)
 
-    monkeypatch.setattr(cli, "build_table", record)
+    monkeypatch.setattr(sieve, "build_table", record)
     assert main(argv + ["--q", "7", "--a", "3"]) in (0, 2)
     assert capsys.readouterr().err == ""
     assert built == [ResidueClass(3, 7)]
 
 
-def _loaded_after(argv):
-    """The beattykit modules (package-relative names) and numpy in
-    sys.modules after `import beattykit` and, if argv is given, one CLI
-    call, in a fresh interpreter."""
+def _loaded_after(*argvs):
+    """The beattykit modules (package-relative names), numpy and dataclasses
+    in sys.modules after `import beattykit` and one CLI call per argv, in
+    one fresh interpreter."""
     code = f"""if True:
         import contextlib, io, json, sys
         sys.path.insert(0, {str(SRC)!r})
         import beattykit
-        if {argv!r}:
+        for argv in {list(argvs)!r}:
             from beattykit.cli import main
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main({argv!r}) == 0
-        print(json.dumps([m for m in sys.modules
-                          if m.startswith("beattykit") or m == "numpy"]))
+                assert main(argv) in (0, 2), argv
+        print(json.dumps([m for m in sys.modules if m.startswith("beattykit")
+                          or m in ("numpy", "dataclasses")]))
     """
     out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return {m.removeprefix("beattykit.") for m in json.loads(out)}
 
 
-def test_each_command_loads_only_its_modules():
-    assert _loaded_after([]) == {"beattykit"}
+# a small call of each command; those that read no table come first
+TABLE_FREE = [
+    ["beatty", "generate", "--alpha", "sqrt:2", "--N", "10"],
+    ["beatty", "member", "--alpha", "sqrt:2", "--m", "7"],
+    ["cfrac", "--alpha", "sqrt:2"],
+    ["type-estimate", "--alpha", "sqrt:2", "--K", "20"],
+    ["discrepancy", "--alpha", "sqrt:2", "--M", "100"],
+    ["psi-delta", "inspect", "--alpha", "dec:0.3", "--delta", "0.05"],
+]
+EVAL = ["expsum", "eval", "--alpha", "sqrt:2", "--q", "3", "--a", "1", "--M", "100"]
+CALLS = TABLE_FREE + [
+    ["sieve", "psi", "--q", "3", "--a", "1", "--grid", "1000"],
+    ["sieve", "pi", "--q", "3", "--a", "1", "--grid", "1000"],
+    ["count", "sweep"] + SWEEP_FLAGS,
+    EVAL,
+    EVAL[:1] + ["identity-check"] + EVAL[2:],
+    EVAL[:1] + ["bound-ratio"] + EVAL[2:],
+]
+
+
+def test_each_command_loads_only_its_modules(monkeypatch):
+    assert _loaded_after() == {"beattykit"}
     sieve = _loaded_after(["sieve", "pi", "--q", "3", "--a", "1",
                            "--grid", "1000"])
     assert sieve - {"numpy"} == {"beattykit", "cli", "errors", "sieve"}
     sweep = _loaded_after(["count", "sweep"] + SWEEP_FLAGS)
     assert "counting" in sweep and "expsum" not in sweep
-    for argv in (["expsum", "eval", "--alpha", "sqrt:2", "--q", "3", "--a", "1",
-                  "--M", "100"],
-                 ["discrepancy", "--alpha", "sqrt:2", "--M", "100"]):
+    for argv in (EVAL, ["discrepancy", "--alpha", "sqrt:2", "--M", "100"]):
         loaded = _loaded_after(argv)
         assert "expsum" in loaded and not loaded & {"counting", "beatty"}
+    # no record class is generated by dataclasses, and only the commands
+    # that read a table load the sieve
+    paths = {path for path, _ in _commands()}
+    assert {next(p for p in paths if tuple(argv[:len(p)]) == p)
+            for argv in CALLS} == paths
+    assert "dataclasses" not in _loaded_after(*CALLS)
+    assert "sieve" not in _loaded_after(*TABLE_FREE)
+    # one parse builds only its own command's flags, beside the -h of the
+    # three levels it passes through
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.extend(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    parse_args(["count", "sweep"] + SWEEP_FLAGS)
+    assert added == ["-h", "--help"] * 3 + [
+        "--" + flag for flag in ("alpha precision beta q a grid mode target"
+                                 " tol segment out format").split()]

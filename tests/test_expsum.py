@@ -15,7 +15,8 @@ from beattykit.expsum import (_exact_units, progression_sum_bound,
                               bound_ratio_sweep, build_psi_delta, exp_sum_ap,
                               exp_sum_shifted, substitution_identity_check)
 from beattykit.irrational import parse_irrational
-from beattykit.sieve import ResidueClass, build_table, chebyshev_psi_ap
+from beattykit.sieve import (ResidueClass, build_table, chebyshev_psi_ap,
+                             class_records, lambda_units)
 from oracles import psi_indicator, smoothed_indicator
 
 
@@ -232,6 +233,20 @@ def test_one_pass_keeps_every_bit(table, alpha, monkeypatch):
                 for k in ks) == want
     monkeypatch.setattr(expsum, "_BLOCK", 64)    # 27 blocks of records
     assert bits(exp_sum_shifted(table, M, r, gam, ks)) == want
+
+
+@pytest.mark.parametrize("block", [expsum._BLOCK, 64])
+def test_lambda_total_of_the_pass(table, sqrt2, monkeypatch, block):
+    # expsum eval's bound column: the pass's total of Lambda over n == a mod
+    # q, q + a <= n <= q*M + a, is the whole-range total over a < n
+    monkeypatch.setattr(expsum, "_BLOCK", block)
+    for (a, q), M in zip([(0, 1), (1, 2), (1, 3), (2, 3), (3, 7), (6, 7),
+                          (11, 30), (1, 97)], [1, 2, 100, 5000, 10_000, 28_570,
+                                               6000, 2000]):
+        r, L = ResidueClass(a, q), q * M + a
+        want = lambda_units(table.log_base[class_records(table, L, r, a + 1)])
+        got = expsum._phase_sums(table, L, r, q + a, [(sqrt2, True)])[1]
+        assert got == want, (a, q, M)
 
 
 def test_sequence_of_frequencies(table, sqrt2):

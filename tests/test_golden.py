@@ -84,7 +84,7 @@ def test_count_sweep_report_bytes(tmp_path, monkeypatch, sweep_table, name,
     monkeypatch.setattr(BeattyParams, "terms", _no_terms)
     monkeypatch.setattr(sieve.MangoldtTable, "mangoldt_values", _no_lookup)
     limits = []
-    monkeypatch.setattr(cli, "build_table", lambda limit, **kw:
+    monkeypatch.setattr(sieve, "build_table", lambda limit, **kw:
                         limits.append(limit) or build_table(limit, **kw))
     pin = json.loads((GOLDEN / "count_sweep_pins.json").read_text())[name]
     out = tmp_path / name
