@@ -354,7 +354,7 @@ def _expsum_params(ns) -> list:
 def _run_eval(ns) -> Report:
     from .expsum import _phase_sums
     r, L, ks = ns.residue, ns.residue.q * ns.M + ns.residue.a, range(1, ns.K + 1)
-    # exp_sum_shifted's one pass, which also sums Lambda over its records
+    # exp_sum_shifted for k = 1..K in one pass, which also sums Lambda
     sums, units = _phase_sums(_table(ns, L), L, r, r.q + r.a,
                               [(ns.alpha * k, True) for k in ks])
     lam_sum = float(units) * 2.0 ** -53
@@ -420,22 +420,20 @@ def _run_discrepancy(ns) -> Report:
 
 # -- grammar ---------------------------------------------------------------
 
-def _word(group, name, text, run=None, flags="", **override):
-    """Add the word name to group, a subparsers action holding argv's words
-    from its level on (None: a group argv does not invoke).  If argv invokes
-    it, a command reads exactly the space-separated flags plus --out and
-    --format, override mapping a flag to changes of its _FLAGS entry, and a
-    group (run None) returns the action of its words."""
+def _word(group, word, name, text, run=None, flags="", **override):
+    """Add the word name to group, a subparsers action (None: a group argv
+    does not invoke); argv invokes it if argv's word at this level is name.
+    An invoked command reads exactly the space-separated flags plus --out
+    and --format, override mapping a flag to changes of its _FLAGS entry,
+    and an invoked group (run None) returns the action of its words."""
     if group is None:
         return None
-    invoked = group.words[:1] == [name]     # a word not invoked never parses
+    invoked = word == name      # a word not invoked never parses
     sub = group.add_parser(name, help=text, description=text, add_help=invoked)
     if not invoked:
         return None
     if run is None:
-        sub = sub.add_subparsers(dest="action", required=True, metavar="ACTION")
-        sub.words = group.words[1:]
-        return sub
+        return sub.add_subparsers(dest="action", required=True, metavar="ACTION")
     sub.set_defaults(run=run)
     flags = flags.split() + ["out", "format"]
     spec = {**_FLAGS, **_table_flags()} if "q" in flags else _FLAGS
@@ -443,48 +441,51 @@ def _word(group, name, text, run=None, flags="", **override):
         sub.add_argument("--" + flag, **{**spec[flag], **override.get(flag, {})})
 
 
-def build_parser(argv: Sequence[str] = ()) -> _Parser:
+def build_parser(argv: Sequence[str]) -> _Parser:
     """The grammar argv needs: every command word, and under them only the
     words argv invokes, found as argparse finds them: the first two tokens
     that are not options."""
     p = _Parser(prog="beattykit",
                 description=__doc__ and __doc__.partition("\n\nStart-up:")[0])
     cmd = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    cmd.words = [tok for tok in argv if not tok.startswith("-")]
-    _word(cmd, "cfrac", "continued fraction of --alpha", _run_cfrac,
+    command, action = ([t for t in argv if not t.startswith("-")] + [None] * 2)[:2]
+    _word(cmd, command, "cfrac", "continued fraction of --alpha", _run_cfrac,
           "alpha precision K",
           K={"default": 8, "type": _at_least(1, MAX_CF_K, "depth")})
-    _word(cmd, "type-estimate", "finite-depth irrationality-type estimate",
+    _word(cmd, command, "type-estimate", "finite-depth irrationality-type estimate",
           _run_type_estimate, "alpha precision K",
           K={"help": "expansion depth (default: until q_K >= 1e6)",
              "type": _at_least(1, MAX_CF_K, "depth")})
-    beatty = _word(cmd, "beatty", "the Beatty sequence floor(alpha*n + beta)")
-    _word(beatty, "generate", "terms floor(alpha*n + beta) for n <= --N",
+    beatty = _word(cmd, command, "beatty", "the Beatty sequence floor(alpha*n + beta)")
+    _word(beatty, action, "generate", "terms floor(alpha*n + beta) for n <= --N",
           _run_generate, "alpha precision beta N",
           N={"type": _at_least(0, MAX_GENERATE_N, "time and output")})
-    _word(beatty, "member", "membership + witness for a single --m", _run_member,
-          "alpha precision beta m")
-    sieve = _word(cmd, "sieve", "Chebyshev psi / prime counts in a progression")
+    _word(beatty, action, "member", "membership + witness for a single --m",
+          _run_member, "alpha precision beta m")
+    sieve = _word(cmd, command, "sieve",
+                  "Chebyshev psi / prime counts in a progression")
     for name in ("psi", "pi"):
-        _word(sieve, name, f"{name}(L; q, a) at each --grid value", _run_sieve,
-              "q a grid segment", grid={"default": (10 ** 6,)})
-    count = _word(cmd, "count", "counting sums along a Beatty sequence")
-    _word(count, "sweep", "S/T/N/M counting sums vs main term over an --grid",
+        _word(sieve, action, name, f"{name}(L; q, a) at each --grid value",
+              _run_sieve, "q a grid segment", grid={"default": (10 ** 6,)})
+    count = _word(cmd, command, "count", "counting sums along a Beatty sequence")
+    _word(count, action, "sweep", "S/T/N/M counting sums vs main term over an --grid",
           _run_count, "alpha precision beta q a grid mode target tol segment",
           grid={"default": (10 ** 4, 10 ** 5, 10 ** 6)}, tol={"default": 0.03})
-    expsum = _word(cmd, "expsum", "exponential sums over primes")
-    _word(expsum, "eval", "shifted exponential sums for k = 1..K", _run_eval,
+    expsum = _word(cmd, command, "expsum", "exponential sums over primes")
+    _word(expsum, action, "eval", "shifted exponential sums for k = 1..K", _run_eval,
           "alpha precision q a M K segment", K={"default": 8})
-    _word(expsum, "identity-check", "reindexing identity residual (PASS/FAIL)",
+    _word(expsum, action, "identity-check", "reindexing identity residual (PASS/FAIL)",
           _run_identity_check, "alpha precision q a M k tol segment",
           tol={"default": 1e-9})
-    _word(expsum, "bound-ratio", "progression-sum bound sweep over denominators",
-          _run_bound_ratio, "alpha precision q a M k den-max segment",
-          M={"type": _at_least(3)})
-    psi_delta = _word(cmd, "psi-delta", "the smoothed indicator of [0, alpha)")
-    _word(psi_delta, "inspect", "smoothed-indicator coefficients vs their bound",
-          _run_psi_delta, "alpha precision delta K", K={"default": 64})
-    _word(cmd, "discrepancy", "extreme discrepancy of {gamma*m + delta}",
+    _word(expsum, action, "bound-ratio",
+          "progression-sum bound sweep over denominators", _run_bound_ratio,
+          "alpha precision q a M k den-max segment", M={"type": _at_least(3)})
+    psi_delta = _word(cmd, command, "psi-delta",
+                      "the smoothed indicator of [0, alpha)")
+    _word(psi_delta, action, "inspect",
+          "smoothed-indicator coefficients vs their bound", _run_psi_delta,
+          "alpha precision delta K", K={"default": 64})
+    _word(cmd, command, "discrepancy", "extreme discrepancy of {gamma*m + delta}",
           _run_discrepancy, "alpha precision delta M",
           M={"type": _at_least(1, MAX_DISCREPANCY_M, "memory")},
           delta={"required": False, "default": Fraction(0),

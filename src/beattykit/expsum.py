@@ -12,11 +12,11 @@ most 1/(pi^2 K Delta) pointwise.
 Exponential sums use exact phase reduction (the integer part of theta*n is
 removed in integer arithmetic before any trigonometry), so cancellation
 down at the 1e-12 level is measured, not drowned in rounding noise.  All
-the sums one call asks for (every k of exp_sum_shifted given a sequence,
-both sides of substitution_identity_check) come from one pass over the
-class's records, _BLOCK at a time, and each is summed exactly in integers
-and rounded once, as math.fsum would: beyond the table, 8 bytes a record
-for the records' positions and one block's temporaries.
+the sums one call asks for (every k of expsum eval, both sides of
+substitution_identity_check) come from one pass over the class's records,
+_BLOCK at a time, and each is summed exactly in integers and rounded once,
+as math.fsum would: beyond the table, 8 bytes a record for the records'
+positions and one block's temporaries.
 """
 
 from __future__ import annotations
@@ -170,24 +170,13 @@ def _phase_sums(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,
 
 
 def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
-                    gamma: Irrational, k):
-    """Sum of Lambda(q*m + a) e(gamma*k*m) over 1 <= m <= M.
-
-    k is one nonzero frequency, or a sequence of them, which gives the list
-    of their sums from one pass over the records (_phase_sums): each sum is
-    exact until one rounding, so it has the same bits either way.  Beyond
-    the table, a pass holds the records' positions (8 bytes a record) and
-    one block's temporaries: 18 bytes a record for k = 1..8 over the
-    206759 records of 1 mod 3 up to 6e6 + 1 (tracemalloc).
-    """
-    one = np.ndim(k) == 0
-    ks = [k] if one else list(k)
-    if 0 in ks:
+                    gamma: Irrational, k: int) -> complex:
+    """Sum of Lambda(q*m + a) e(gamma*k*m) over 1 <= m <= M."""
+    if k == 0:
         raise ValueError("frequency k must be nonzero")
-    sums = (_phase_sums(table, r.q * M + r.a, r, r.q + r.a,
-                        [(gamma * j, True) for j in ks])[0] if M >= 1 and ks
-            else [0j] * len(ks))
-    return sums[0] if one else sums
+    if M < 1:
+        return 0j
+    return _phase_sums(table, r.q * M + r.a, r, r.q + r.a, [(gamma * k, True)])[0][0]
 
 
 def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,

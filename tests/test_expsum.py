@@ -227,12 +227,16 @@ def test_one_pass_keeps_every_bit(table, alpha, monkeypatch):
     gam, r, M, ks = parse_irrational(alpha), ResidueClass(1, 3), 10 ** 4, \
         range(1, 9)
     want = bits(fsum_oracle(table, M, r, gam, k) for k in ks)
-    assert bits(exp_sum_shifted(table, M, r, gam, ks)) == want
+
+    def one_pass():     # expsum eval's pass: every k at once
+        return bits(expsum._phase_sums(table, 3 * M + 1, r, 4,
+                                       [(gam * k, True) for k in ks])[0])
+    assert one_pass() == want
     assert bits(exp_sum_shifted(table, M, r, gam, k) for k in ks) == want
     assert bits(substitution_identity_check(table, M, r, gam, k).lhs
                 for k in ks) == want
     monkeypatch.setattr(expsum, "_BLOCK", 64)    # 27 blocks of records
-    assert bits(exp_sum_shifted(table, M, r, gam, ks)) == want
+    assert one_pass() == want
 
 
 @pytest.mark.parametrize("block", [expsum._BLOCK, 64])
@@ -250,11 +254,11 @@ def test_lambda_total_of_the_pass(table, sqrt2, monkeypatch, block):
 
 
 def test_sequence_of_frequencies(table, sqrt2):
-    r = ResidueClass(1, 3)
-    assert exp_sum_shifted(table, 100, r, sqrt2, []) == []
-    assert exp_sum_shifted(table, 0, r, sqrt2, (1, 2)) == [0j, 0j]
-    with pytest.raises(ValueError):
-        exp_sum_shifted(table, 100, r, sqrt2, [1, 0])
+    # a pass with no jobs still totals Lambda; one over no records sums to 0
+    r, jobs = ResidueClass(1, 3), [(sqrt2, True), (sqrt2 * 2, True)]
+    want = lambda_units(table.log_base[class_records(table, 301, r, 4)])
+    assert expsum._phase_sums(table, 301, r, 4, []) == ([], want)
+    assert expsum._phase_sums(table, 1, r, 4, jobs) == ([0j, 0j], 0)
 
 
 class TestSubstitutionIdentity:

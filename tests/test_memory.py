@@ -22,7 +22,7 @@ import pytest
 from beattykit.beatty import BeattyParams, bulk_membership
 from beattykit.cli import main
 from beattykit.counting import beatty_sums
-from beattykit.expsum import discrepancy, discrepancy_beatty, exp_sum_shifted
+from beattykit.expsum import _phase_sums, discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table
 
@@ -115,7 +115,8 @@ def test_exp_sums(alpha):
     table = build_table(6_000_001, r)
     records = table.power.size
     assert bytes_per_point(
-        lambda: exp_sum_shifted(table, 2 * 10 ** 6, r, x, range(1, 9)),
+        lambda: _phase_sums(table, 6_000_001, r, 4,
+                            [(x * k, True) for k in range(1, 9)]),
         records) <= 20
 
 
