@@ -85,8 +85,8 @@ _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
 # a memory budget: discrepancy holds its sorted fractions, 8 B a point, and one
 # block (11.5 B a point at M = 2^19, tracemalloc): 40 MB RSS at M = 1e6, 47 MB
 # at 2e6, 108 MB (1.2-1.5 s, the scan one sweep) at the cap; a mode S sweep at
-# q = 7 to N = 3e7, near MAX_LIMIT, takes 338 MB (1.8 s), about 110 B a record
-# of its class;
+# q = 7 to N = 3e7, near MAX_LIMIT, takes 97 MB (0.74 s): 24 B a record for its
+# class's table of 2.7e6 records, read one block at a time, beside numpy's 27 MB;
 # a time and output budget: generate writes rows in chunks at 66 MB RSS for any
 # N up to the cap, where it takes 1.8 s for 22 MB of CSV, 1.9 s for 61 MB of JSON;
 # a depth budget: the golden ratio, whose convergents stay printable longest,

@@ -11,11 +11,13 @@ class a mod q, all over indices n <= N and with m(n) = floor(alpha*n + beta):
 The predicted main term compares each against 1/alpha times the same
 quantity summed over all integers m <= M = floor(alpha*N + beta), the
 heuristic being that a fraction 1/alpha of all m survive the Beatty
-membership sieve.  Both sides read the class's records, q*m + a (S, N) or
-m (T, M), once a sweep: each weight times the part of [c(m), c(m + 1)),
-the n with m(n) = m (lhs), or of [m, m + 1) (main term) below N + 1 or
-M(N) + 1.  Densities q/phi(q) (for S) and 1/phi(q) (for T) give the
-cruder closed-form predictions.
+membership sieve.  Each side streams the class's records, q*m + a (S, N)
+or m (T, M), from the sieve a block at a time, in one pass for the whole
+grid: the lhs reads m(1) <= m <= m(L) and weighs each record by the part
+of [c(m), c(m + 1)), the n with m(n) = m, below N + 1; the main term reads
+1 <= m <= M(L) and weighs it by the part of [m, m + 1) below M(N) + 1.
+Beyond the table, a sweep holds one block's arrays.  Densities q/phi(q)
+(for S) and 1/phi(q) (for T) give the cruder closed-form predictions.
 
 Every sum is exact until one final rounding: Lambda values are summed as
 integer counts of 2**-53 (sieve.lambda_units), so equal multisets of terms
@@ -30,9 +32,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .beatty import BeattyParams
-from .sieve import (MAX_LIMIT, MangoldtTable, ResidueClass, class_records,
+from .sieve import (MAX_LIMIT, MangoldtTable, ResidueClass, class_blocks,
                     euler_phi, lambda_units)
-from .surd import _BLOCK
 
 __all__ = ["SweepRow", "VerificationReport", "beatty_sums", "main_terms",
            "density_prediction", "verify_sweep", "MODES"]
@@ -55,16 +56,15 @@ def _checked_grid(grid, mode: str) -> list:
 
 
 def _records(r: ResidueClass, mode: str, table: MangoldtTable, lo: int,
-             hi: int) -> tuple:
-    """(values m, Lambda values or None) of the class's records with lo <=
-    m <= hi, ascending; only primes for N and M, which weigh no Lambda."""
+             hi: int):
+    """The class's records with lo <= m <= hi, as ascending blocks (m,
+    Lambda values or None); only primes for N and M, which weigh no
+    Lambda.  The Lambda values may be a view of the table."""
     scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
-    at = class_records(table, scale * hi + shift, r, max(scale * lo + shift, 2),
-                       primes=mode in ("N", "M"))
-    m = table.power[at]
-    m -= shift
-    m //= scale
-    return m, table.log_base[at] if mode in ("S", "T") else None
+    for n, lam in class_blocks(table, scale * hi + shift, r,
+                               max(scale * lo + shift, 2),
+                               primes=mode in ("N", "M")):
+        yield (n - shift) // scale, lam
 
 
 def _units(lam, at: slice, lengths) -> int:
@@ -73,48 +73,27 @@ def _units(lam, at: slice, lengths) -> int:
     return int(lengths.sum()) if lam is None else lambda_units(lam[at], lengths)
 
 
-def _carried_totals(lam, start, stop, cuts) -> list:
+def _carried_totals(blocks, cuts) -> list:
     """For each ascending cut x, the sum of the records' weights times the
-    length of [start, stop) below x + 1, exact and rounded once.  Those
-    ending by x + 1 form a prefix whose total is carried from cut to cut,
-    and as no two overlap, at most the next record crosses x."""
-    ends = np.searchsorted(stop, np.add(cuts, 1), "right").tolist()
-    totals, carried = [], 0
-    for x, lo, k in zip(cuts, [0] + ends, ends):
-        carried += _units(lam, slice(lo, k), stop[lo:k] - start[lo:k])
-        total = carried + _units(lam, slice(k, k + 1),
-                                 np.maximum(x + 1 - start[k:k + 1], 0))
-        totals.append(float(total) if lam is None else float(total) * 2.0 ** -53)
-    return totals
-
-
-def _lhs(params: BeattyParams, grid: list, m, lam) -> list:
-    """beatty_sums over the records m (ascending, none above m(L)) with
-    their Lambda values lam; those below m(1) are skipped."""
-    L, gamma = grid[-1], params.gamma
-    lo, hi = params.term(1), params.term(L)
-    i = int(np.searchsorted(m, lo))
-    m, lam = m[i:], None if lam is None else lam[i:]
-    neg, eta = -gamma, gamma * params.beta
-    start, stop = np.empty_like(m), np.empty_like(m)
-    for s in range(0, m.size, _BLOCK):
-        for ks, c in ((m[s:s + _BLOCK], start[s:s + _BLOCK]),
-                      (m[s:s + _BLOCK] + 1, stop[s:s + _BLOCK])):
-            # ks ascend, so lo < k <= hi is one run of the block
-            a, b = np.searchsorted(ks, (lo, hi), "right").tolist()
-            c[:a], c[b:] = 1, L + 1
-            np.negative(neg.affine_floor_frac_many(ks[a:b], eta)[0], out=c[a:b])
-    return _carried_totals(lam, start, stop, grid)
-
-
-def _main(params: BeattyParams, grid: list, m, lam) -> list:
-    """main_terms over the records m (ascending, none above M(L)) with
-    their Lambda values lam; those below 1 are skipped."""
-    tops = [params.term(N) for N in grid]
-    i = int(np.searchsorted(m, 1))
-    m, lam = m[i:], None if lam is None else lam[i:]
-    gf = float(params.gamma)
-    return [gf * t for t in _carried_totals(lam, m, m + 1, tops)]
+    length of [start, stop) below x + 1, exact and rounded once, over
+    ascending blocks (lam, start, stop) of records whose spans do not
+    overlap.  Those ending by x + 1 form a prefix whose total is carried
+    from cut to cut and from block to block, and at most the next record
+    crosses x: a cut whose crossing record lies in a later block waits for
+    it.  So the work is O(blocks + cuts)."""
+    totals, carried, unit = [], 0, 1.0
+    for lam, start, stop in blocks:
+        unit, lo = 1.0 if lam is None else 2.0 ** -53, 0
+        while len(totals) < len(cuts) and stop[-1] > cuts[len(totals)] + 1:
+            x = cuts[len(totals)]
+            k = int(np.searchsorted(stop, x + 1, "right"))
+            carried += _units(lam, slice(lo, k), stop[lo:k] - start[lo:k])
+            lo = k
+            total = carried + _units(lam, slice(k, k + 1),
+                                     np.maximum(x + 1 - start[k:k + 1], 0))
+            totals.append(float(total) * unit)
+        carried += _units(lam, slice(lo, None), stop[lo:] - start[lo:])
+    return totals + [float(carried) * unit] * (len(cuts) - len(totals))
 
 
 def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -124,19 +103,33 @@ def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
 
     m(n) = m for c(m) <= n < c(m + 1), where c(k) = ceil(gamma*(k - beta))
     = -floor(-gamma*k + gamma*beta).  Only m(1) <= m <= m(L) occur, L the
-    last N, and c(m(1)) <= 1 and c(m(L) + 1) > L are taken as 1 and L + 1
-    unfloored.  So every floor taken, at m(1) < k <= m(L), has c(k) in
-    [2, L]: inside int64, and off k = beta, where a dec: alpha cannot
-    floor gamma*(k - beta) = 0.
+    last N, and only those records are read; c(m(1)) <= 1 and c(m(L) + 1)
+    > L are taken as 1 and L + 1 unfloored.  So every floor taken, at m(1)
+    < k <= m(L), has c(k) in [2, L]: inside int64, and off k = beta, where
+    a dec: alpha cannot floor gamma*(k - beta) = 0.
 
-    The ceilings are written straight into the records' start and stop
-    arrays, _BLOCK records at a time, and each block's band is sized by
-    its own largest k: on dec: alphas a straddle refuses at the first
-    block that meets it, and every ceiling taken is exact.
+    The records come from the sieve a block at a time, ascending, and each
+    block's ceilings, its starts and stops, are formed by one kernel call
+    each, whose band is sized by the block's own largest k: on dec: alphas
+    a straddle refuses at the first block that meets it, and every ceiling
+    taken is exact.  Beyond the table, one block's arrays are held.
     """
     grid = _checked_grid(grid, mode)
-    lo, hi = params.term(1), params.term(grid[-1])
-    return _lhs(params, grid, *_records(r, mode, table, lo, hi))
+    L, gamma = grid[-1], params.gamma
+    lo, hi = params.term(1), params.term(L)
+    neg, eta = -gamma, gamma * params.beta
+
+    def ceilings(ks):
+        # ks ascend, so lo < k <= hi is one run of the block
+        a, b = np.searchsorted(ks, (lo, hi), "right").tolist()
+        c = np.empty_like(ks)
+        c[:a], c[b:] = 1, L + 1
+        np.negative(neg.affine_floor_frac_many(ks[a:b], eta)[0], out=c[a:b])
+        return c
+
+    blocks = _records(r, mode, table, lo, hi)
+    return _carried_totals(((lam, ceilings(m), ceilings(m + 1))
+                            for m, lam in blocks), grid)
 
 
 def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -148,9 +141,15 @@ def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
     T: gamma * sum_{m <= M, m == a (q)} Lambda(m)
     N: gamma * #{m <= M : q m + a prime}
     M: gamma * pi(M; q, a)
+
+    It reads the records with 1 <= m <= M(L), L the last N.
     """
     grid = _checked_grid(grid, mode)
-    return _main(params, grid, *_records(r, mode, table, 1, params.term(grid[-1])))
+    tops = [params.term(N) for N in grid]
+    blocks = _records(r, mode, table, 1, tops[-1])
+    gf = float(params.gamma)
+    return [gf * t for t in _carried_totals(((lam, m, m + 1) for m, lam in blocks),
+                                            tops)]
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,
@@ -203,12 +202,9 @@ def verify_sweep(params: BeattyParams, r: ResidueClass, grid, mode: str,
     if target not in ("main", "density"):
         raise ValueError("target is 'main' or 'density'")
     grid = _checked_grid(grid, mode)
-    # [min(m(1), 1), M(L)] holds the records of both sides: select it once
-    records = _records(r, mode, table, min(params.term(1), 1),
-                       params.term(grid[-1]))
-    lhs = _lhs(params, grid, *records)
+    lhs = beatty_sums(params, r, grid, mode, table)
     if target == "main":
-        main = _main(params, grid, *records)
+        main = main_terms(params, r, grid, mode, table)
     else:
         main = [density_prediction(params, r, N, mode) for N in grid]
     rows = []

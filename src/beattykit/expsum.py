@@ -13,10 +13,10 @@ Exponential sums use exact phase reduction (the integer part of theta*n is
 removed in integer arithmetic before any trigonometry), so cancellation
 down at the 1e-12 level is measured, not drowned in rounding noise.  All
 the sums one call asks for (every k of expsum eval, both sides of
-substitution_identity_check) come from one pass over the class's records,
-_BLOCK at a time, and each is summed exactly in integers and rounded once,
-as math.fsum would: beyond the table, 8 bytes a record for the records'
-positions and one block's temporaries.
+substitution_identity_check) come from one pass over the class's records
+as the sieve streams them, a block at a time, and each is summed exactly
+in integers and rounded once, as math.fsum would: beyond the table, one
+block's temporaries are held.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def build_psi_delta(gamma: float, delta: float, K: int) -> PsiDelta:
 # -- exponential sums over primes ------------------------------------------
 
 def _exact_units(x: np.ndarray) -> int:
-    """The exact sum of the float64 terms x, at most _BLOCK of them, each
+    """The exact sum of the float64 terms x, at most 2**14 of them, each
     below 2**5 in size, as a whole number of 2**-1074 (the spacing of the
     subnormals, so every double is a whole number of them).
 
@@ -143,23 +143,22 @@ def _phase_sums(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,
     the records n == a mod q with min_n <= n <= L, where x = n, or
     x = (n - a)/q when shifted; and their exact Lambda total (lambda_units).
 
-    One pass over the records, _BLOCK at a time: a block's n, Lambda and m
-    are read once for every job, and each job's phases come from one
-    phases_many call per block, whose guard band is sized by that block's
-    largest |x| (as in discrepancy_beatty).  Blocks run from the top down,
-    so a dec: theta whose phases cannot be certified at the largest |x|
-    refuses before any sum is formed.  Each real and imaginary part is an
-    exact integer (_exact_units) until one correctly rounded int/int
-    division, which gives math.fsum's result bit for bit.  Beyond one
-    block, only the records' positions span the range: 8 bytes a record.
+    One pass over the sieve's blocks of records (sieve.class_blocks, at
+    most 2**14 a block), ascending: a block's n, Lambda and m are read
+    once for every job, and each job's phases come from one phases_many
+    call per block, whose guard band is sized by that block's largest |x|
+    (as in discrepancy_beatty).  A dec: theta whose phases cannot be
+    certified refuses at the first block that fails, before any sum is
+    returned, and names that block's largest |x|; as the band grows with
+    |x|, the inputs refused are those the top block alone would refuse.
+    Each real and imaginary part is an exact integer (_exact_units) until
+    one correctly rounded int/int division, which gives math.fsum's result
+    bit for bit.  Beyond the table, one block's temporaries are held.
     """
-    from .sieve import class_records, lambda_units
-    at = class_records(table, L, r, min_n)
+    from .sieve import class_blocks, lambda_units
     sums, units = [[0, 0] for _ in jobs], 0
     shifted = any(sh for _, sh in jobs)
-    for s in reversed(range(0, at.size, _BLOCK)):
-        pos = at[s:s + _BLOCK]
-        ns, lam = table.power[pos], table.log_base[pos]
+    for ns, lam in class_blocks(table, L, r, min_n):
         ms = (ns - r.a) // r.q if shifted else None
         units += lambda_units(lam)
         for (theta, sh), acc in zip(jobs, sums):
@@ -174,8 +173,6 @@ def exp_sum_shifted(table: MangoldtTable, M: int, r: ResidueClass,
     """Sum of Lambda(q*m + a) e(gamma*k*m) over 1 <= m <= M."""
     if k == 0:
         raise ValueError("frequency k must be nonzero")
-    if M < 1:
-        return 0j
     return _phase_sums(table, r.q * M + r.a, r, r.q + r.a, [(gamma * k, True)])[0][0]
 
 
@@ -184,9 +181,6 @@ def exp_sum_ap(table: MangoldtTable, M: int, r: ResidueClass,
     """Sum of Lambda(m) e(gamma*k*m) over m <= M with m congruent to a mod q."""
     if k == 0:
         raise ValueError("frequency k must be nonzero")
-    if M < 2:
-        table.require(max(M, 0))
-        return 0j
     return _phase_sums(table, M, r, 2, [(gamma * k, False)])[0][0]
 
 
@@ -210,9 +204,8 @@ def substitution_identity_check(table: MangoldtTable, M: int, r: ResidueClass,
         raise ValueError("frequency k must be nonzero")
     theta = (gamma * k) / r.q
     # n == a mod q with n > a is n >= q + a: both sides read the same records
-    lhs, tail = (_phase_sums(table, r.q * M + r.a, r, r.q + r.a,
-                             [(gamma * k, True), (theta, False)])[0]
-                 if M >= 1 else (0j, 0j))
+    lhs, tail = _phase_sums(table, r.q * M + r.a, r, r.q + r.a,
+                            [(gamma * k, True), (theta, False)])[0]
     phase_a = theta.phases_many(np.array([r.a]))[0] if r.a else 0.0
     rhs = cmath.exp(-2j * math.pi * phase_a) * tail
     residual = abs(lhs - rhs)

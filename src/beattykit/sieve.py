@@ -12,7 +12,8 @@ prime exactly when power == base.  The few powers p**k == a (mod q),
 k >= 2 (427 of all classes up to 5e6), are merged into the primes by
 position.  A class table's records are exactly the full table's records
 of that class, and rebuilding a table with a different segment gives
-bit-identical records.
+bit-identical records.  Readers take a class's records from class_blocks,
+a block at a time: no other module of the package reads the arrays.
 
 Each Lambda value is log p correctly rounded to a double, the same on every
 platform: no libm log is called.  The logs are taken when a table's
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import LimitTooLarge, PrecisionExhausted, TableTooSmall
 
 __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
-           "class_records", "prime_pi_ap", "euler_phi", "lambda_units",
+           "class_blocks", "prime_pi_ap", "euler_phi", "lambda_units",
            "DEFAULT_SEGMENT", "MAX_LIMIT"]
 
 DEFAULT_SEGMENT = 1 << 20
@@ -407,38 +408,47 @@ def lambda_units(values: np.ndarray, times=1) -> int:
         int(((fixed & ((1 << _LIMB) - 1)) * times).sum())
 
 
-def class_records(table: MangoldtTable, L: int, r, min_n: int = 2,
-                  primes: bool = False) -> np.ndarray:
-    """Positions in table.power (and log_base) of the records n congruent
-    to a mod q with min_n <= n <= L, ascending; with primes, only those
-    that are primes (power == base).  The class must lie inside the
-    table's: a mod q with q a multiple of the table's modulus."""
+def class_blocks(table: MangoldtTable, L: int, r, min_n: int = 2,
+                 primes: bool = False):
+    """The records n congruent to a mod q with min_n <= n <= L, as pairs
+    (n, Lambda(n)) in ascending blocks of _LOG_BLOCK table positions; a
+    block that holds none of them is skipped.  With primes, only the
+    records that are primes (power == base), as (n, None): log_base is not
+    read.  For the table's own class the arrays are slices of the table,
+    so a reader must not change them in place.  The class must lie inside
+    the table's, a mod q with q a multiple of the table's modulus, and L
+    inside the table; both are checked when the first block is asked for."""
     a, q = _split_class(r)
     held = table.residue
     if q % held.q or a % held.q != held.a:
         raise ValueError(f"a table of the class {held.a} mod {held.q} does not"
                          f" hold the class {a} mod {q}")
     table.require(L)
-    lo = np.searchsorted(table.power, min_n)
-    ns = table.power[lo:np.searchsorted(table.power, L, side="right")]
-    keep = np.ones(ns.size, bool)
-    if q != held.q:
-        # up to L < q the class holds only n = a, and q need not fit an int64
-        keep = ns == a if q > L else ns % q == a
-    if primes:
-        keep &= ns == table.base[lo:lo + ns.size]
-    return lo + np.flatnonzero(keep)
+    hi = int(np.searchsorted(table.power, L, side="right"))
+    for lo in range(int(np.searchsorted(table.power, min_n)), hi, _LOG_BLOCK):
+        at = slice(lo, min(lo + _LOG_BLOCK, hi))
+        ns, keep = table.power[at], None
+        if q != held.q:
+            # up to L < q the class holds only n = a, and q need not fit an int64
+            keep = ns == a if q > L else ns % q == a
+        if primes:
+            prime = ns == table.base[at]
+            keep = prime if keep is None else keep & prime
+        if keep is None:
+            yield ns, table.log_base[at]
+        elif keep.any():
+            yield ns[keep], None if primes else table.log_base[at][keep]
 
 
 def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
     """psi(L; q, a): sum of Lambda(n) over n <= L with n congruent to a mod q."""
-    at = class_records(table, L, r)
-    return float(lambda_units(table.log_base[at])) * 2.0 ** -53
+    return float(sum(lambda_units(lam) for _, lam in class_blocks(table, L, r))) \
+        * 2.0 ** -53
 
 
 def prime_pi_ap(table: MangoldtTable, x: int, r) -> int:
     """pi(x; q, a): primes p <= x with p congruent to a mod q."""
-    return int(class_records(table, x, r, primes=True).size)
+    return sum(ns.size for ns, _ in class_blocks(table, x, r, primes=True))
 
 
 def euler_phi(q: int) -> int:

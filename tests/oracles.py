@@ -152,6 +152,23 @@ def small_alpha_terms(params, N: int) -> np.ndarray:
     return np.sort(np.concatenate(chunks))
 
 
+# -- the sieve's record stream: one mask over the whole table ---------------
+
+def class_mask(table, L: int, r, min_n: int = 2, primes: bool = False):
+    """bool over the table's records: those n == a mod q with min_n <= n
+    <= L, and with primes those with power == base.  One mask over the
+    whole of table.power and table.base, each n tested as a Python int (q
+    may pass int64); no blocks and no search, so it shares no code with
+    sieve.class_blocks."""
+    a, q = (r.a, r.q) if hasattr(r, "q") else r
+    ns = table.power
+    mask = (ns >= min_n) & (ns <= L)
+    mask &= np.array([n % q == a for n in ns.tolist()], bool).reshape(ns.shape)
+    if primes:
+        mask &= ns == table.base
+    return mask
+
+
 # -- counting: direct per-index loops through the exact scalar floor --------
 
 def oracle_S(p, r, N, table):

@@ -235,6 +235,22 @@ class TestExitCodes:
             assert err == (f"error: --K {K}: convergents pass the 4300-digit"
                            f" limit of int-to-str at depth {first}\n")
 
+    @pytest.mark.parametrize("bits,M,code", [(48, 2_000_000, 1),
+                                             (60, 100_000, 0),
+                                             (64, 2_000_000, 0)])
+    def test_coarse_dec_phases_are_refused(self, capsys, bits, M, code):
+        # each block's phases must be certain to 1e-12 of a turn, a band
+        # that grows with |n|: 48 bits cannot reach M = 2e6, 60 bits reach
+        # M = 1e5 (not 2e5) and 64 bits reach 2e6
+        argv = ["expsum", "eval", "--alpha", f"dec:1.4142135623730950488@{bits}",
+                "--q", "3", "--a", "1", "--M", str(M), "--K", "8"]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err.startswith("error: phases to |n| =")
+        else:
+            assert err == "" and out.count("\n") > 8
+
     def test_verification_failure_is_two(self, capsys):
         code = main(["count", "sweep", "--alpha", "sqrt:2", "--q", "2",
                      "--a", "1", "--grid", "1000,2000", "--tol", "1e-9"])

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from beattykit.beatty import BeattyParams
 from beattykit.counting import MODES, beatty_sums, main_terms
 from beattykit.irrational import parse_irrational
-from beattykit.sieve import ResidueClass, build_table, class_records
-from beattykit.surd import _BLOCK as BLOCK
-from oracles import oracle_M, oracle_N, oracle_S, oracle_T, oracle_main
+from beattykit.sieve import _LOG_BLOCK as BLOCK
+from beattykit.sieve import ResidueClass, build_table
+from oracles import (class_mask, oracle_M, oracle_N, oracle_S, oracle_T,
+                     oracle_main)
 
 TINY = "dec:0.00000000000000000001@200"
 ALPHAS = {name: parse_irrational(name) for name in (
@@ -97,12 +98,12 @@ def test_carried_pass_equals_one_point_grids(table, alpha, beta, r, grid,
 @pytest.mark.parametrize("mode", MODES)
 def test_engine_equals_oracles_across_kernel_blocks(alpha, mode):
     # alpha = 50*sqrt(2) spreads 7000 terms over m <= 494975, so the class
-    # 0 mod 1 holds over 2 * 2**14 records there: the ceilings take three
-    # kernel blocks, and the grid's cuts fall inside different ones
+    # 0 mod 1 holds over 2 * 2**14 records there: the sieve streams them in
+    # three blocks, each with its own ceilings, and the grid's cuts fall
+    # inside different ones
     p = BeattyParams(parse_irrational(alpha), Fraction(1, 3))
     r, grid = ResidueClass(0, 1), [1, 2500, 7000]
     table = build_table(p.term(grid[-1]))
-    primes = mode in ("N", "M")
-    assert class_records(table, table.limit, r, primes=primes).size > 2 * BLOCK
+    assert class_mask(table, table.limit, r).sum() > 2 * BLOCK
     assert beatty_sums(p, r, grid, mode, table) == \
         [ORACLES[mode](p, r, N, table) for N in grid]

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from beattykit import expsum
+from beattykit import expsum, sieve
 from beattykit.errors import DeltaOutOfRange
 from beattykit.expsum import (_exact_units, progression_sum_bound,
                               bound_ratio_sweep, build_psi_delta, exp_sum_ap,
                               exp_sum_shifted, substitution_identity_check)
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import (ResidueClass, build_table, chebyshev_psi_ap,
-                             class_records, lambda_units)
-from oracles import psi_indicator, smoothed_indicator
+                             lambda_units)
+from oracles import class_mask, psi_indicator, smoothed_indicator
 
 
 @pytest.fixture(scope="module")
@@ -235,20 +235,20 @@ def test_one_pass_keeps_every_bit(table, alpha, monkeypatch):
     assert bits(exp_sum_shifted(table, M, r, gam, k) for k in ks) == want
     assert bits(substitution_identity_check(table, M, r, gam, k).lhs
                 for k in ks) == want
-    monkeypatch.setattr(expsum, "_BLOCK", 64)    # 27 blocks of records
+    monkeypatch.setattr(sieve, "_LOG_BLOCK", 64)    # 52 blocks of the table
     assert one_pass() == want
 
 
-@pytest.mark.parametrize("block", [expsum._BLOCK, 64])
+@pytest.mark.parametrize("block", [sieve._LOG_BLOCK, 64])
 def test_lambda_total_of_the_pass(table, sqrt2, monkeypatch, block):
     # expsum eval's bound column: the pass's total of Lambda over n == a mod
     # q, q + a <= n <= q*M + a, is the whole-range total over a < n
-    monkeypatch.setattr(expsum, "_BLOCK", block)
+    monkeypatch.setattr(sieve, "_LOG_BLOCK", block)
     for (a, q), M in zip([(0, 1), (1, 2), (1, 3), (2, 3), (3, 7), (6, 7),
                           (11, 30), (1, 97)], [1, 2, 100, 5000, 10_000, 28_570,
                                                6000, 2000]):
         r, L = ResidueClass(a, q), q * M + a
-        want = lambda_units(table.log_base[class_records(table, L, r, a + 1)])
+        want = lambda_units(table.log_base[class_mask(table, L, r, a + 1)])
         got = expsum._phase_sums(table, L, r, q + a, [(sqrt2, True)])[1]
         assert got == want, (a, q, M)
 
@@ -256,7 +256,7 @@ def test_lambda_total_of_the_pass(table, sqrt2, monkeypatch, block):
 def test_sequence_of_frequencies(table, sqrt2):
     # a pass with no jobs still totals Lambda; one over no records sums to 0
     r, jobs = ResidueClass(1, 3), [(sqrt2, True), (sqrt2 * 2, True)]
-    want = lambda_units(table.log_base[class_records(table, 301, r, 4)])
+    want = lambda_units(table.log_base[class_mask(table, 301, r, 4)])
     assert expsum._phase_sums(table, 301, r, 4, []) == ([], want)
     assert expsum._phase_sums(table, 1, r, 4, jobs) == ([0j, 0j], 0)
 

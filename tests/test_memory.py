@@ -1,13 +1,16 @@
 """Memory regression: the point kernels, the discrepancy scan, `beatty
 generate` writing its report in chunks, the sieve of one residue class,
-a count sweep's sums over its records and the exponential sums over them
-hold a bounded number of bytes a point.
+a count sweep's sums over its records (one side, and both sides in
+verify_sweep) and the exponential sums over them hold a bounded number of
+bytes a point.
 
 Each test takes the tracemalloc peak of one call, less what was held
 before it, per point, at M = 2^19 points (2e5 terms for generate, the
 58088 records of 3 mod 7 up to 5e6 for the sieve, the 109784 records of
 3 mod 7 up to 7*floor(sqrt(2)*1e6 + 1/3) + 3 for the sums, the 206759
-records of 1 mod 3 up to 6e6 + 1 for the exponential sums).  Every
+records of 1 mod 3 up to 6e6 + 1 for the exponential sums).  The sums
+read the records a block at a time, so their figure is one block's
+arrays over the table's records: 22.8 and 8.9 bytes a record here.  Every
 bound sits a little above the value measured when it was set, given beside
 it, and less than 8 bytes above it: one more full-length int64 or float64
 temporary fails the test.
@@ -21,7 +24,7 @@ import pytest
 
 from beattykit.beatty import BeattyParams, bulk_membership
 from beattykit.cli import main
-from beattykit.counting import beatty_sums
+from beattykit.counting import beatty_sums, verify_sweep
 from beattykit.expsum import _phase_sums, discrepancy, discrepancy_beatty
 from beattykit.irrational import parse_irrational
 from beattykit.sieve import ResidueClass, build_table
@@ -94,30 +97,33 @@ def test_streamed_generate(tmp_path):
     assert bytes_per_point(lambda: main(argv), N) <= 80
 
 
+@pytest.mark.parametrize("sweep", [beatty_sums, verify_sweep])
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_count_sweep_sums(alpha):
-    # the records' values, Lambda values, starts and stops, then the carried
-    # totals' temporaries over the records the grid's last cut reads: 54.0
-    # a record of 3 mod 7 (117.3 when the ceilings were one kernel call)
+def test_count_sweep_sums(alpha, sweep):
+    # one block of the stream's records, its ceilings and the kernel's and
+    # the carried totals' temporaries, whatever the range: 22.8 a record of
+    # 3 mod 7 for the left side and for verify_sweep, which reads each side
+    # in turn (54.0 when whole-length values, Lambda values, starts and
+    # stops were held; 117.3 when the ceilings were one kernel call)
     p, r = BeattyParams(parse_irrational(alpha), Fraction(1, 3)), ResidueClass(3, 7)
     grid = [10 ** 4, 10 ** 5, 10 ** 6]
     table = build_table(7 * p.term(grid[-1]) + 3, r)
     records = table.power.size
-    assert bytes_per_point(lambda: beatty_sums(p, r, grid, "S", table),
-                           records) <= 56
+    assert bytes_per_point(lambda: sweep(p, r, grid, "S", table),
+                           records) <= 24
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_exp_sums(alpha):
-    # the records' positions, then one block's temporaries for k = 1..8:
-    # 18.2 a record (80.0 with a pass and whole-length arrays per k)
+    # one block's temporaries for k = 1..8: 8.9 a record (18.2 with the
+    # records' positions, 80.0 with a pass and whole-length arrays per k)
     r, x = ResidueClass(1, 3), parse_irrational(alpha)
     table = build_table(6_000_001, r)
     records = table.power.size
     assert bytes_per_point(
         lambda: _phase_sums(table, 6_000_001, r, 4,
                             [(x * k, True) for k in range(1, 9)]),
-        records) <= 20
+        records) <= 10
 
 
 def test_class_table_build():

@@ -2,22 +2,26 @@
 identities, and the arithmetic-progression summaries."""
 
 import decimal
+import functools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beattykit import sieve
 from beattykit.errors import LimitTooLarge, PrecisionExhausted, TableTooSmall
 from beattykit.sieve import (DEFAULT_SEGMENT, MAX_LIMIT, MangoldtTable,
                              ResidueClass, build_table, chebyshev_psi_ap,
-                             class_records, euler_phi, lambda_units,
+                             class_blocks, euler_phi, lambda_units,
                              prime_pi_ap)
-from oracles import log_correctly_rounded
+from oracles import class_mask, log_correctly_rounded
 
 # the primes up to 5e6 whose glibc math.log is not the correctly rounded log
 LIBM_MISSES = [351497, 664679, 1070557, 1243783, 1908407, 1959253, 2784043,
@@ -149,7 +153,7 @@ def assert_class_slice(full, limit, r, segment_size=DEFAULT_SEGMENT):
     """A class table's records, bases and logs are, bit for bit, the full
     table's records of that class up to limit."""
     t = build_table(limit, r, segment_size=segment_size)
-    at = class_records(full, limit, r)
+    at = class_mask(full, limit, r)
     assert t.residue == r and t.limit == limit
     assert np.array_equal(t.power, full.power[at])
     assert np.array_equal(t.base, full.base[at])
@@ -234,16 +238,86 @@ def test_class_table_serves_only_its_classes(full):
     for other in (ResidueClass(1, 7), ResidueClass(3, 5), ResidueClass(0, 1),
                   (1, 14)):
         with pytest.raises(ValueError, match="does not hold"):
-            class_records(t, 10_000, other)
+            next(class_blocks(t, 10_000, other))
         with pytest.raises(ValueError, match="does not hold"):
             prime_pi_ap(t, 10_000, other)
     # 3 mod 14 lies inside 3 mod 7
     for r in (ResidueClass(3, 14), ResidueClass(3, 7)):
         for primes in (False, True):
-            got = t.power[class_records(t, 10_000, r, primes=primes)]
-            want = full.power[class_records(full, 10_000, r, primes=primes)]
+            got = streamed(t, 10_000, r, primes=primes)[0]
+            want = full.power[class_mask(full, 10_000, r, primes=primes)]
             assert np.array_equal(got, want)
         assert chebyshev_psi_ap(t, 10_000, r) == chebyshev_psi_ap(full, 10_000, r)
+
+
+def streamed(table, L, r, min_n=2, primes=False):
+    """class_blocks joined: (n, Lambda values or None, the blocks)."""
+    blocks = list(class_blocks(table, L, r, min_n, primes))
+    ns, lams = zip(*blocks) if blocks else ((np.empty(0, np.int64),), (np.empty(0),))
+    return np.concatenate(ns), None if primes else np.concatenate(lams), blocks
+
+
+@functools.cache
+def class_table(a, q):
+    return build_table(FULL_LIMIT, ResidueClass(a, q))
+
+
+@st.composite
+def stream_cases(draw):
+    """(table's class, a class inside it as a pair, min_n, L): the class's
+    modulus is the table's times k, and k = 10**6 or 2**70 puts it past L."""
+    held_a, held_q = draw(st.sampled_from([(0, 1), (3, 7), (1, 4), (5, 6)]))
+    k = draw(st.sampled_from([1, 2, 3, 10, 10 ** 6, 2 ** 70]))
+    j = draw(st.one_of(st.integers(0, min(k - 1, 300)), st.integers(0, k - 1)))
+    return ((held_a, held_q), (held_a + held_q * j, held_q * k),
+            draw(st.integers(-2, FULL_LIMIT + 2)), draw(st.integers(-1, FULL_LIMIT)))
+
+
+@given(stream_cases(), st.booleans(), st.sampled_from([None, 64]),
+       st.none() | st.integers(1, 400))
+@example(((0, 1), (0, 1), 2, FULL_LIMIT), False, 64, 3)     # ends on an edge
+@example(((3, 7), (10, 14), 0, 30), True, None, None)       # L < q
+@example(((1, 4), (5, 8), 50, 20), False, 64, None)         # L < min_n
+def test_stream_is_the_mask(full, case, primes, block, edge):
+    # the stream joined is the mask's records, with the same Lambda bits;
+    # blocks are nonempty, at most _LOG_BLOCK positions, and views of the
+    # table for its own class
+    held, r, min_n, L = case
+    table = full if held == (0, 1) else class_table(*held)
+    with patch.object(sieve, "_LOG_BLOCK", block or sieve._LOG_BLOCK):
+        size = sieve._LOG_BLOCK
+        if edge is not None:    # L the last record of the edge-th block
+            lo = int(np.count_nonzero(table.power < min_n))
+            L = int(table.power[max(min(lo + edge * size, table.power.size), 1) - 1])
+        ns, lam, blocks = streamed(table, L, r, min_n, primes)
+    mask = class_mask(table, L, r, min_n, primes)
+    assert ns.tolist() == table.power[mask].tolist()
+    assert all(0 < n.size <= size for n, _ in blocks)
+    if primes:
+        assert lam is None
+        assert np.array_equal(ns, table.base[mask])
+    else:
+        assert lam.tobytes() == table.log_base[mask].tobytes()
+    if r[1] == held[1] and not primes:
+        assert all(np.shares_memory(n, table.power)
+                   and np.shares_memory(x, table.log_base) for n, x in blocks)
+
+
+def test_prime_stream_takes_no_logs():
+    t = build_table(10_000, ResidueClass(3, 7))
+    assert prime_pi_ap(t, 10_000, ResidueClass(3, 7)) == 209
+    assert prime_pi_ap(t, 10_000, ResidueClass(3, 14)) == 209
+    assert streamed(t, 10_000, (10, 14), primes=True)[0].size == 0
+    assert "log_base" not in vars(t)
+
+
+def test_only_the_sieve_reads_the_table_layout():
+    # the layout of a table is sieve's alone: the rest of the package
+    # reads records through class_blocks
+    src = Path(sieve.__file__).parent
+    readers = [f.name for f in sorted(src.glob("*.py")) if f.name != "sieve.py"
+               and re.search(r"\btable\.(power|base|log_base)\b", f.read_text())]
+    assert readers == []
 
 
 def test_class_table_knows_lambda_only_on_its_class():
