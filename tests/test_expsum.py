@@ -203,8 +203,10 @@ def test_exact_sum_is_fsum(xs, cancel):
 
 @pytest.mark.parametrize("top", [_TOP, -_TOP])
 def test_exact_sum_of_a_full_block_does_not_wrap(top):
-    xs = [top] * expsum._BLOCK
-    assert exact_sum(xs) == math.fsum(xs) == top * expsum._BLOCK
+    # _phase_sums hands _exact_units one block of the sieve's stream
+    block = max(expsum._BLOCK, sieve._LOG_BLOCK)
+    xs = [top] * block
+    assert exact_sum(xs) == math.fsum(xs) == top * block
 
 
 def fsum_oracle(table, M, r, gamma, k) -> complex:

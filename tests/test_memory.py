@@ -97,20 +97,26 @@ def test_streamed_generate(tmp_path):
     assert bytes_per_point(lambda: main(argv), N) <= 80
 
 
-@pytest.mark.parametrize("sweep", [beatty_sums, verify_sweep])
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_count_sweep_sums(alpha, sweep):
-    # one block of the stream's records, its ceilings and the kernel's and
-    # the carried totals' temporaries, whatever the range: 22.8 a record of
-    # 3 mod 7 for the left side and for verify_sweep, which reads each side
-    # in turn (54.0 when whole-length values, Lambda values, starts and
-    # stops were held; 117.3 when the ceilings were one kernel call)
+def sweep_bytes(sweep, alpha) -> float:
     p, r = BeattyParams(parse_irrational(alpha), Fraction(1, 3)), ResidueClass(3, 7)
     grid = [10 ** 4, 10 ** 5, 10 ** 6]
     table = build_table(7 * p.term(grid[-1]) + 3, r)
-    records = table.power.size
-    assert bytes_per_point(lambda: sweep(p, r, grid, "S", table),
-                           records) <= 24
+    return bytes_per_point(lambda: sweep(p, r, grid, "S", table), table.power.size)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_count_sweep_sums(alpha):
+    # one block of the stream's records, its ceilings and the kernel's and
+    # the carried totals' temporaries, whatever the range: 22.8 a record of
+    # 3 mod 7 (54.0 with whole-length values, Lambda values, starts and
+    # stops; 117.3 when the ceilings were one kernel call)
+    assert sweep_bytes(beatty_sums, alpha) <= 24
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_verify_sweep(alpha):
+    # both sides, each streamed in turn: 22.8, as for the left side alone
+    assert sweep_bytes(verify_sweep, alpha) <= 24
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
