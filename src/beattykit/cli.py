@@ -62,6 +62,14 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _modulus(text):
+    from .sieve import MAX_LIMIT
+    return _at_least(1, MAX_LIMIT, "sieve")(text)
+
+
+_modulus.__name__ = "int"   # argparse: "invalid int value: 'x'"
+
+
 def _grid(text):
     from .sieve import MAX_LIMIT
     toks = text.split(",")
@@ -90,16 +98,20 @@ _DEFAULT = " (default: %(default)s)"  # argparse fills in each command's own
 # a time and output budget: generate writes rows in chunks at 66 MB RSS for any
 # N up to the cap, where it takes 1.8 s for 22 MB of CSV, 1.9 s for 61 MB of JSON;
 # a depth budget: the golden ratio, whose convergents stay printable longest,
-# peaks at 395 MB RSS in cfrac and 215 MB (19 s) in type-estimate at K = 2e4
+# peaks at 395 MB RSS in cfrac and 215 MB (19 s) in type-estimate at K = 2e4;
+# a sieve budget bounds --q, read when the flag is parsed, so the grammar loads
+# no sieve: no table passes MAX_LIMIT, so a larger modulus leaves at most one
+# member, n = a, in any table, and euler_phi factors q by trial division
 MAX_DISCREPANCY_M, MAX_GENERATE_N, MAX_CF_K = 10_000_000, 1_500_000, 20_000
 _FLAGS = {
-    "alpha": dict(required=True,
-                  help="irrational: sqrt:d, quad:p/q+sqrt:d, or dec:digits[@bits]"),
-    "precision": dict(type=_at_least(16), default=160,
-                      help="bits carried for dec: alphas" + _DEFAULT),
+    "alpha": dict(required=True, help="irrational: sqrt:d, quad:p/q+sqrt:d, or"
+                  " dec:digits[@bits] (@bits default: 160)"),
     "beta": dict(type=_fraction, default=Fraction(0),
                  help="shift, as a decimal or p/q" + _DEFAULT),
+    "q": dict(type=_modulus, required=True, help="modulus"),
     "a": dict(type=int, required=True, help="residue, 0 <= a < q, coprime to q"),
+    "grid": dict(type=_grid, help="comma-separated N values, strictly ascending"
+                 + _DEFAULT),
     "mode": dict(choices=("S", "T", "N", "M"), default="S", help="counting sum" + _DEFAULT),
     "target": dict(choices=("main", "density"), default="main", help=_DEFAULT),
     "delta": dict(type=_fraction, required=True, help="smoothing half-width"),
@@ -115,19 +127,6 @@ _FLAGS = {
     "out": dict(help="report path (default: stdout)"),
     "format": dict(choices=("csv", "json"), default="csv", help=_DEFAULT),
 }
-
-
-def _table_flags() -> dict:
-    """--q, --grid and --segment of the commands that read a table, which
-    alone load the sieve.  A sieve budget bounds --q: no table passes
-    MAX_LIMIT, so a larger modulus leaves at most one member, n = a, in any
-    table; euler_phi factors q by trial division."""
-    from .sieve import DEFAULT_SEGMENT, MAX_LIMIT
-    return {"q": dict(type=_at_least(1, MAX_LIMIT, "sieve"), required=True, help="modulus"),
-            "grid": dict(type=_grid, help="comma-separated N values, strictly"
-                         " ascending" + _DEFAULT),
-            "segment": dict(type=_at_least(1024), default=DEFAULT_SEGMENT, help="sieve"
-                            " segment length, in members of the class" + _DEFAULT)}
 
 
 # -- report emission -------------------------------------------------------
@@ -246,7 +245,8 @@ def emit_report(report: Report, path: Optional[str], fmt: str = "csv"):
 # -- subcommand bodies -----------------------------------------------------
 
 def _base_params(ns) -> list:
-    return [("alpha", ns.alpha_text), ("precision", ns.precision)]
+    from .irrational import DEFAULT_BITS
+    return [("alpha", ns.alpha_text), ("precision", DEFAULT_BITS)]
 
 
 def _refuse_unprintable(ns):
@@ -281,8 +281,7 @@ def _run_type_estimate(ns) -> Report:
     est = estimate_type(ns.alpha, K=ns.K)
     params = _base_params(ns) + [("depth", est.depth),
                                  ("tau_hat", est.tau_hat)]
-    rows = [(q, e) for q, e in est.samples]
-    return Report("type-estimate", params, ("den", "exponent"), rows)
+    return Report("type-estimate", params, ("den", "exponent"), est.samples)
 
 
 def _beatty_params(ns) -> list:
@@ -305,9 +304,9 @@ def _run_member(ns) -> Report:
 
 
 def _run_sieve(ns) -> Report:
-    from .sieve import build_table, chebyshev_psi_ap, euler_phi, prime_pi_ap
-    table = build_table(ns.grid[-1], residue=ns.residue, segment_size=ns.segment)
-    params = [("q", ns.q), ("a", ns.a), ("segment", ns.segment)]
+    from .sieve import SEGMENT, chebyshev_psi_ap, euler_phi, prime_pi_ap
+    table = _table(ns, ns.grid[-1])
+    params = [("q", ns.q), ("a", ns.a), ("segment", SEGMENT)]
     if ns.action == "pi":
         rows = [(x, prime_pi_ap(table, x, ns.residue)) for x in ns.grid]
         return Report("sieve-pi", params, ("x", "count"), rows)
@@ -322,6 +321,7 @@ def _run_sieve(ns) -> Report:
 def _run_count(ns) -> Report:
     from .beatty import BeattyParams
     from .counting import verify_sweep
+    from .sieve import SEGMENT
     if ns.target == "density" and ns.mode not in ("S", "T"):
         raise UsageError("--target density: closed-form predictions exist for"
                          f" modes S and T only, not {ns.mode}")
@@ -332,19 +332,17 @@ def _run_count(ns) -> Report:
     rep = verify_sweep(bp, r, ns.grid, ns.mode, table, target=ns.target, tol=ns.tol)
     params = _beatty_params(ns) + [
         ("q", r.q), ("a", r.a), ("mode", ns.mode), ("target", ns.target),
-        ("tol", ns.tol), ("segment", ns.segment)]
+        ("tol", ns.tol), ("segment", SEGMENT)]
     params.extend(rep.observed.items())
-    rows = [(row.N, row.lhs, row.main, row.abs_err, row.rel_err)
-            for row in rep.rows]
     return Report("count-sweep", params,
                   ("N", "lhs", "main", "abs_err", "rel_err"),
-                  rows, verdict=rep.passed)
+                  rep.rows, verdict=rep.passed)
 
 
 def _table(ns, limit: int):
     """The table of the class --q/--a up to limit, at least 100."""
     from .sieve import build_table
-    return build_table(max(limit, 100), residue=ns.residue, segment_size=ns.segment)
+    return build_table(max(limit, 100), residue=ns.residue)
 
 
 def _expsum_params(ns) -> list:
@@ -383,11 +381,9 @@ def _run_bound_ratio(ns) -> Report:
     from .expsum import bound_ratio_sweep
     # progression sum over n <= M against the generic bound
     theta = (ns.alpha * ns.k) / ns.q
-    rows_raw = bound_ratio_sweep(_table(ns, ns.M), ns.M, ns.residue, theta,
-                                 max_den=ns.den_max)
-    rows = [(row.den, row.num, row.abs_sum, row.bound, row.ratio,
-             row.hypothesis_ok) for row in rows_raw]
-    best = min(rows_raw, key=lambda row: row.bound)
+    rows = bound_ratio_sweep(_table(ns, ns.M), ns.M, ns.residue, theta,
+                             max_den=ns.den_max)
+    best = min(rows, key=lambda row: row.bound)
     return Report("expsum-bound-ratio",
                   _expsum_params(ns) + [("k", ns.k), ("min_bound_den", best.den)],
                   ("den", "num", "abs", "bound", "ratio", "hyp_ok"), rows)
@@ -435,10 +431,8 @@ def _word(group, word, name, text, run=None, flags="", **override):
     if run is None:
         return sub.add_subparsers(dest="action", required=True, metavar="ACTION")
     sub.set_defaults(run=run)
-    flags = flags.split() + ["out", "format"]
-    spec = {**_FLAGS, **_table_flags()} if "q" in flags else _FLAGS
-    for flag in flags:
-        sub.add_argument("--" + flag, **{**spec[flag], **override.get(flag, {})})
+    for flag in flags.split() + ["out", "format"]:
+        sub.add_argument("--" + flag, **{**_FLAGS[flag], **override.get(flag, {})})
 
 
 def build_parser(argv: Sequence[str]) -> _Parser:
@@ -450,43 +444,43 @@ def build_parser(argv: Sequence[str]) -> _Parser:
     cmd = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
     command, action = ([t for t in argv if not t.startswith("-")] + [None] * 2)[:2]
     _word(cmd, command, "cfrac", "continued fraction of --alpha", _run_cfrac,
-          "alpha precision K",
+          "alpha K",
           K={"default": 8, "type": _at_least(1, MAX_CF_K, "depth")})
     _word(cmd, command, "type-estimate", "finite-depth irrationality-type estimate",
-          _run_type_estimate, "alpha precision K",
+          _run_type_estimate, "alpha K",
           K={"help": "expansion depth (default: until q_K >= 1e6)",
              "type": _at_least(1, MAX_CF_K, "depth")})
     beatty = _word(cmd, command, "beatty", "the Beatty sequence floor(alpha*n + beta)")
     _word(beatty, action, "generate", "terms floor(alpha*n + beta) for n <= --N",
-          _run_generate, "alpha precision beta N",
+          _run_generate, "alpha beta N",
           N={"type": _at_least(0, MAX_GENERATE_N, "time and output")})
     _word(beatty, action, "member", "membership + witness for a single --m",
-          _run_member, "alpha precision beta m")
+          _run_member, "alpha beta m")
     sieve = _word(cmd, command, "sieve",
                   "Chebyshev psi / prime counts in a progression")
     for name in ("psi", "pi"):
         _word(sieve, action, name, f"{name}(L; q, a) at each --grid value",
-              _run_sieve, "q a grid segment", grid={"default": (10 ** 6,)})
+              _run_sieve, "q a grid", grid={"default": (10 ** 6,)})
     count = _word(cmd, command, "count", "counting sums along a Beatty sequence")
     _word(count, action, "sweep", "S/T/N/M counting sums vs main term over an --grid",
-          _run_count, "alpha precision beta q a grid mode target tol segment",
+          _run_count, "alpha beta q a grid mode target tol",
           grid={"default": (10 ** 4, 10 ** 5, 10 ** 6)}, tol={"default": 0.03})
     expsum = _word(cmd, command, "expsum", "exponential sums over primes")
     _word(expsum, action, "eval", "shifted exponential sums for k = 1..K", _run_eval,
-          "alpha precision q a M K segment", K={"default": 8})
+          "alpha q a M K", K={"default": 8})
     _word(expsum, action, "identity-check", "reindexing identity residual (PASS/FAIL)",
-          _run_identity_check, "alpha precision q a M k tol segment",
+          _run_identity_check, "alpha q a M k tol",
           tol={"default": 1e-9})
     _word(expsum, action, "bound-ratio",
           "progression-sum bound sweep over denominators", _run_bound_ratio,
-          "alpha precision q a M k den-max segment", M={"type": _at_least(3)})
+          "alpha q a M k den-max", M={"type": _at_least(3)})
     psi_delta = _word(cmd, command, "psi-delta",
                       "the smoothed indicator of [0, alpha)")
     _word(psi_delta, action, "inspect",
           "smoothed-indicator coefficients vs their bound", _run_psi_delta,
-          "alpha precision delta K", K={"default": 64})
+          "alpha delta K", K={"default": 64})
     _word(cmd, command, "discrepancy", "extreme discrepancy of {gamma*m + delta}",
-          _run_discrepancy, "alpha precision delta M",
+          _run_discrepancy, "alpha delta M",
           M={"type": _at_least(1, MAX_DISCREPANCY_M, "memory")},
           delta={"required": False, "default": Fraction(0),
                  "help": "shift in {gamma*m + delta}" + _DEFAULT})
@@ -495,14 +489,15 @@ def build_parser(argv: Sequence[str]) -> _Parser:
 
 def parse_args(argv) -> argparse.Namespace:
     """Parse a command line; the runner is ns.run.  After argparse, --alpha
-    is read at --precision bits and --q/--a become ns.residue."""
+    is parsed (a dec: literal at its own @bits, or DEFAULT_BITS) and --q/--a
+    become ns.residue."""
     argv = list(argv)
     ns = build_parser(argv).parse_args(argv)
     if "alpha" in ns:
         from .irrational import parse_irrational
         ns.alpha_text = ns.alpha
         try:
-            ns.alpha = parse_irrational(ns.alpha, default_bits=ns.precision)
+            ns.alpha = parse_irrational(ns.alpha)
         except BeattyKitError as exc:
             raise UsageError(f"--alpha: {exc}")
     if "q" in ns:

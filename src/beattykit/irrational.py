@@ -35,7 +35,9 @@ from .surd import (_ONE_BELOW, Irrational, QuadraticSurd, _conj_bits,
 
 __all__ = ["PrecisionReal", "Irrational", "ContinuedFraction", "TypeEstimate",
            "parse_irrational", "as_exact_ratio", "floor_affine", "cf_walk",
-           "cf_expand", "best_convergent_below", "estimate_type"]
+           "cf_expand", "best_convergent_below", "estimate_type", "DEFAULT_BITS"]
+
+DEFAULT_BITS = 160  # a dec: literal's precision when it carries no @bits
 
 
 def as_exact_ratio(x) -> Fraction:
@@ -60,7 +62,7 @@ class PrecisionReal(Irrational):
 
     __slots__ = ("center", "radius")
 
-    def __init__(self, text, bits: int = 160):
+    def __init__(self, text, bits: int = DEFAULT_BITS):
         if bits < 1:
             raise ValueError("precision must be at least 1 bit")
         self.center = as_exact_ratio(text)
@@ -198,8 +200,9 @@ _QUAD_RE = re.compile(r"quad:(-?\d+)/(-?\d+)\+sqrt:(\d+)\Z")
 _DEC_RE = re.compile(r"dec:([+-]?\d+(?:\.\d+)?)(?:@(\d+))?\Z")
 
 
-def parse_irrational(text: str, default_bits: int = 160) -> Irrational:
-    """Parse sqrt:<d>, quad:<p>/<q>+sqrt:<d>, or dec:<digits>[@<bits>].
+def parse_irrational(text: str) -> Irrational:
+    """Parse sqrt:<d>, quad:<p>/<q>+sqrt:<d>, or dec:<digits>[@<bits>], a
+    decimal carried at DEFAULT_BITS bits when it names none.
 
     Total on strings: anything malformed (including square radicands, which
     would be rational) raises IrrationalParseError with a reason.
@@ -215,7 +218,7 @@ def parse_irrational(text: str, default_bits: int = 160) -> Irrational:
             return QuadraticSurd(*map(int, m.groups()))
         m = _DEC_RE.match(text)
         if m:
-            return PrecisionReal(m.group(1), int(m.group(2) or default_bits))
+            return PrecisionReal(m.group(1), int(m.group(2) or DEFAULT_BITS))
     except (ValueError, ZeroDivisionError) as exc:
         raise IrrationalParseError(f"{shown}: {exc}") from None
     raise IrrationalParseError(

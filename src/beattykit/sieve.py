@@ -11,7 +11,7 @@ table is its sorted prime-power records, power and base; a record is a
 prime exactly when power == base.  The few powers p**k == a (mod q),
 k >= 2 (427 of all classes up to 5e6), are merged into the primes by
 position.  A class table's records are exactly the full table's records
-of that class, and rebuilding a table with a different segment gives
+of that class, and rebuilding a table with a different SEGMENT gives
 bit-identical records.  Readers take a class's records from class_blocks,
 a block at a time: no other module of the package reads the arrays.
 
@@ -51,9 +51,9 @@ from .errors import LimitTooLarge, PrecisionExhausted, TableTooSmall
 
 __all__ = ["MangoldtTable", "ResidueClass", "build_table", "chebyshev_psi_ap",
            "class_blocks", "prime_pi_ap", "euler_phi", "lambda_units",
-           "DEFAULT_SEGMENT", "MAX_LIMIT"]
+           "SEGMENT", "MAX_LIMIT"]
 
-DEFAULT_SEGMENT = 1 << 20
+SEGMENT = 1 << 20   # members of the class sieved at a time; no record depends on it
 # the class 0 mod 1 up to MAX_LIMIT: 260 MB of records, built at 303 MB RSS,
 # 405-427 MB with logs (heap layout moves it); a class a mod q about 1/phi(q) of it
 MAX_LIMIT = 300_000_000
@@ -348,17 +348,14 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def build_table(limit: int, residue=ResidueClass(0, 1),
-                segment_size: int = DEFAULT_SEGMENT) -> MangoldtTable:
+def build_table(limit: int, residue=ResidueClass(0, 1)) -> MangoldtTable:
     """Sieve the members n = q*m + a <= limit of a primitive class a mod q
-    (by default 0 mod 1, all of [1, limit]) into a MangoldtTable;
-    segment_size counts members of the class."""
+    (by default 0 mod 1, all of [1, limit]) into a MangoldtTable, SEGMENT
+    members at a time."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > MAX_LIMIT:
         raise LimitTooLarge(f"limit {limit} exceeds the budget {MAX_LIMIT}")
-    if segment_size < 64:
-        raise ValueError("segment size must be at least 64")
     residue = ResidueClass(*_split_class(residue))  # refuses an imprimitive pair
     a, q = residue.a, residue.q
     base_primes = _simple_sieve(math.isqrt(limit)).tolist()
@@ -369,8 +366,8 @@ def build_table(limit: int, residue=ResidueClass(0, 1),
     m_lo, m_hi = max(-((a - 2) // q), 0), (limit - a) // q
     step = min(q, limit)  # q > limit leaves only m = 0: n stays in int64
     chunks = [np.empty(0, np.int64)]  # each segment's primes
-    for seg_lo in range(m_lo, m_hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size, m_hi + 1)
+    for seg_lo in range(m_lo, m_hi + 1, SEGMENT):
+        seg_hi = min(seg_lo + SEGMENT, m_hi + 1)
         mask = np.ones(seg_hi - seg_lo, bool)
         for first, root, p in crossing:
             if first >= seg_hi:

@@ -18,6 +18,7 @@ from beattykit import cli, sieve
 from beattykit.cli import (Report, build_parser, emit_report, main,
                            parse_args, render)
 from beattykit.errors import UsageError
+from beattykit.irrational import DEFAULT_BITS
 from beattykit.sieve import ResidueClass, build_table
 from oracles import csv_rows_per_cell, render_whole
 
@@ -96,11 +97,29 @@ class TestParseConfig:
         assert parse_args(GENERATE + ["--beta=-17/10"]).beta.denominator == 10
 
     def test_precision_flows_into_decimals(self):
-        ns = parse_args(["cfrac", "--alpha", "dec:0.3", "--precision", "64"])
-        lo, hi = ns.alpha.interval()
-        assert 0 < hi - lo <= 2.0 ** -60
-        with pytest.raises(UsageError, match="--precision"):
-            parse_args(["cfrac", "--alpha", "sqrt:2", "--precision", "8"])
+        # the literal's @bits sets the precision, DEFAULT_BITS without it,
+        # and the --alpha help states that default
+        for alpha, bits in [("dec:0.3@64", 64), ("dec:0.3", DEFAULT_BITS)]:
+            lo, hi = parse_args(["cfrac", "--alpha", alpha]).alpha.interval()
+            assert hi - lo == Fraction(2, 2 ** bits)
+        assert f"(@bits default: {DEFAULT_BITS})" in cli._FLAGS["alpha"]["help"]
+
+    @pytest.mark.parametrize("argv", [
+        ["cfrac", "--alpha", "sqrt:2", "--precision", "64"],
+        ["sieve", "pi", "--q", "3", "--a", "1", "--segment", "4096"],
+    ], ids=["precision", "segment"])
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        # the literal's @bits and sieve.SEGMENT set what these options did
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: unrecognized arguments: {argv[-2]}")
+
+    def test_modulus_keeps_the_int_message(self):
+        # --q is read by a wrapper, which keeps int's name in the message
+        with pytest.raises(UsageError) as exc:
+            parse_args(["sieve", "pi", "--q", "abc", "--a", "1"])
+        assert str(exc.value) == "argument --q: invalid int value: 'abc'"
 
     def test_both_words_and_only_own_flags(self):
         ns = parse_args(["count", "sweep"] + SWEEP_FLAGS)
@@ -136,9 +155,8 @@ class TestParseConfig:
     def test_each_command_declares_only_its_flags(self):
         paths = dict(_commands())
         assert len(paths) == 12
-        assert sum(len(flags) for flags in paths.values()) <= 87
-        assert sorted(paths[("cfrac",)]) == [
-            "--K", "--alpha", "--format", "--out", "--precision"]
+        assert sum(len(flags) for flags in paths.values()) <= 71
+        assert sorted(paths[("cfrac",)]) == ["--K", "--alpha", "--format", "--out"]
 
 
 class TestExitCodes:
@@ -494,9 +512,9 @@ CLASS_RUNNERS = [
 def test_runner_sieves_its_class(monkeypatch, capsys, argv):
     built = []
 
-    def record(limit, residue=ResidueClass(0, 1), **kw):
+    def record(limit, residue=ResidueClass(0, 1)):
         built.append(residue)
-        return build_table(limit, residue, **kw)
+        return build_table(limit, residue)
 
     monkeypatch.setattr(sieve, "build_table", record)
     assert main(argv + ["--q", "7", "--a", "3"]) in (0, 2)
@@ -573,5 +591,5 @@ def test_each_command_loads_only_its_modules(monkeypatch):
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
     parse_args(["count", "sweep"] + SWEEP_FLAGS)
     assert added == ["-h", "--help"] * 3 + [
-        "--" + flag for flag in ("alpha precision beta q a grid mode target"
-                                 " tol segment out format").split()]
+        "--" + flag for flag in ("alpha beta q a grid mode target tol out"
+                                 " format").split()]

@@ -160,7 +160,7 @@ class TestParseGrammar:
         y = parse_irrational("dec:1.5@40")
         lo, hi = y.interval()
         assert hi - lo <= Fraction(2, 2 ** 40)
-        z = parse_irrational("dec:0.3", default_bits=80)
+        z = parse_irrational("dec:0.3@80")
         assert z.interval()[1] - z.interval()[0] <= Fraction(2, 2 ** 80)
 
     def test_rejects(self):

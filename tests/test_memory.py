@@ -1,8 +1,8 @@
 """Memory regression: the point kernels, the discrepancy scan, `beatty
 generate` writing its report in chunks, the sieve of one residue class,
 a count sweep's sums over its records (one side, and both sides in
-verify_sweep) and the exponential sums over them hold a bounded number of
-bytes a point.
+verify_sweep), the exponential sums over them and `expsum eval`'s whole
+command path hold a bounded number of bytes a point.
 
 Each test takes the tracemalloc peak of one call, less what was held
 before it, per point, at M = 2^19 points (2e5 terms for generate, the
@@ -130,6 +130,19 @@ def test_exp_sums(alpha):
         lambda: _phase_sums(table, 6_000_001, r, 4,
                             [(x * k, True) for k in range(1, 9)]),
         records) <= 10
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_expsum_eval_command(tmp_path, alpha):
+    # the class's table and the taking of its logs set the peak (40.3 a
+    # record of 1 mod 3 for build_table and log_base alone), not the sums: 40.5
+    argv = ["expsum", "eval", "--alpha", alpha, "--q", "3", "--a", "1",
+            "--M", "2000000", "--K", "8", "--out", str(tmp_path / "eval.csv")]
+
+    def run():
+        assert main(argv) == 0
+
+    assert bytes_per_point(run, 206759) <= 42
 
 
 def test_class_table_build():

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from beattykit import sieve
 from beattykit.errors import LimitTooLarge, PrecisionExhausted, TableTooSmall
-from beattykit.sieve import (DEFAULT_SEGMENT, MAX_LIMIT, MangoldtTable,
+from beattykit.sieve import (MAX_LIMIT, SEGMENT, MangoldtTable,
                              ResidueClass, build_table, chebyshev_psi_ap,
                              class_blocks, euler_phi, lambda_units,
                              prime_pi_ap)
@@ -128,15 +128,24 @@ def test_psi_partition_close():
         assert abs(parts - total) <= 1e-12 * total, q
 
 
+def segmented(limit, r, segment=SEGMENT):
+    """build_table(limit, r), sieved segment members at a time."""
+    with patch.object(sieve, "SEGMENT", segment):
+        return build_table(limit, r)
+
+
 def test_segment_size_independence():
     for r in (ResidueClass(0, 1), ResidueClass(3, 7), ResidueClass(1, 30)):
-        a = build_table(100_000, r, segment_size=1 << 10)
-        b = build_table(100_000, r, segment_size=1 << 16)
+        a = segmented(100_000, r, 1 << 10)
+        b = segmented(100_000, r, 1 << 16)
         c = build_table(100_000, r)
         for other in (b, c):
             assert np.array_equal(a.power, other.power)
             assert np.array_equal(a.base, other.base)
             assert a.log_base.tobytes() == other.log_base.tobytes()
+    # build_table reads SEGMENT when it runs: a zero step reaches range()
+    with pytest.raises(ValueError, match="range"):
+        segmented(100, ResidueClass(0, 1), 0)
 
 
 # -- tables of one class against the full table ------------------------------
@@ -149,10 +158,10 @@ def full():
     return build_table(FULL_LIMIT)
 
 
-def assert_class_slice(full, limit, r, segment_size=DEFAULT_SEGMENT):
+def assert_class_slice(full, limit, r, segment=SEGMENT):
     """A class table's records, bases and logs are, bit for bit, the full
     table's records of that class up to limit."""
-    t = build_table(limit, r, segment_size=segment_size)
+    t = segmented(limit, r, segment)
     at = class_mask(full, limit, r)
     assert t.residue == r and t.limit == limit
     assert np.array_equal(t.power, full.power[at])
@@ -169,9 +178,9 @@ def primitive_classes(draw):
 
 
 @given(st.integers(1, FULL_LIMIT), primitive_classes(),
-       st.sampled_from([64, 65, 1000, DEFAULT_SEGMENT]))
-def test_class_table_is_the_full_tables_slice(full, limit, r, segment_size):
-    assert_class_slice(full, limit, r, segment_size)
+       st.sampled_from([64, 65, 1000, SEGMENT]))
+def test_class_table_is_the_full_tables_slice(full, limit, r, segment):
+    assert_class_slice(full, limit, r, segment)
 
 
 def test_square_at_a_segment_edge(full):
@@ -179,8 +188,8 @@ def test_square_at_a_segment_edge(full):
     # (211..280) and the first at 93 (280..372); there the sieve crosses
     # off m = 280 first, and the merge puts 841 back as a power of 29
     r = ResidueClass(1, 3)
-    for segment_size in (70, 93):
-        t = assert_class_slice(full, 1000, r, segment_size)
+    for segment in (70, 93):
+        t = assert_class_slice(full, 1000, r, segment)
         i = t.power.tolist().index(29 ** 2)
         assert t.base[i] == 29
 
