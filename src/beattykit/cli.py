@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -30,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 # runners import the other modules, so a command loads only what it runs
-from .errors import BeattyKitError, UsageError
+from .errors import BeattyKitError, DeltaOutOfRange, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,11 +56,23 @@ def _at_least(lo: int, hi: float = math.inf, budget: str = ""):
     return _where(int, lambda value: lo <= value <= hi, rule)
 
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.I)   # as Fraction reads it
+
+
 def _fraction(text):
+    """A decimal or p/q, exactly, with at most the int-to-str limit's digits
+    (4300 where that limit is off) in its numerator and denominator, as a
+    report header prints it; an exponent is checked first, as Fraction takes
+    minutes to build 10**999999999."""
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    exp = _EXPONENT.search(text)
     try:
-        return Fraction(text)
+        value = None if exp and abs(int(exp[1])) > limit else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if value is None or max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise argparse.ArgumentTypeError(f"passes the {limit}-digit limit of int-to-str")
+    return value
 
 
 def _modulus(text):
@@ -394,12 +407,15 @@ def _run_psi_delta(ns) -> Report:
     gamma = float(ns.alpha)
     if not 0.0 < gamma < 1.0:
         raise UsageError("--alpha: psi-delta needs 0 < alpha < 1")
-    pd = build_psi_delta(gamma, float(ns.delta), ns.K)
+    try:    # the exact --delta: float() overflows past 2^1024
+        pd = build_psi_delta(gamma, ns.delta, ns.K)
+    except DeltaOutOfRange as exc:
+        raise UsageError(f"--delta: {exc}")
     g, bounds = pd.g, pd.coefficient_bounds()
     rows = [(i + 1, g[i].real, g[i].imag, abs(g[i]), bounds[i],
              abs(g[i]) / bounds[i]) for i in range(ns.K)]
     params = _base_params(ns) + [
-        ("delta", float(ns.delta)), ("K", ns.K), ("mean", pd.mean),
+        ("delta", pd.delta), ("K", ns.K), ("mean", pd.mean),
         ("tail_bound", pd.tail_bound())]
     return Report("psi-delta", params,
                   ("k", "g_re", "g_im", "abs", "bound", "ratio"),

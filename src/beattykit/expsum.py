@@ -92,12 +92,14 @@ class PsiDelta(NamedTuple):
         return vals if np.ndim(x) else float(vals)
 
 
-def build_psi_delta(gamma: float, delta: float, K: int) -> PsiDelta:
-    """Box-kernel smoothing of the (0, gamma] indicator, truncated at K."""
+def build_psi_delta(gamma: float, delta, K: int) -> PsiDelta:
+    """Box-kernel smoothing of the (0, gamma] indicator, truncated at K;
+    delta, a float or a Fraction, is held to (0, 1) before float() is taken."""
     gamma = float(gamma)
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly between 0 and 1")
-    if not (0.0 < delta < 0.125 and delta <= min(gamma, 1.0 - gamma) / 2.0):
+    d = float(delta) if 0 < delta < 1 else math.nan
+    if not (0.0 < d < 0.125 and d <= min(gamma, 1.0 - gamma) / 2.0):
         raise DeltaOutOfRange(
             f"delta={delta} violates 0 < delta < 1/8 and delta <= min(gamma, 1-gamma)/2")
     if K < 1:
@@ -105,10 +107,10 @@ def build_psi_delta(gamma: float, delta: float, K: int) -> PsiDelta:
     k = np.arange(1, K + 1, dtype=np.float64)
     # indicator coefficients (1 - e(-k gamma)) / (2 pi i k), box kernel sinc
     ind = (1.0 - np.exp(-2j * math.pi * k * gamma)) / (2j * math.pi * k)
-    y = _TWO_PI * k * delta
+    y = _TWO_PI * k * d
     box = np.sin(y) / y
     g = ind * box
-    return PsiDelta(gamma, float(delta), K, g)
+    return PsiDelta(gamma, d, K, g)
 
 
 # -- exponential sums over primes ------------------------------------------
@@ -243,13 +245,12 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
     cap = max_den if max_den is not None else L
     abs_sum = abs(_phase_sums(table, L, r, 2, [(theta, False)])[0][0])
     rows = []
-    seen = set()
+    # q_k = a_k*q_(k-1) + q_(k-2) rises from q_1 on: only q_1 = q_0 = 1 repeats
     for _, num, den, _ in cf_walk(theta):
         if den > cap:
             break
-        if den in seen:
+        if rows and den == rows[-1].den:
             continue
-        seen.add(den)
         bound = progression_sum_bound(L, den)
         # |theta - num/den| <= 1/L  <=>  |theta*den*L - num*L| <= den
         diff = (theta * (den * L)) - num * L
@@ -260,46 +261,8 @@ def bound_ratio_sweep(table: MangoldtTable, L: int, r: ResidueClass,
 
 # -- extreme discrepancy ---------------------------------------------------
 
-def _checked(xs: np.ndarray) -> np.ndarray:
-    """Sorted points, checked by their two ends (NaN sorts last)."""
-    if xs.size == 0:
-        raise ValueError("need at least one sample point")
-    if not (xs[0] >= 0.0 and xs[-1] < 1.0):
-        raise PointOutOfRange("sample points must lie in [0, 1)")
-    return xs
-
-
-def _blocks(xs: np.ndarray):
-    """(vals, less, leq, a, b) of the sorted points' distinct values, _BLOCK
-    points at a time: a value belongs to the block of its first point, and
-    a block that only continues a run yields nothing."""
-    M = int(xs.size)
-    for p0 in range(0, M, _BLOCK):
-        p1 = min(p0 + _BLOCK, M)
-        x = xs[p0:p1]
-        head = p0 == 0 or x[0] != xs[p0 - 1]
-        step = x[1:] != x[:-1]
-        if head and step.all():     # no ties: less = i, leq = i + 1
-            less, vals = np.arange(p0, p1), x
-        else:
-            less = np.flatnonzero(np.concatenate(([head], step)))
-            if not less.size:
-                continue
-            less += p0
-            vals = xs[less]
-        leq = np.empty_like(less)
-        leq[:-1] = less[1:]
-        # a run that crosses the block's last edge ends further on
-        leq[-1] = (p1 if p1 == M or xs[p1] != x[-1]
-                   else np.searchsorted(xs, x[-1], "right"))
-        mx = M * vals
-        a = leq - mx
-        b = np.subtract(mx, less, out=mx)
-        yield vals, less, leq, a, b
-
-
 def _exact_top(vals: np.ndarray, cnt: np.ndarray, M: int, sign: int) -> Fraction:
-    """max of sign*(cnt - M*v) over the values, exactly: with m the 53-bit
+    """max of sign*(cnt - M*v) over the points v, exactly: with m the 53-bit
     mantissa and e the exponent of each v (np.frexp), v*2^k = m*2^(e - e_min)
     for k = 53 - e_min, so every term is a Python int over 2^k."""
     f, e = np.frexp(vals)
@@ -314,64 +277,78 @@ def _exact_top(vals: np.ndarray, cnt: np.ndarray, M: int, sign: int) -> Fraction
 def discrepancy(points) -> float:
     """Extreme discrepancy over open subintervals (c, d) of [0, 1), exactly.
 
-    With M points, distinct values v_i, leq_i points <= v_i and less_i
-    points < v_i, put a_i = leq_i - M*v_i and b_i = M*v_i - less_i; then
-    M*D = max a + max b.  Every pair (i, j) is an interval: for j <= i and
-    v_j > 0, (c, d) closing in on v_j..v_i has excess tending to a_i + b_j;
-    for j > i, (v_i, v_j) has deficiency a_i + b_j; for v_j = 0, b_j = 0
-    and a_i is the deficiency of (v_i, 1).  No interval does better: an
-    end at 0 adds the number of points at 0, which is a at the value 0 if
-    it occurs and 0 < max a otherwise (the last a is M - M*v > 0); an end
-    at 1 adds the term 0 <= M*v_0 = b_0.  This is D = 1/M + max(i/M -
-    x_i) - min(i/M - x_i) (Kuipers and Niederreiter, Uniform Distribution
-    of Sequences, 1974, ch. 2, sec. 1), with ties.  The points are read
-    flat, whatever their shape.
+    With M points sorted as x_0 <= ... <= x_(M-1), put a_i = (i + 1) - M*x_i
+    and b_i = M*x_i - i; then M*D = max a + max b, which is D = 1/M +
+    max(j/M - x) - min(j/M - x) over the points x of rank j = 1..M (Kuipers
+    and Niederreiter, Uniform Distribution of Sequences, 1974, ch. 2,
+    sec. 1).  In a run of points equal to v, a peaks at its last point, at
+    a(v) = leq(v) - M*v with leq(v) the points <= v, b at its first, at
+    b(v) = M*v - less(v) with less(v) the points < v, and every other term
+    of the run is smaller by a whole number: ties need no case of their
+    own.  Every pair of values is an interval: for 0 < w <= v, (c, d)
+    closing in on w..v has excess tending to a(v) + b(w); for w > v, (v, w)
+    has deficiency a(v) + b(w); for w = 0, b(w) = 0 and a(v) is the
+    deficiency of (v, 1).  No interval does better: an end at 0 adds the
+    number of points at 0, which is a(0) if 0 occurs and 0 < max a
+    otherwise (the last a is M - M*x > 0); an end at 1 adds the term
+    0 <= M*x_0 = b_0.  The points are read flat, whatever their shape.
 
     One sort (discrepancy_beatty sorts the kernel's array in place), checked
     by its two ends, then one sweep of _BLOCK points at a time.  It forms a
-    block's distinct values, less, leq, a and b afresh in float64 (less = i
-    and leq = i + 1 when the block has no ties), and keeps the values whose
+    block's indices i, a and b afresh in float64 and keeps the points whose
     a, or b, lies within the slack of the running maximum of a, or of b.
 
-    Float filter: with u = 2^-53 and M < 2^53, fl(M*v) is within u*M of
-    M*v and the subtraction from a count (|term| <= M) adds at most u*M,
+    Float filter: with u = 2^-53 and M < 2^53, fl(M*x) is within u*M of
+    M*x and the subtraction from a count (|term| <= M) adds at most u*M,
     so each float term is within e = 2u*M of its exact value.  The exact
     maximiser's float term is then >= T - 2e, for T the float maximum at
     any point of the sweep; the slack 8u*M covers 2e and the rounding of
-    T - 8u*M, so both maximisers are kept.  A value kept against a running
+    T - 8u*M, so both maximisers are kept.  A point kept against a running
     maximum that later rises only costs its share of the rescan.
 
     Exact rescan: _exact_top takes each side's maximum over its kept
-    values in Python ints, on a dyadic grid that doubles lie on exactly,
+    points in Python ints, on a dyadic grid that doubles lie on exactly,
     and D is (A + B)/M rounded once to a double.  Near-ties keep more
-    values, at worst all of them (on the grid k/2^18 every a is 1 and
-    every b 0: 0.15-0.19 s and 154 bytes a point), at O(M) integer cost;
+    points, at worst all of them (on the grid k/2^18 every a is 1 and
+    every b 0: 0.14-0.16 s and 136 bytes a point), at O(M) integer cost;
     the sort makes it O(M log M) overall.
 
     Memory: one block's arrays beyond the sorted points, plus the kept
-    values.  At M = 2^19 (tracemalloc) discrepancy holds 10.2 bytes a point,
-    8 of them its sorted copy, and discrepancy_beatty 11.5, where the
-    kernel's block of limbs sets the peak.
+    points.  At M = 2^19 (tracemalloc) discrepancy holds 9.9 bytes a
+    point, 8 of them its sorted copy, and discrepancy_beatty 11.5, where
+    the kernel's block of limbs sets the peak.
     """
-    return _scan(_checked(np.sort(np.asarray(points, np.float64), axis=None)))
+    return _scan(np.sort(np.asarray(points, np.float64), axis=None))
 
 
 def _kept(xs: np.ndarray):
-    """The float filter over sorted, valid points: for a (with leq) and then
-    for b (with less), the values and counts whose float term lies within
-    the slack of the running maximum."""
-    slack = xs.size * 2.0 ** -50
+    """The float filter over sorted, valid points: for a (with the count
+    i + 1) and then for b (with i), the points and counts whose float term
+    lies within the slack of the running maximum."""
+    M = int(xs.size)
+    slack = M * 2.0 ** -50
     top = [-np.inf, -np.inf]
     kept = ([], [])
-    for vals, less, leq, a, b in _blocks(xs):
-        for side, t, cnt in ((0, a, leq), (1, b, less)):
+    for p0 in range(0, M, _BLOCK):
+        x = xs[p0:p0 + _BLOCK]
+        i = np.arange(p0, p0 + x.size)
+        j, mx = i + 1, M * x
+        a = j - mx
+        b = np.subtract(mx, i, out=mx)
+        for side, t, cnt in ((0, a, j), (1, b, i)):
             top[side] = max(top[side], t.max())
             at = t >= top[side] - slack
-            kept[side].append((vals[at], cnt[at]))
+            kept[side].append((x[at], cnt[at]))
     return [tuple(map(np.concatenate, zip(*parts))) for parts in kept]
 
 
-def _scan(xs: np.ndarray) -> float:   # discrepancy of sorted, valid points
+def _scan(xs: np.ndarray) -> float:
+    """Discrepancy of sorted points, checked by their two ends (NaN sorts
+    last)."""
+    if xs.size == 0:
+        raise ValueError("need at least one sample point")
+    if not (xs[0] >= 0.0 and xs[-1] < 1.0):
+        raise PointOutOfRange("sample points must lie in [0, 1)")
     M = int(xs.size)
     A, B = (_exact_top(vals, cnt, M, sign)
             for (vals, cnt), sign in zip(_kept(xs), (1, -1)))
@@ -395,7 +372,7 @@ def discrepancy_beatty(gamma: Irrational, delta, M: int) -> float:
         fr[s:e] = gamma.affine_floor_frac_many(
             np.arange(s + 1, e + 1, dtype=np.int64), delta)[1]
     fr.sort()   # in place
-    return _scan(_checked(fr))
+    return _scan(fr)
 
 
 def decay_exponent(D: float, M: int) -> float:

@@ -38,6 +38,9 @@ __all__ = ["PrecisionReal", "Irrational", "ContinuedFraction", "TypeEstimate",
            "cf_expand", "best_convergent_below", "estimate_type", "DEFAULT_BITS"]
 
 DEFAULT_BITS = 160  # a dec: literal's precision when it carries no @bits
+# a dec: literal's largest @bits: 2^16 bits cost a count sweep no more than
+# 200 do, and 1 << bits past it can exhaust memory
+_MAX_BITS = 1 << 16
 
 
 def as_exact_ratio(x) -> Fraction:
@@ -55,16 +58,16 @@ def as_exact_ratio(x) -> Fraction:
 class PrecisionReal(Irrational):
     """A real number known to lie within +-radius of an exact rational center.
 
-    The constructor takes a decimal literal and a bit count; the radius
-    starts at 2**-bits and every arithmetic operation propagates it
-    outward exactly (rational interval arithmetic, no hidden rounding).
+    The constructor takes a decimal literal and a bit count, 1 to _MAX_BITS;
+    the radius starts at 2**-bits and every arithmetic operation propagates
+    it outward exactly (rational interval arithmetic, no hidden rounding).
     """
 
     __slots__ = ("center", "radius")
 
     def __init__(self, text, bits: int = DEFAULT_BITS):
-        if bits < 1:
-            raise ValueError("precision must be at least 1 bit")
+        if not 1 <= bits <= _MAX_BITS:
+            raise ValueError(f"precision must be 1 to {_MAX_BITS} bits")
         self.center = as_exact_ratio(text)
         self.radius = Fraction(1, 1 << bits)
 
@@ -209,7 +212,7 @@ def parse_irrational(text: str) -> Irrational:
     """
     text = text.strip()
     shown = repr(text[:60]) + ("..." if len(text) > 60 else "")  # literals run long
-    try:    # ValueError: a square radicand, bits < 1, a literal past int()'s limit
+    try:    # ValueError: a square radicand, bad @bits, a literal past int()'s limit
         m = _SQRT_RE.match(text)
         if m:
             return QuadraticSurd(0, 1, int(m.group(1)))

@@ -91,6 +91,20 @@ class TestParseConfig:
             parse_args(["discrepancy", "--alpha", "sqrt:2", "--M", "10",
                         "--delta", "1/0"])
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.10.7")
+    def test_beta_within_the_int_to_str_limit(self):
+        # a report header prints --beta with str(): at most the limit's
+        # digits in its numerator and denominator; 0.1e-(limit - 1) passes
+        # the exponent check and is refused once built
+        limit = sys.get_int_max_str_digits()
+        for text, value in ((f"3e-{limit - 1}", Fraction(3, 10 ** (limit - 1))),
+                            (f"0.5e-{limit - 1}", Fraction(1, 2 * 10 ** (limit - 1)))):
+            assert parse_args(GENERATE + ["--beta", text]).beta == value
+        for text in (f"1e-{limit}", f"1e{limit}", f"0.1e-{limit - 1}"):
+            with pytest.raises(UsageError, match="--beta: passes the"):
+                parse_args(GENERATE + ["--beta", text])
+
     def test_fractional_beta_forms(self):
         assert parse_args(GENERATE + ["--beta", "0.3"]).beta.denominator == 10
         # negative fractions need the = form to get past argparse
@@ -443,14 +457,38 @@ BAD_Q = [pytest.param(argv, "--q", id=f"{' '.join(argv[:2])} --q past int64")
                        "--grid", "10,100,1000"])]
 
 
-# None leaves each BAD_TOL, BAD_BUDGET and BAD_Q case its own id
-@pytest.mark.parametrize("argv,flag", BAD_VALUES + BAD_TOL + BAD_BUDGET + BAD_Q,
-                         ids=[" ".join(argv[:2]) + " " + flag
-                              for argv, flag in BAD_VALUES]
-                         + [None] * (len(BAD_TOL) + len(BAD_BUDGET) + len(BAD_Q)))
+# a value the report header cannot print, or psi-delta cannot turn into a
+# float: refused before the number is built or rounded
+BAD_BIG = [pytest.param([*argv, flag, value], flag,
+                        id=f"{' '.join(argv[:2])} {flag} {value}")
+           for argv, flag, value in (
+               (GENERATE, "--beta", "1e-5000"),
+               (["discrepancy", "--alpha", "sqrt:2", "--M", "10"], "--delta",
+                "1e-5000"),
+               (["psi-delta", "inspect", "--alpha", "quad:0/2+sqrt:2", "--K", "3"],
+                "--delta", "1e400"))]
+# Fraction took minutes to build 10**999999999, in C code no signal stops,
+# so this case runs in a child with a time limit
+SLOW = ["beatty", "member", "--alpha", "sqrt:2", "--beta", "1e999999999",
+        "--m", "1"]
+
+
+# None leaves each BAD_TOL, BAD_BUDGET, BAD_Q and BAD_BIG case its own id
+@pytest.mark.parametrize(
+    "argv,flag", BAD_VALUES + BAD_TOL + BAD_BUDGET + BAD_Q + BAD_BIG
+    + [(SLOW, "--beta")],
+    ids=[" ".join(argv[:2]) + " " + flag for argv, flag in BAD_VALUES]
+    + [None] * (len(BAD_TOL) + len(BAD_BUDGET) + len(BAD_Q) + len(BAD_BIG))
+    + ["beatty member --beta 1e999999999 in time"])
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
-    assert main(argv) == 1
-    err = capsys.readouterr().err
+    if argv is SLOW:
+        proc = subprocess.run([sys.executable, "-B", "-m", "beattykit.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=30)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 1
     assert err.startswith("usage error:")
     assert flag in err
     assert "Traceback" not in err

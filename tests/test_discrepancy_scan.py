@@ -55,6 +55,7 @@ def perturbed_grids(draw):
 
 
 ALL_TIE = [k / 2 ** 12 for k in range(2 ** 12)]
+SIZES = (1, 2, 3, 5, expsum._BLOCK)   # the block sizes every scan test runs at
 
 
 @given(samples())
@@ -71,10 +72,7 @@ ALL_TIE = [k / 2 ** 12 for k in range(2 ** 12)]
 @example(ALL_TIE)                     # every gap ties: every value is kept
 @example(ALL_TIE + [0.0] * 3)
 def test_scan_equals_oracle(xs):
-    # the all-pairs oracle takes seconds on the all-tie grids; the linear
-    # one stands in for it there (test_linear_oracle_equals_brute)
-    oracle = discrepancy_brute if len(xs) <= 100 else discrepancy_linear
-    assert discrepancy(xs) == oracle(xs)
+    _across_blocks(xs)
 
 
 @given(perturbed_grids())
@@ -83,18 +81,22 @@ def test_scan_equals_oracle_on_near_ties(xs):
 
 
 def _same_kept(xs):
-    """The blocked float filter keeps the values of every index the dense
-    exact computation marks as a maximiser of a, or of b, and each value it
-    keeps comes once, in order, with its true leq, or less."""
-    kept = expsum._kept(np.sort(np.asarray(xs, np.float64)))
+    """At blocks of 1, 2, 3, 5 and _BLOCK points, the pointwise float filter
+    keeps every value the dense exact computation marks as a maximiser of
+    a, with its true leq, or of b, with its true less; its counts strictly
+    ascend, and each point it keeps is the sorted point of its count's
+    index (i + 1 for a, i for b)."""
+    ys = np.sort(np.asarray(xs, np.float64))
     vals, less, leq, top_a, top_b = exact_maximisers(xs)
-    for (got, cnt), want, top in zip(kept, (leq, less), (top_a, top_b),
-                                     strict=True):
-        at = np.searchsorted(vals, got)
-        assert np.array_equal(vals[at], got)
-        assert np.all(np.diff(at) > 0)
-        assert np.array_equal(cnt, want[at])
-        assert np.isin(np.flatnonzero(top), at).all()
+    for size in SIZES:
+        with patch.object(expsum, "_BLOCK", size):
+            kept = expsum._kept(ys)
+        for (got, cnt), want, top, shift in zip(kept, (leq, less), (top_a, top_b),
+                                                (1, 0), strict=True):
+            assert np.all(np.diff(cnt) > 0), size
+            assert np.array_equal(got, ys[cnt - shift]), size
+            pairs = set(zip(got.tolist(), cnt.tolist()))
+            assert pairs >= set(zip(vals[top].tolist(), want[top].tolist())), size
 
 
 @given(samples())
@@ -121,10 +123,11 @@ def test_linear_oracle_equals_brute(xs):
 
 
 def _across_blocks(xs):
-    """At blocks of 1, 2, 3 and 5 points, the scan gives the all-pairs
-    value."""
-    want = discrepancy_brute(xs)
-    for size in (1, 2, 3, 5):
+    """At blocks of 1, 2, 3, 5 and _BLOCK points, the scan gives the
+    all-pairs value, or the linear exact oracle's on the all-tie grids,
+    where all pairs take seconds (test_linear_oracle_equals_brute)."""
+    want = (discrepancy_brute if len(xs) <= 100 else discrepancy_linear)(xs)
+    for size in SIZES:
         with patch.object(expsum, "_BLOCK", size):
             assert discrepancy(xs) == want, size
 

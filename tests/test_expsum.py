@@ -3,6 +3,7 @@ the progression bound, with naive-evaluation oracles throughout."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ class TestPsiDelta:
             build_psi_delta(0.1, 0.06, 10)         # > min(g,1-g)/2
         with pytest.raises(DeltaOutOfRange):
             build_psi_delta(0.5, 0.0, 10)
+        # an exact delta is compared before float() could overflow, or
+        # round it to 0
+        for delta in (Fraction(10 ** 400), Fraction(1, 10 ** 400)):
+            with pytest.raises(DeltaOutOfRange):
+                build_psi_delta(0.5, delta, 10)
+        exact, rounded = (build_psi_delta(0.37, d, 10) for d in (Fraction(1, 20), 0.05))
+        assert exact.delta == rounded.delta and np.array_equal(exact.g, rounded.g)
         with pytest.raises(ValueError):
             build_psi_delta(1.5, 0.01, 10)
         with pytest.raises(ValueError):
@@ -312,8 +320,9 @@ class TestProgressionBound:
         theta = sqrt2 / 2
         rows = bound_ratio_sweep(table, 100_000, ResidueClass(1, 2), theta)
         assert rows, "sweep must produce at least one row"
+        # sqrt(2)/2 = [0; 1, 2, 2, ...] has q_0 = q_1 = 1: each den comes once
         dens = [row.den for row in rows]
-        assert dens == sorted(dens)
+        assert dens[0] == 1 and dens == sorted(set(dens))
         assert all(row.bound == progression_sum_bound(100_000, row.den)
                    for row in rows)
         assert all(row.ratio == row.abs_sum / row.bound for row in rows)

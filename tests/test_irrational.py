@@ -162,12 +162,14 @@ class TestParseGrammar:
         assert hi - lo <= Fraction(2, 2 ** 40)
         z = parse_irrational("dec:0.3@80")
         assert z.interval()[1] - z.interval()[0] <= Fraction(2, 2 ** 80)
+        # the largest @bits; one more is refused (test_rejects)
+        assert parse_irrational("dec:1.5@65536").radius == Fraction(1, 2 ** 65536)
 
     def test_rejects(self):
         # a literal past int()'s digit limit is refused, not a traceback
         for bad in ("sqrt:4", "sqrt:9", "quad:1/0+sqrt:2", "foo", "dec:abc",
                     "quad:1/2+sqrt:16", "", "dec:1.5@0", "sqrt:" + "2" * 4400,
-                    "dec:0." + "3" * 4400):
+                    "dec:0." + "3" * 4400, "dec:1.5@65537", "dec:1.5@99999999999"):
             with pytest.raises(IrrationalParseError):
                 parse_irrational(bad)
 
