@@ -59,12 +59,16 @@ def _at_least(lo: int, hi: float = math.inf, budget: str = ""):
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.I)   # as Fraction reads it
 
 
+def _digit_limit() -> int:
+    """The int-to-str digit limit, or its default 4300 where it is off."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300
+
+
 def _fraction(text):
-    """A decimal or p/q, exactly, with at most the int-to-str limit's digits
-    (4300 where that limit is off) in its numerator and denominator, as a
-    report header prints it; an exponent is checked first, as Fraction takes
-    minutes to build 10**999999999."""
-    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    """A decimal or p/q, exactly, with at most _digit_limit() digits in its
+    numerator and denominator, as a report header prints it; an exponent is
+    checked first, as Fraction takes minutes to build 10**999999999."""
+    limit = _digit_limit()
     exp = _EXPONENT.search(text)
     try:
         value = None if exp and abs(int(exp[1])) > limit else Fraction(text)
@@ -264,10 +268,10 @@ def _base_params(ns) -> list:
 
 def _refuse_unprintable(ns):
     """Refuse --K at the first depth whose convergent has more digits than
-    str() prints; the walk stops there, so a refusal holds few digits."""
+    _digit_limit(); the walk stops there, so a refusal holds few digits."""
     from .irrational import cf_walk
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    cap = 10 ** limit if limit else math.inf
+    limit = _digit_limit()
+    cap = 10 ** limit
     for i, (_, p, q, _) in zip(range(ns.K + 1), cf_walk(ns.alpha)):
         if max(p, -p, q) >= cap:
             raise BeattyKitError(f"--K {ns.K}: convergents pass the {limit}-digit"

@@ -67,10 +67,9 @@ class PsiDelta(NamedTuple):
         """max_k |g_k| / bound_k; should not exceed 1 beyond roundoff."""
         return float(np.max(np.abs(self.g) / self.coefficient_bounds()))
 
-    def tail_bound(self, K: Optional[int] = None) -> float:
+    def tail_bound(self) -> float:
         """Pointwise bound for the discarded tail beyond K."""
-        K = self.K if K is None else K
-        return 1.0 / (math.pi ** 2 * K * self.delta)
+        return 1.0 / (math.pi ** 2 * self.K * self.delta)
 
     def evaluate(self, x, K: Optional[int] = None):
         """Truncated series at x (scalar or array), using frequencies <= K.
@@ -100,8 +99,9 @@ def build_psi_delta(gamma: float, delta, K: int) -> PsiDelta:
         raise ValueError("gamma must lie strictly between 0 and 1")
     d = float(delta) if 0 < delta < 1 else math.nan
     if not (0.0 < d < 0.125 and d <= min(gamma, 1.0 - gamma) / 2.0):
-        raise DeltaOutOfRange(
-            f"delta={delta} violates 0 < delta < 1/8 and delta <= min(gamma, 1-gamma)/2")
+        shown = str(delta)      # an exact delta can run to thousands of digits
+        raise DeltaOutOfRange(f"delta={shown[:60]}{'...' * (len(shown) > 60)} violates"
+                              " 0 < delta < 1/8 and delta <= min(gamma, 1-gamma)/2")
     if K < 1:
         raise ValueError("K must be >= 1")
     k = np.arange(1, K + 1, dtype=np.float64)
@@ -116,17 +116,17 @@ def build_psi_delta(gamma: float, delta, K: int) -> PsiDelta:
 # -- exponential sums over primes ------------------------------------------
 
 def _exact_units(x: np.ndarray) -> int:
-    """The exact sum of the float64 terms x, at most 2**14 of them, each
-    below 2**5 in size, as a whole number of 2**-1074 (the spacing of the
-    subnormals, so every double is a whole number of them).
+    """The exact sum of the float64 terms x, each below 2**5 in size, as a
+    whole number of 2**-1074 (the spacing of the subnormals, so every
+    double is a whole number of them).
 
     A term of size >= 2**-35 is a multiple of 2**-87 (53 bits down from its
     leading one), so x*2**44 splits exactly (np.modf) into a whole part h,
     |h| < 2**49, and a fraction f with f*2**44 whole and below 2**44: two
-    int64 limbs on the grid 2**-88.  Over 2**14 terms their sums stay below
-    2**63 and 2**58, so neither wraps.  A smaller term (a cosine within
-    2**-35 of zero, rare) is added on its own, from its exact ratio n/d
-    with d a power of two no larger than 2**1074.
+    int64 limbs on the grid 2**-88.  They are summed 2**14 terms at a time,
+    where the sums stay below 2**63 and 2**58, so neither wraps.  A smaller
+    term (a cosine within 2**-35 of zero, rare) is added on its own, from
+    its exact ratio n/d with d a power of two no larger than 2**1074.
     """
     tiny = np.abs(x) < 2.0 ** -35
     units = 0
@@ -135,8 +135,11 @@ def _exact_units(x: np.ndarray) -> int:
                     for n, d in map(float.as_integer_ratio, x[tiny]))
         x = np.where(tiny, 0.0, x)
     f, h = np.modf(np.ldexp(x, 44))
-    return (units + (int(h.astype(np.int64).sum()) << 1074 - 44)
-            + (int(np.ldexp(f, 44).astype(np.int64).sum()) << 1074 - 88))
+    h, f = h.astype(np.int64), np.ldexp(f, 44).astype(np.int64)
+    for s in range(0, x.size, _BLOCK):
+        units += ((int(h[s:s + _BLOCK].sum()) << 1074 - 44)
+                  + (int(f[s:s + _BLOCK].sum()) << 1074 - 88))
+    return units
 
 
 def _phase_sums(table: MangoldtTable, L: int, r: ResidueClass, min_n: int,

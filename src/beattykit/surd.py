@@ -9,7 +9,8 @@ fractional parts all come from it.  Nothing is rounded until a float is
 explicitly requested, and a fractional part handed out as a float is within
 half an ulp plus 2**-64 relative of the exact one.  A radicand is split
 into f*f*d, d squarefree, once, when a surd is built (make_real): field
-arithmetic keeps d and never factors again.
+arithmetic keeps d and never factors again.  It reads an int or Fraction
+operand as the element with v = 0, so each operation is one formula.
 
 Irrational, the base class of QuadraticSurd and irrational.PrecisionReal,
 states the orderings once from each backend's certified sign().  The module
@@ -276,25 +277,24 @@ class QuadraticSurd(Irrational):
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, QuadraticSurd):
-            return other
+    def _parts(self, other):
+        """other as (u, v, w) over this field's sqrt(d): v = 0 for an int or
+        Fraction; None for any other type, so the operator defers."""
         if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return None
+            return other.numerator, 0, other.denominator
+        if not isinstance(other, QuadraticSurd):
+            return None
+        if other.d != self.d:
+            raise ValueError("surds with different radicands lie in different fields")
+        return other.u, other.v, other.w
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Fraction):
-            a, b = o.numerator, o.denominator
-            return _make(self.u * b + a * self.w, self.v * b, self.w * b, self.d)
-        if o.d != self.d:
-            raise ValueError("cannot add surds with different radicands")
-        return _make(self.u * o.w + o.u * self.w,
-                     self.v * o.w + o.v * self.w,
-                     self.w * o.w, self.d)
+        u, v, w = o
+        return _make(self.u * w + u * self.w, self.v * w + v * self.w,
+                     self.w * w, self.d)
 
     __radd__ = __add__
 
@@ -302,45 +302,32 @@ class QuadraticSurd(Irrational):
         return _make(-self.u, -self.v, self.w, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if self._parts(other) is None else self + -other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Fraction):
-            a, b = o.numerator, o.denominator
-            if a == 0:
-                return Fraction(0)
-            return _make(self.u * a, self.v * a, self.w * b, self.d)
-        if o.d != self.d:
-            raise ValueError("cannot multiply surds with different radicands")
-        return _make(self.u * o.u + self.v * o.v * self.d,
-                     self.u * o.v + self.v * o.u,
-                     self.w * o.w, self.d)
+        u, v, w = o
+        return _make(self.u * u + self.v * v * self.d, self.u * v + self.v * u,
+                     self.w * w, self.d)
 
     __rmul__ = __mul__
 
+    def _reciprocal(self, u, v, w):
+        """1/x for x = (u + v*sqrt(d))/w: w*(u - v*sqrt(d))/(u*u - v*v*d), whose
+        denominator is 0 only at x = 0 (d is not a square): ZeroDivisionError."""
+        return _make(w * u, -w * v, u * u - v * v * self.d, self.d)
+
     def inverse(self):
-        den = self.u * self.u - self.v * self.v * self.d  # nonzero: d not a square
-        return _make(self.u * self.w, -self.v * self.w, den, self.d)
+        return self._reciprocal(self.u, self.v, self.w)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, Fraction):
-            return self * (1 / o)
-        return self * o.inverse()
+        o = self._parts(other)
+        return NotImplemented if o is None else self * self._reciprocal(*o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None or isinstance(o, QuadraticSurd):
-            return NotImplemented
-        return self.inverse() * o
+        return NotImplemented if self._parts(other) is None else self.inverse() * other
 
     # -- comparisons ------------------------------------------------------
 
@@ -358,16 +345,10 @@ class QuadraticSurd(Irrational):
 
     def affine_coeffs(self, eta=0):
         """Integer data (A, B, C, E, W): self*n + eta = ((A*n+B) + (C*n+E)*sqrt(d)) / W."""
-        if isinstance(eta, QuadraticSurd):
-            if eta.d != self.d:
-                raise ValueError("offset lives in a different quadratic field")
-            W = math.lcm(self.w, eta.w)
-            return (self.u * (W // self.w), eta.u * (W // eta.w),
-                    self.v * (W // self.w), eta.v * (W // eta.w), W)
-        eta = Fraction(eta)
-        W = math.lcm(self.w, eta.denominator)
-        return (self.u * (W // self.w), eta.numerator * (W // eta.denominator),
-                self.v * (W // self.w), 0, W)
+        u, v, w = self._parts(eta) or self._parts(Fraction(eta))
+        W = math.lcm(self.w, w)
+        return (self.u * (W // self.w), u * (W // w),
+                self.v * (W // self.w), v * (W // w), W)
 
     def affine_floor_frac(self, n: int, eta=0):
         """Exact (floor, frac) of self*n + eta for one integer n."""

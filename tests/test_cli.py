@@ -267,6 +267,25 @@ class TestExitCodes:
             assert err == (f"error: --K {K}: convergents pass the 4300-digit"
                            f" limit of int-to-str at depth {first}\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.10.7")
+    @pytest.mark.parametrize("args", [
+        "beatty generate --alpha sqrt:2 --beta 1e-5000 --N 1",
+        "cfrac --alpha sqrt:2 --K 12000",
+    ])
+    def test_digit_limit_off_reads_as_the_default(self, args):
+        # PYTHONINTMAXSTRDIGITS=0 switches the limit off; both the flag
+        # reader and the convergent walk then hold to the default 4300 digits
+        runs = [subprocess.run([sys.executable, "-B", "-m", "beattykit.cli",
+                                *args.split()],
+                               env=dict(os.environ, PYTHONPATH=str(SRC),
+                                        PYTHONINTMAXSTRDIGITS=limit),
+                               capture_output=True, text=True, timeout=60)
+                for limit in ("0", "4300")]
+        off, default = ((p.returncode, p.stdout, p.stderr) for p in runs)
+        assert off == default
+        assert off[0] == 1 and "the 4300-digit limit of int-to-str" in off[2]
+
     @pytest.mark.parametrize("bits,M,code", [(48, 2_000_000, 1),
                                              (60, 100_000, 0),
                                              (64, 2_000_000, 0)])
@@ -465,8 +484,8 @@ BAD_BIG = [pytest.param([*argv, flag, value], flag,
                (GENERATE, "--beta", "1e-5000"),
                (["discrepancy", "--alpha", "sqrt:2", "--M", "10"], "--delta",
                 "1e-5000"),
-               (["psi-delta", "inspect", "--alpha", "quad:0/2+sqrt:2", "--K", "3"],
-                "--delta", "1e400"))]
+               *((["psi-delta", "inspect", "--alpha", "quad:0/2+sqrt:2", "--K", "3"],
+                  "--delta", value) for value in ("1e400", "1e-400")))]
 # Fraction took minutes to build 10**999999999, in C code no signal stops,
 # so this case runs in a child with a time limit
 SLOW = ["beatty", "member", "--alpha", "sqrt:2", "--beta", "1e999999999",
@@ -492,6 +511,7 @@ def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     assert err.startswith("usage error:")
     assert flag in err
     assert "Traceback" not in err
+    assert len(err) < 300       # no value runs to hundreds of digits
 
 
 def _readme_examples():

@@ -115,7 +115,8 @@ class TestPsiDelta:
     def test_tail_bound_formula(self):
         pd = build_psi_delta(0.5, 0.05, 123)
         assert pd.tail_bound() == 1.0 / (math.pi ** 2 * 123 * 0.05)
-        assert pd.tail_bound(50) == 1.0 / (math.pi ** 2 * 50 * 0.05)
+        pd = build_psi_delta(0.5, 0.05, 50)
+        assert pd.tail_bound() == 1.0 / (math.pi ** 2 * 50 * 0.05)
 
     def test_sandwich_away_from_jumps(self):
         gamma, delta = 0.37, 0.03
@@ -215,6 +216,13 @@ def test_exact_sum_of_a_full_block_does_not_wrap(top):
     block = max(expsum._BLOCK, sieve._LOG_BLOCK)
     xs = [top] * block
     assert exact_sum(xs) == math.fsum(xs) == top * block
+
+
+def test_exact_sum_of_many_blocks_does_not_wrap():
+    # 2**15 terms: the whole-part limbs summed at once would pass 2**63 and
+    # wrap (-409600 in place of 638976)
+    xs = [19.5] * 2 ** 15
+    assert exact_sum(xs) == math.fsum(xs) == 638976
 
 
 def fsum_oracle(table, M, r, gamma, k) -> complex:

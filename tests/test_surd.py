@@ -6,6 +6,7 @@ collapse back to rationals where the algebra says it should).
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -117,6 +118,92 @@ def test_rational_mixing():
     assert 1 / x == x.inverse()
     z = x * Fraction(0)
     assert z == 0 and isinstance(z, Fraction)
+
+
+# field operations against a pair of Fractions (a, b) for a + b*sqrt(d),
+# which shares no code with surd.py
+_RADICANDS = st.sampled_from([2, 3, 5, 6, 7, 13, 61, 1009])
+_INTS = st.one_of(st.integers(-50, 50), st.integers(-10 ** 200, 10 ** 200),
+                  st.sampled_from([0, 1, -1]))
+_NONZERO = _INTS.filter(bool)
+_RATIONALS = st.one_of(_INTS, st.builds(Fraction, _INTS, _NONZERO))
+
+
+def _surds(d):
+    return st.builds(lambda u, v, w: QuadraticSurd(u, w, d, v=v),
+                     _INTS, _NONZERO, _NONZERO)
+
+
+def _pair(x):
+    if isinstance(x, QuadraticSurd):
+        return Fraction(x.u, x.w), Fraction(x.v, x.w)
+    return Fraction(x), Fraction(0)
+
+
+def _pair_op(op, x, y, d):
+    (a, b), (c, e) = x, y
+    if op is operator.add:
+        return a + c, b + e
+    if op is operator.sub:
+        return a - c, b - e
+    if op is operator.mul:
+        return a * c + b * e * d, a * e + b * c
+    n = c * c - e * e * d       # 0 only for y = 0: ZeroDivisionError
+    return (a * c - b * e * d) / n, (b * c - a * e) / n
+
+
+@st.composite
+def _operands(draw):
+    d = draw(_RADICANDS)
+    return d, draw(_surds(d)), draw(st.one_of(_surds(d), _RATIONALS))
+
+
+_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("op", _OPS, ids=lambda op: op.__name__)
+@given(_operands())
+@example((2, QuadraticSurd.sqrt(2), 0))
+@example((5, QuadraticSurd(-1, 2, 5), Fraction(0)))
+def test_field_operations_match_the_pair_oracle(op, case):
+    # surd with surd, int or Fraction, in both orders; a rational result is
+    # a Fraction, an irrational one a canonical surd of the same radicand
+    d, x, y = case
+    for left, right in ((x, y), (y, x)):
+        try:
+            want = _pair_op(op, _pair(left), _pair(right), d)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(left, right)
+            continue
+        got = op(left, right)
+        assert _pair(got) == want
+        assert isinstance(got, Fraction) == (want[1] == 0)
+        if want[1]:
+            assert got.d == d and got.w > 0 and math.gcd(got.u, got.v, got.w) == 1
+    # self*n + eta = ((A*n + B) + (C*n + E)*sqrt(d))/W, eta rational or a surd
+    A, B, C, E, W = x.affine_coeffs(y)
+    for n in (0, 1, -7, 10 ** 30):
+        a, b = _pair_op(operator.add, _pair_op(operator.mul, _pair(x), (n, 0), d),
+                        _pair(y), d)
+        assert (Fraction(A * n + B, W), Fraction(C * n + E, W)) == (a, b)
+
+
+@pytest.mark.parametrize("op", _OPS, ids=lambda op: op.__name__)
+def test_field_operations_refuse(op):
+    # two radicands: ValueError; a float: TypeError; a zero divisor:
+    # ZeroDivisionError
+    x = QuadraticSurd(1, 3, 2, v=-5)
+    for other, error in ((QuadraticSurd.sqrt(3), ValueError), (1.5, TypeError)):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(error):
+                op(left, right)
+    with pytest.raises(ValueError):
+        x.affine_coeffs(QuadraticSurd.sqrt(3))
+    if op is operator.truediv:
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
 
 
 def test_float_accuracy_randomized():
