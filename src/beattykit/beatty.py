@@ -1,12 +1,10 @@
 """Generalized Beatty sequences floor(alpha*n + beta).
 
-For alpha > 1 and gamma = 1/alpha, floor(alpha*n + beta) = m exactly when
-gamma*(m - beta) <= n < gamma*(m + 1 - beta).  So m is a term exactly when
-
-    n = ceil(gamma*(m - beta)) < ceil(gamma*(m + 1 - beta))   and   n >= 1,
-
-and n is its witness index; both ceilings are exact floors of one product
-(or certified within the carried precision).
+For alpha > 0 and gamma = 1/alpha, the indices n with floor(alpha*n + beta)
+= m are c(m) <= n < c(m + 1), c(k) = ceil(gamma*(k - beta)), and their
+number is the step floor(gamma) + [{gamma*(beta - m)} < {gamma}]: one rule,
+_ceiling_steps, decides it for many m at once.  For alpha > 1 the step is 0
+or 1, and m is a term exactly when it is 1 and its witness c(m) is >= 1.
 
 For 0 < alpha < 1 the sequence repeats values, so membership is not
 defined there; generation works for every alpha > 0.
@@ -35,13 +33,13 @@ class BeattyParams:
     same backend as alpha, such as alpha*j + beta, is kept exact as well.
     """
 
-    __slots__ = ("alpha", "beta", "gamma")
+    __slots__ = ("alpha", "beta", "gamma", "_rule")
 
     def __init__(self, alpha: Irrational, beta=0):
         if not alpha.is_positive():
             raise NotPositive("alpha must be positive")
         self.alpha, self.beta = alpha, _as_offset(beta)
-        self.gamma = alpha.inverse()
+        self.gamma, self._rule = alpha.inverse(), None
 
     def term(self, n: int) -> int:
         return self.alpha.affine_floor_frac(n, self.beta)[0]
@@ -84,49 +82,58 @@ def _require_alpha_gt_one(params):
         raise AlphaNotGreaterThanOne("membership is only defined for alpha > 1")
 
 
+def _ceiling_steps(params: BeattyParams, ms) -> tuple:
+    """(c, step) over an int64 array of m: c = ceil(gamma*(m - beta)) and
+    the step c(m + 1) - c(m), the number of n with floor(alpha*n + beta) = m.
+
+    With w = gamma*(beta - m) and f = {w}, c(m) = -floor(w) and c(m + 1) =
+    -floor(w - gamma) = c(m) + floor(gamma) - floor(f - {gamma}): the step
+    is floor(gamma) + [f < {gamma}].  The kernel gives floor(w) exactly, fr
+    within err of f and gf within g_err of {gamma}, float rounding included;
+    outside the band |fr - gf| <= err + g_err the sign of fr - gf decides,
+    and inside it the exact floor at m + 1 (a dec: straddle refuses).  -gamma,
+    the offsets at m and m + 1 and gf are formed once per params, and kept
+    on it.  Beyond ms, the outputs hold 16 bytes a point.
+    """
+    g, b = params.gamma, params.beta
+    params._rule = params._rule or (-g, g * b, g * (b - 1), *g.affine_floor_frac_many([1]))
+    neg, eta, eta1, (gi,), (gf,), g_err = params._rule
+    fl, fr, err = neg.affine_floor_frac_many(ms, eta)
+    fr -= gf
+    step = np.where(fr < 0, gi + 1, gi)
+    near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
+    step[near] = fl[near] - neg.affine_floor_frac_many(ms[near], eta1)[0]
+    return np.negative(fl, out=fl), step
+
+
 def bulk_membership(params: BeattyParams, ms) -> tuple:
     """Vectorised membership over an integer array of candidate values.
 
     Returns (member mask, witness indices) with 0 in the index slot of
-    non-members, matching is_member pointwise.  With w = gamma*(beta - m),
-    the witness is -floor(w) and m is hit exactly when {w} < gamma; points
-    whose {w} the error bounds cannot place take the exact floor at m + 1.
-
-    The kernel runs _BLOCK values of m at a time, and each block's band is
-    sized by its own largest |m|: a point near the band's edge may take
-    the exact floor in one block and the fixed-point one in another, and
-    on dec: alphas a straddle refuses at the first block that meets it.
-    The decisions are exact either way.  Beyond ms, the outputs hold 9
-    bytes a point.
+    non-members, matching is_member pointwise: m is hit, with witness c(m),
+    when its step (_ceiling_steps) is 1.  The values go _BLOCK at a time,
+    each block's band sized by its own largest |m|, so on dec: alphas a
+    straddle refuses at the first block that meets it.  Beyond ms, the
+    outputs hold 9 bytes a point.
     """
     _require_alpha_gt_one(params)
     ms = np.asarray(ms, dtype=np.int64)
-    gamma, beta = params.gamma, params.beta
     # m <= floor(beta) has a witness n <= 0: not a member.  The kernel
     # sees a live stand-in instead, since its floors could leave int64
-    dead = math.floor(beta)
+    dead = math.floor(params.beta)
     hit, witness = np.zeros(ms.size, bool), np.zeros(ms.size, np.int64)
     if not ms.size or ms.max() <= dead:
         return hit, witness
-    neg, eta, eta1 = -gamma, gamma * beta, gamma * (beta - 1)
-    _, (gf,), g_err = gamma.affine_floor_frac_many([1])
     for s in range(0, ms.size, _BLOCK):
-        mb, h = ms[s:s + _BLOCK], hit[s:s + _BLOCK]
+        mb = ms[s:s + _BLOCK]
         live = mb > dead
         if not live.any():
             continue
         if not live.all():
             mb = np.where(live, mb, mb.max())
-        fl, fr, err = neg.affine_floor_frac_many(mb, eta)
-        if fl.min() == np.iinfo(np.int64).min:
+        c, step = _ceiling_steps(params, mb)
+        if c.min() == np.iinfo(np.int64).min:   # -floor(w) wrapped
             raise FloorOutOfRange("witness 2**63 exceeds the int64 result contract")
-        # fr is within err of {w} and gf within g_err of gamma, float
-        # rounding included, so outside this band fr - gf decides {w} < gamma
-        fr -= gf
-        np.less(fr, 0, out=h)
-        near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
-        h[near] = neg.affine_floor_frac_many(mb[near], eta1)[0] < fl[near]
-        h &= live
-        np.negative(fl, out=fl)
-        np.multiply(fl, h, out=witness[s:s + _BLOCK])
+        h = np.logical_and(step, live, out=hit[s:s + _BLOCK])
+        np.multiply(c, h, out=witness[s:s + _BLOCK])
     return hit, witness

@@ -11,13 +11,12 @@ class a mod q, all over indices n <= N and with m(n) = floor(alpha*n + beta):
 The predicted main term compares each against 1/alpha times the same
 quantity summed over all integers m <= M = floor(alpha*N + beta), the
 heuristic being that a fraction 1/alpha of all m survive the Beatty
-membership sieve.  Each side streams the class's records, q*m + a (S, N)
-or m (T, M), from the sieve a block at a time, in one pass for the whole
-grid: the lhs reads m(1) <= m <= m(L) and weighs each record by the part
-of [c(m), c(m + 1)), the n with m(n) = m, below N + 1; the main term reads
-1 <= m <= M(L) and weighs it by the part of [m, m + 1) below M(N) + 1.
-Beyond the table, a sweep holds one block's arrays.  Densities q/phi(q)
-(for S) and 1/phi(q) (for T) give the cruder closed-form predictions.
+membership sieve.  Both sides are read from the class's records, q*m + a
+(S, N) or m (T, M), in one pass over the sieve's blocks for the whole grid,
+with one kernel call a record: the lhs weighs a record m by its step, the
+number of n with m(n) = m (beatty._ceiling_steps), the main term by 1, and
+both are cut at the record M(N) = m(N).  Densities q/phi(q) (for S) and
+1/phi(q) (for T) give the cruder closed-form predictions.
 
 Every sum is exact until one final rounding: Lambda values are summed as
 integer counts of 2**-53 (sieve.lambda_units), so equal multisets of terms
@@ -31,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .beatty import BeattyParams
+from .beatty import BeattyParams, _ceiling_steps
 from .sieve import (MAX_LIMIT, MangoldtTable, ResidueClass, class_blocks,
                     euler_phi, lambda_units)
 
@@ -46,7 +45,7 @@ def _checked_grid(grid, mode: str) -> list:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     given = list(grid)
     grid = [int(x) for x in given]
-    # the lhs lengths add up to the last N, which lambda_units bounds
+    # the lhs weights add up to the last N, which lambda_units bounds
     if grid != given or not grid or grid[0] < 1 or grid[-1] > MAX_LIMIT:
         raise ValueError(f"N grid must be nonempty with every N an integer"
                          f" in [1, {MAX_LIMIT}]")
@@ -55,81 +54,69 @@ def _checked_grid(grid, mode: str) -> list:
     return grid
 
 
-def _records(r: ResidueClass, mode: str, table: MangoldtTable, lo: int,
-             hi: int):
-    """The class's records with lo <= m <= hi, as ascending blocks (m,
-    Lambda values or None); only primes for N and M, which weigh no
-    Lambda.  The Lambda values may be a view of the table."""
+def _units(lam, at: slice, weights) -> int:
+    """The exact total of the records at, each weighted: in units of 2**-53
+    times its Lambda value (S, T), or one per unit of weight (N, M)."""
+    return int(weights.sum()) if lam is None else lambda_units(lam[at], weights)
+
+
+def _totals(params: BeattyParams, r: ResidueClass, grid, mode: str,
+            table: MangoldtTable) -> tuple:
+    """(lhs, main, unit): for each N of a strictly ascending grid, the exact
+    totals of the lhs and of the main term over gamma, in units of unit.
+
+    Both total the records m <= M(N) = m(N).  The lhs weighs m by the n <= N
+    with m(n) = m: the step of beatty._ceiling_steps for m(1) < m < M(N),
+    c(m(1) + 1) - 1 at m(1), N + 1 - max(c(M(N)), 1) at M(N) and 0 below
+    m(1); the main term weighs m >= 1 by 1.  So one read of min(m(1), 1) <=
+    m <= M(L), L the last N, serves both, and every floor is taken at m(1) <
+    k <= M(L), where c(k) is in [2, L]: in int64, and off k = beta, where a
+    dec: alpha cannot floor 0.  Totals are carried from cut to cut and block
+    to block, and beyond the table one block's arrays are held.
+    """
+    grid = _checked_grid(grid, mode)
+    first, tops = params.term(1), [params.term(N) for N in grid]
+    ks = sorted({k for k in (first + 1, *tops) if first < k <= tops[-1]})
+    fl = (-params.gamma).affine_floor_frac_many(ks, params.gamma * params.beta)[0]
+    c = dict(zip([first, *ks], [1, *(-fl).tolist()]))   # max(c(m(1)), 1) = 1
     scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
-    for n, lam in class_blocks(table, scale * hi + shift, r,
-                               max(scale * lo + shift, 2),
+    out, held, i = [], [0, 0], 0
+    for n, lam in class_blocks(table, scale * tops[-1] + shift, r,
+                               max(scale * min(first, 1) + shift, 2),
                                primes=mode in ("N", "M")):
-        yield (n - shift) // scale, lam
+        m, lo = (n - shift) // scale, 0
+        ws = np.zeros(m.size, np.int64), m >= 1      # lhs and main weights
+        a, b = int(np.searchsorted(m, first, "right")), int(np.searchsorted(m, tops[-1]))
+        if a and m[a - 1] == first:
+            ws[0][a - 1] = c.get(first + 1, 1) - 1
+        if b > a:       # the records m(1) < m < M(L)
+            ws[0][a:b] = _ceiling_steps(params, m[a:b])[1]
+        while i < len(grid) and tops[i] <= m[-1]:
+            k = int(np.searchsorted(m, tops[i]))
+            held = [h + _units(lam, slice(lo, k), w[lo:k]) for h, w in zip(held, ws)]
+            lo, at = k, slice(k, k + int(m[k] == tops[i]))
+            cut = np.full(at.stop - k, grid[i] + 1 - c[tops[i]])
+            out.append((held[0] + _units(lam, at, cut),
+                        held[1] + _units(lam, at, ws[1][at])))
+            i += 1
+        held = [h + _units(lam, slice(lo, None), w[lo:]) for h, w in zip(held, ws)]
+    out += [tuple(held)] * (len(grid) - i)
+    return (*zip(*out), 1.0 if mode in ("N", "M") else 2.0 ** -53)
 
 
-def _units(lam, at: slice, lengths) -> int:
-    """The exact total of the records at, each weighted by its length: in
-    units of 2**-53 times its Lambda value (S, T), or one per n (N, M)."""
-    return int(lengths.sum()) if lam is None else lambda_units(lam[at], lengths)
-
-
-def _carried_totals(blocks, cuts) -> list:
-    """For each ascending cut x, the sum of the records' weights times the
-    length of [start, stop) below x + 1, exact and rounded once, over
-    ascending blocks (lam, start, stop) of records whose spans do not
-    overlap.  Those ending by x + 1 form a prefix whose total is carried
-    from cut to cut and from block to block, and at most the next record
-    crosses x: a cut whose crossing record lies in a later block waits for
-    it.  So the work is O(blocks + cuts)."""
-    totals, carried, unit = [], 0, 1.0
-    for lam, start, stop in blocks:
-        unit, lo = 1.0 if lam is None else 2.0 ** -53, 0
-        while len(totals) < len(cuts) and stop[-1] > cuts[len(totals)] + 1:
-            x = cuts[len(totals)]
-            k = int(np.searchsorted(stop, x + 1, "right"))
-            carried += _units(lam, slice(lo, k), stop[lo:k] - start[lo:k])
-            lo = k
-            total = carried + _units(lam, slice(k, k + 1),
-                                     np.maximum(x + 1 - start[k:k + 1], 0))
-            totals.append(float(total) * unit)
-        carried += _units(lam, slice(lo, None), stop[lo:] - start[lo:])
-    return totals + [float(carried) * unit] * (len(cuts) - len(totals))
+def _rounded(params: BeattyParams, r: ResidueClass, grid, mode: str,
+             table: MangoldtTable) -> tuple:
+    """The lhs and main term at each N, each exact total rounded once."""
+    lhs, main, unit = _totals(params, r, grid, mode, table)
+    gf = float(params.gamma)
+    return [float(t) * unit for t in lhs], [gf * (float(t) * unit) for t in main]
 
 
 def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
                 table: MangoldtTable) -> list:
     """The mode's sum over n <= N of its weight at m(n), for each N of a
-    strictly ascending grid, read from the class's records.
-
-    m(n) = m for c(m) <= n < c(m + 1), where c(k) = ceil(gamma*(k - beta))
-    = -floor(-gamma*k + gamma*beta).  Only m(1) <= m <= m(L) occur, L the
-    last N, and only those records are read; c(m(1)) <= 1 and c(m(L) + 1)
-    > L are taken as 1 and L + 1 unfloored.  So every floor taken, at m(1)
-    < k <= m(L), has c(k) in [2, L]: inside int64, and off k = beta, where
-    a dec: alpha cannot floor gamma*(k - beta) = 0.
-
-    The records come from the sieve a block at a time, ascending, and each
-    block's ceilings, its starts and stops, are formed by one kernel call
-    each, whose band is sized by the block's own largest k: on dec: alphas
-    a straddle refuses at the first block that meets it, and every ceiling
-    taken is exact.  Beyond the table, one block's arrays are held.
-    """
-    grid = _checked_grid(grid, mode)
-    L, gamma = grid[-1], params.gamma
-    lo, hi = params.term(1), params.term(L)
-    neg, eta = -gamma, gamma * params.beta
-
-    def ceilings(ks):
-        # ks ascend, so lo < k <= hi is one run of the block
-        a, b = np.searchsorted(ks, (lo, hi), "right").tolist()
-        c = np.empty_like(ks)
-        c[:a], c[b:] = 1, L + 1
-        np.negative(neg.affine_floor_frac_many(ks[a:b], eta)[0], out=c[a:b])
-        return c
-
-    blocks = _records(r, mode, table, lo, hi)
-    return _carried_totals(((lam, ceilings(m), ceilings(m + 1))
-                            for m, lam in blocks), grid)
+    strictly ascending grid, read from the class's records (see _totals)."""
+    return _rounded(params, r, grid, mode, table)[0]
 
 
 def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -141,15 +128,8 @@ def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
     T: gamma * sum_{m <= M, m == a (q)} Lambda(m)
     N: gamma * #{m <= M : q m + a prime}
     M: gamma * pi(M; q, a)
-
-    It reads the records with 1 <= m <= M(L), L the last N.
     """
-    grid = _checked_grid(grid, mode)
-    tops = [params.term(N) for N in grid]
-    blocks = _records(r, mode, table, 1, tops[-1])
-    gf = float(params.gamma)
-    return [gf * t for t in _carried_totals(((lam, m, m + 1) for m, lam in blocks),
-                                            tops)]
+    return _rounded(params, r, grid, mode, table)[1]
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,
@@ -202,10 +182,8 @@ def verify_sweep(params: BeattyParams, r: ResidueClass, grid, mode: str,
     if target not in ("main", "density"):
         raise ValueError("target is 'main' or 'density'")
     grid = _checked_grid(grid, mode)
-    lhs = beatty_sums(params, r, grid, mode, table)
-    if target == "main":
-        main = main_terms(params, r, grid, mode, table)
-    else:
+    lhs, main = _rounded(params, r, grid, mode, table)
+    if target == "density":
         main = [density_prediction(params, r, N, mode) for N in grid]
     rows = []
     for N, s, m in zip(grid, lhs, main):

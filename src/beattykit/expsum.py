@@ -91,6 +91,16 @@ class PsiDelta(NamedTuple):
         return vals if np.ndim(x) else float(vals)
 
 
+def _head(x) -> str:
+    """str(x), cut past 61 digits for an exact x: str() of an integer refuses
+    past 4300 digits, and a k-bit integer has over 0.3*k of them."""
+    if isinstance(x, float):
+        return str(x)
+    n, d = (abs(v) // 10 ** max(abs(v).bit_length() * 3 // 10 - 61, 0)
+            for v in (x.numerator, x.denominator))
+    return "-" * (x < 0) + str(n) + f"/{d}" * (x.denominator != 1)
+
+
 def build_psi_delta(gamma: float, delta, K: int) -> PsiDelta:
     """Box-kernel smoothing of the (0, gamma] indicator, truncated at K;
     delta, a float or a Fraction, is held to (0, 1) before float() is taken."""
@@ -99,7 +109,7 @@ def build_psi_delta(gamma: float, delta, K: int) -> PsiDelta:
         raise ValueError("gamma must lie strictly between 0 and 1")
     d = float(delta) if 0 < delta < 1 else math.nan
     if not (0.0 < d < 0.125 and d <= min(gamma, 1.0 - gamma) / 2.0):
-        shown = str(delta)      # an exact delta can run to thousands of digits
+        shown = _head(delta)
         raise DeltaOutOfRange(f"delta={shown[:60]}{'...' * (len(shown) > 60)} violates"
                               " 0 < delta < 1/8 and delta <= min(gamma, 1-gamma)/2")
     if K < 1:
@@ -115,6 +125,9 @@ def build_psi_delta(gamma: float, delta, K: int) -> PsiDelta:
 
 # -- exponential sums over primes ------------------------------------------
 
+_PIECE = 1 << 14
+
+
 def _exact_units(x: np.ndarray) -> int:
     """The exact sum of the float64 terms x, each below 2**5 in size, as a
     whole number of 2**-1074 (the spacing of the subnormals, so every
@@ -123,8 +136,9 @@ def _exact_units(x: np.ndarray) -> int:
     A term of size >= 2**-35 is a multiple of 2**-87 (53 bits down from its
     leading one), so x*2**44 splits exactly (np.modf) into a whole part h,
     |h| < 2**49, and a fraction f with f*2**44 whole and below 2**44: two
-    int64 limbs on the grid 2**-88.  They are summed 2**14 terms at a time,
-    where the sums stay below 2**63 and 2**58, so neither wraps.  A smaller
+    int64 limbs on the grid 2**-88.  They are summed _PIECE = 2**14 terms
+    at a time, where the sums stay below 2**63 and 2**58, so neither wraps
+    (its own constant: retuning the kernel's _BLOCK leaves it).  A smaller
     term (a cosine within 2**-35 of zero, rare) is added on its own, from
     its exact ratio n/d with d a power of two no larger than 2**1074.
     """
@@ -136,9 +150,9 @@ def _exact_units(x: np.ndarray) -> int:
         x = np.where(tiny, 0.0, x)
     f, h = np.modf(np.ldexp(x, 44))
     h, f = h.astype(np.int64), np.ldexp(f, 44).astype(np.int64)
-    for s in range(0, x.size, _BLOCK):
-        units += ((int(h[s:s + _BLOCK].sum()) << 1074 - 44)
-                  + (int(f[s:s + _BLOCK].sum()) << 1074 - 88))
+    for s in range(0, x.size, _PIECE):
+        units += ((int(h[s:s + _PIECE].sum()) << 1074 - 44)
+                  + (int(f[s:s + _PIECE].sum()) << 1074 - 88))
     return units
 
 

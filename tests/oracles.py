@@ -12,7 +12,7 @@ import numpy as np
 
 from beattykit.beatty import BeattyParams
 from beattykit.cli import _fmt, _json_value
-from beattykit.errors import PointOutOfRange
+from beattykit.errors import AmbiguousFloor, PointOutOfRange
 from beattykit.irrational import floor_affine
 from beattykit.surd import (exact_floor_frac, fixed_point_floor_frac,
                             to_fixed_point)
@@ -131,6 +131,24 @@ def bulk_floor_frac(A: int, B: int, C: int, E: int, W: int, d: int, ns):
     parts = (*to_fixed_point(A, C, W, d), *to_fixed_point(B, E, W, d), 1, 1)
     return fixed_point_floor_frac(
         parts, ns, lambda n: exact_floor_frac(A * n + B, C * n + E, W, d))
+
+
+# -- steps: the indices at each value, from two exact scalar floors ----------
+
+def ceiling_steps_brute(params, ms) -> list:
+    """(c(m), c(m + 1) - c(m)) at each m, c(k) = ceil(gamma*(k - beta)) taken
+    as -floor of -gamma*k + gamma*beta by the exact scalar affine_floor_frac,
+    one point at a time; None where a dec: alpha cannot decide a floor."""
+    neg, eta = -params.gamma, params.gamma * params.beta
+    out = []
+    for m in ms:
+        try:
+            c, c1 = (-neg.affine_floor_frac(k, eta)[0] for k in (m, m + 1))
+        except AmbiguousFloor:
+            out.append(None)
+            continue
+        out.append((c, c1 - c))
+    return out
 
 
 # -- sequences: the alpha < 1 split into t sequences of modulus alpha*t > 1 --

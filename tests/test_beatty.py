@@ -10,13 +10,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from beattykit import surd
-from beattykit.beatty import (BeattyParams, bulk_membership, generate,
-                              is_member)
+from beattykit.beatty import (BeattyParams, _ceiling_steps, bulk_membership,
+                              generate, is_member)
 from beattykit.errors import (AlphaNotGreaterThanOne, AmbiguousFloor,
                               FloorOutOfRange, NotPositive,
                               PrecisionExhausted)
 from beattykit.irrational import PrecisionReal, parse_irrational
-from oracles import small_alpha_terms
+from beattykit.surd import QuadraticSurd
+from oracles import ceiling_steps_brute, small_alpha_terms
 
 
 def test_params_invariants(sqrt2):
@@ -210,6 +211,60 @@ def test_bulk_membership_empty(sqrt2):
     mask, ns = bulk_membership(BeattyParams(sqrt2),
                                np.array([], dtype=np.int64))
     assert mask.size == 0 and ns.size == 0
+
+
+def _near(r: Fraction) -> QuadraticSurd:
+    """r + (p - q*sqrt(2)) with p*p - 2*q*q = 1 and p above 2**60: a surd
+    within 2**-61 of the rational r."""
+    p, q = 3, 2
+    while p < 1 << 60:
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q     # times 3 + 2*sqrt(2)
+    return QuadraticSurd.sqrt(2) * -q + (r + p)
+
+
+STEP_ALPHAS = {name: parse_irrational(name) for name in (
+    "sqrt:2", "quad:1/2+sqrt:5", "quad:0/2+sqrt:2", "quad:-1/2+sqrt:5",
+    "dec:3.141592653589793238462643383279502884197@200",
+    "dec:0.7390851332151606416553120876738734040134@200",
+    # within 1e-30 of 3/2 and of 2/3
+    "dec:1.5000000000000000000000000000001@200",
+    "dec:0.6666666666666666666666666666667@200")}
+STEP_ALPHAS.update({"surd near 3/2": _near(Fraction(3, 2)),
+                    "surd near 2/3": _near(Fraction(2, 3))})
+
+
+@given(st.sampled_from(sorted(STEP_ALPHAS)),
+       st.fractions(-4, 4, max_denominator=12),
+       st.lists(st.integers(-400, 400), min_size=1, max_size=40))
+@example("surd near 3/2", Fraction(2), list(range(-30, 30)))
+@example("surd near 2/3", Fraction(-3), list(range(-30, 30)))
+@example("dec:1.5000000000000000000000000000001@200", Fraction(1, 2),
+         list(range(-30, 30)))
+@example("sqrt:2", Fraction(-1), [-2, -1, 0])  # {gamma*(beta - m)} = {gamma}
+@example("dec:0.6666666666666666666666666666667@200", Fraction(5, 2),
+         [7, 1, -40])
+def test_ceiling_steps_match_two_exact_floors(alpha, beta, ms):
+    # pointwise, on both sides of alpha = 1 and inside the band; on dec:
+    # alphas a straddle may refuse, on either side, but no step is guessed
+    p = BeattyParams(STEP_ALPHAS[alpha], beta)
+    want = ceiling_steps_brute(p, ms)
+    try:
+        c, step = _ceiling_steps(p, np.array(ms, np.int64))
+    except AmbiguousFloor:
+        assert alpha.startswith("dec:")
+        return
+    for m, got, w in zip(ms, zip(c.tolist(), step.tolist()), want):
+        assert w is None or got == w, (alpha, beta, m)
+
+
+@pytest.mark.parametrize("alpha", ["surd near 3/2", "surd near 2/3"])
+def test_near_rational_surds_reach_the_band(alpha):
+    # {gamma*(beta - m)} lies within 1e-16 of {gamma}, inside every band,
+    # at many m: there the exact floor at m + 1 decides the step above
+    g = BeattyParams(STEP_ALPHAS[alpha], 2).gamma
+    gap = [g * (2 - m) - math.floor(g * (2 - m)) - (g - math.floor(g))
+           for m in range(-30, 30)]
+    assert sum(-Fraction(1, 10 ** 16) < x < Fraction(1, 10 ** 16) for x in gap) > 10
 
 
 def test_gaps_are_two_values(sqrt2, phi):

@@ -3,6 +3,7 @@ the sweep verdict machinery.  Oracles are direct per-index loops through
 the exact floor."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from beattykit.errors import TableTooSmall
 from beattykit.irrational import floor_affine, parse_irrational
 from beattykit.sieve import (MAX_LIMIT, ResidueClass, build_table, euler_phi,
                              prime_pi_ap)
-from oracles import _is_prime, oracle_S, oracle_T
+from oracles import _is_prime, class_mask, oracle_S, oracle_T
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +87,8 @@ def test_spec_validation(table, sqrt2):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_sweep_reads_each_record_once(monkeypatch, sqrt2, mode):
-    # the carried pass totals each record's length once, plus at most one
-    # record crossing each grid point; a per-N re-read would total it 300x
+    # the carried pass totals each record's weight once, plus the record
+    # at each grid point's cut; a per-N re-read would total it 300x
     p = BeattyParams(sqrt2, Fraction(1, 3))
     r = ResidueClass(1, 7)
     table = build_table(7 * p.term(200_000) + 1, r)
@@ -107,6 +108,36 @@ def test_a_sweep_reads_each_record_once(monkeypatch, sqrt2, mode):
         read.clear()
         f(p, r, grid, mode, table)
         assert sum(read) <= once + len(grid)
+
+
+@pytest.mark.parametrize("alpha", [
+    "sqrt:2", "quad:0/2+sqrt:2",
+    "dec:1.4142135623730950488016887242096980785697@200"])
+def test_a_count_sweep_floors_each_record_once(monkeypatch, alpha):
+    # verify_sweep hands the floor kernel of -gamma each record m(1) < m <
+    # M(L) once, besides m(1) + 1 and the grid's tops, and a band point's
+    # m with the offset of m + 1; gamma's own fraction is taken at n = 1
+    x = parse_irrational(alpha)
+    p, r = BeattyParams(x, Fraction(1, 3)), ResidueClass(3, 7)
+    grid = [10, 1000, 5000, 20_000]
+    first, tops = p.term(1), [p.term(N) for N in grid]
+    table = build_table(7 * tops[-1] + 3, r)
+    eta, kernel = float(p.gamma * p.beta), type(x).affine_floor_frac_many
+    sent, band = [], []
+
+    def seen(self, ns, e=0):
+        if self < 0:
+            (sent if float(e) == eta else band).extend(np.asarray(ns).tolist())
+        return kernel(self, ns, e)
+
+    monkeypatch.setattr(type(x), "affine_floor_frac_many", seen)
+    verify_sweep(p, r, grid, "S", table)
+    ms = (table.power[class_mask(table, table.limit, r)] - 3) // 7
+    inner = set(ms[(ms > first) & (ms < tops[-1])].tolist())
+    ends = {first + 1, *tops}
+    assert len(inner) > 1000 and inner <= set(sent)
+    assert all(k <= (m in inner) + (m in ends) for m, k in Counter(sent).items())
+    assert set(band) <= inner and len(band) == len(set(band))
 
 
 def test_main_term_is_scaled_progression_sum(table, sqrt2):

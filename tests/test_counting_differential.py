@@ -1,14 +1,14 @@
 """beatty_sums and main_terms against the per-index oracles, with exact ==.
 
 The oracles walk n = 1..N (or m = 1..M) one term at a time through the exact
-scalar floor and sum with math.fsum; the engine reads the class's records,
-counts each by the ceilings c(m) <= n < c(m + 1) of its indices, and sums
-exactly in integers.  Both round once, so they agree bit for bit, for surd
-and dec: alphas on both sides of 1, negative beta (negative terms), q = 1,
-one-point grids and grids where M(N) <= 0.  A dec: alpha of 1e-20 makes
-every term an integer beta: c(m(1)) = 0 and c(m(N) + 1) = 1e20 are then
-integers that a dec: alpha cannot floor (and the second leaves int64), so
-the engine must take neither.
+scalar floor and sum with math.fsum; the engine reads the class's records
+once, weighs each by its step c(m + 1) - c(m), the number of indices n with
+m(n) = m, cuts both sides at the record M(N), and sums exactly in integers.
+Both round once, so they agree bit for bit, for surd and dec: alphas on both
+sides of 1, negative beta (negative terms), q = 1, one-point grids and grids
+where M(N) <= 0.  Where m(1) = beta, an integer, c(m(1)) = 0 is an integer a
+dec: alpha cannot floor; a dec: alpha of 1e-20 makes every term beta, and
+c(m(N) + 1) = 1e20 also leaves int64: the engine must take neither.
 """
 
 from fractions import Fraction
@@ -63,6 +63,10 @@ def table():
 @example("sqrt:2", Fraction(-1), ResidueClass(2, 5), [1, 2, 300], "N")
 @example("dec:3.141592653589793238462643383279502884197@200", Fraction(0),
          ResidueClass(2, 11), [300, 579], "S")     # 11*M + 2 == limit
+@example("dec:0.7390851332151606416553120876738734040134@200", Fraction(2),
+         ResidueClass(0, 1), [1, 2, 3, 50, 300], "S")     # m(1) = beta
+@example("dec:0.7390851332151606416553120876738734040134@200", Fraction(2),
+         ResidueClass(0, 1), [1, 2, 3, 50, 300], "M")
 @example(TINY, Fraction(5), ResidueClass(0, 1), [1, 200], "T")  # every term
 @example(TINY, Fraction(5), ResidueClass(0, 1), [1, 200], "M")  # is beta
 @example(TINY, Fraction(3), ResidueClass(1, 2), [7, 150, 300], "S")

@@ -43,9 +43,11 @@ class TestPsiDelta:
         with pytest.raises(DeltaOutOfRange):
             build_psi_delta(0.5, 0.0, 10)
         # an exact delta is compared before float() could overflow, or
-        # round it to 0
-        for delta in (Fraction(10 ** 400), Fraction(1, 10 ** 400)):
-            with pytest.raises(DeltaOutOfRange):
+        # round it to 0, and shown by its first digits, past the 4300 that
+        # str() of an integer allows
+        for delta in (Fraction(10 ** 400), Fraction(1, 10 ** 400),
+                      Fraction(10 ** 5000), Fraction(-7, 10 ** 5000)):
+            with pytest.raises(DeltaOutOfRange, match=r"^delta=-?[17](/1)?0{10}"):
                 build_psi_delta(0.5, delta, 10)
         exact, rounded = (build_psi_delta(0.37, d, 10) for d in (Fraction(1, 20), 0.05))
         assert exact.delta == rounded.delta and np.array_equal(exact.g, rounded.g)
