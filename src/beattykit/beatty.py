@@ -33,13 +33,13 @@ class BeattyParams:
     same backend as alpha, such as alpha*j + beta, is kept exact as well.
     """
 
-    __slots__ = ("alpha", "beta", "gamma", "_rule")
+    __slots__ = ("alpha", "beta", "gamma")
 
     def __init__(self, alpha: Irrational, beta=0):
         if not alpha.is_positive():
             raise NotPositive("alpha must be positive")
         self.alpha, self.beta = alpha, _as_offset(beta)
-        self.gamma, self._rule = alpha.inverse(), None
+        self.gamma = alpha.inverse()
 
     def term(self, n: int) -> int:
         return self.alpha.affine_floor_frac(n, self.beta)[0]
@@ -82,28 +82,29 @@ def _require_alpha_gt_one(params):
         raise AlphaNotGreaterThanOne("membership is only defined for alpha > 1")
 
 
-def _ceiling_steps(params: BeattyParams, ms) -> tuple:
-    """(c, step) over an int64 array of m: c = ceil(gamma*(m - beta)) and
-    the step c(m + 1) - c(m), the number of n with floor(alpha*n + beta) = m.
+def _ceiling_steps(params: BeattyParams):
+    """The rule ms -> (c, step) on int64 arrays of m: c(m) = ceil(gamma*(m -
+    beta)) and the step c(m + 1) - c(m), how many n have floor(alpha*n + beta) = m.
 
     With w = gamma*(beta - m) and f = {w}, c(m) = -floor(w) and c(m + 1) =
     -floor(w - gamma) = c(m) + floor(gamma) - floor(f - {gamma}): the step
     is floor(gamma) + [f < {gamma}].  The kernel gives floor(w) exactly, fr
     within err of f and gf within g_err of {gamma}, float rounding included;
     outside the band |fr - gf| <= err + g_err the sign of fr - gf decides,
-    and inside it the exact floor at m + 1 (a dec: straddle refuses).  -gamma,
-    the offsets at m and m + 1 and gf are formed once per params, and kept
-    on it.  Beyond ms, the outputs hold 16 bytes a point.
+    and inside it the exact floor at m + 1 (a dec: straddle refuses).  The
+    outputs hold 16 bytes a point beyond ms.
     """
     g, b = params.gamma, params.beta
-    params._rule = params._rule or (-g, g * b, g * (b - 1), *g.affine_floor_frac_many([1]))
-    neg, eta, eta1, (gi,), (gf,), g_err = params._rule
-    fl, fr, err = neg.affine_floor_frac_many(ms, eta)
-    fr -= gf
-    step = np.where(fr < 0, gi + 1, gi)
-    near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
-    step[near] = fl[near] - neg.affine_floor_frac_many(ms[near], eta1)[0]
-    return np.negative(fl, out=fl), step
+    neg, eta, eta1, ((gi,), (gf,), g_err) = -g, g * b, g * (b - 1), g.affine_floor_frac_many([1])
+
+    def steps(ms) -> tuple:
+        fl, fr, err = neg.affine_floor_frac_many(ms, eta)
+        fr -= gf
+        step = np.where(fr < 0, gi + 1, gi)
+        near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
+        step[near] = fl[near] - neg.affine_floor_frac_many(ms[near], eta1)[0]
+        return np.negative(fl, out=fl), step
+    return steps
 
 
 def bulk_membership(params: BeattyParams, ms) -> tuple:
@@ -111,10 +112,9 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
 
     Returns (member mask, witness indices) with 0 in the index slot of
     non-members, matching is_member pointwise: m is hit, with witness c(m),
-    when its step (_ceiling_steps) is 1.  The values go _BLOCK at a time,
-    each block's band sized by its own largest |m|, so on dec: alphas a
-    straddle refuses at the first block that meets it.  Beyond ms, the
-    outputs hold 9 bytes a point.
+    when its step (_ceiling_steps) is 1.  Each _BLOCK of values has a band
+    sized by its own largest |m|, so a dec: straddle refuses at the first
+    block that meets it; the outputs hold 9 bytes a point beyond ms.
     """
     _require_alpha_gt_one(params)
     ms = np.asarray(ms, dtype=np.int64)
@@ -124,6 +124,7 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
     hit, witness = np.zeros(ms.size, bool), np.zeros(ms.size, np.int64)
     if not ms.size or ms.max() <= dead:
         return hit, witness
+    steps = _ceiling_steps(params)
     for s in range(0, ms.size, _BLOCK):
         mb = ms[s:s + _BLOCK]
         live = mb > dead
@@ -131,7 +132,7 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
             continue
         if not live.all():
             mb = np.where(live, mb, mb.max())
-        c, step = _ceiling_steps(params, mb)
+        c, step = steps(mb)
         if c.min() == np.iinfo(np.int64).min:   # -floor(w) wrapped
             raise FloorOutOfRange("witness 2**63 exceeds the int64 result contract")
         h = np.logical_and(step, live, out=hit[s:s + _BLOCK])

@@ -25,6 +25,7 @@ give bit-identical totals however the index set is ordered or cut.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -55,68 +56,68 @@ def _checked_grid(grid, mode: str) -> list:
 
 
 def _units(lam, at: slice, weights) -> int:
-    """The exact total of the records at, each weighted: in units of 2**-53
-    times its Lambda value (S, T), or one per unit of weight (N, M)."""
+    """The exact weighted total of the records at: in 2**-53 of Lambda (S, T), or a count (N, M)."""
     return int(weights.sum()) if lam is None else lambda_units(lam[at], weights)
 
 
-def _totals(params: BeattyParams, r: ResidueClass, grid, mode: str,
-            table: MangoldtTable) -> tuple:
-    """(lhs, main, unit): for each N of a strictly ascending grid, the exact
-    totals of the lhs and of the main term over gamma, in units of unit.
+def _totals(params: BeattyParams, r: ResidueClass, grid: list, mode: str,
+            table: MangoldtTable, lhs: bool = True, main: bool = True) -> list:
+    """The lhs and the main term at each N of a checked grid, each if asked
+    for, as an exact total (in units of 2**-53 for S, T) rounded once.
 
     Both total the records m <= M(N) = m(N).  The lhs weighs m by the n <= N
     with m(n) = m: the step of beatty._ceiling_steps for m(1) < m < M(N),
     c(m(1) + 1) - 1 at m(1), N + 1 - max(c(M(N)), 1) at M(N) and 0 below
-    m(1); the main term weighs m >= 1 by 1.  So one read of min(m(1), 1) <=
-    m <= M(L), L the last N, serves both, and every floor is taken at m(1) <
-    k <= M(L), where c(k) is in [2, L]: in int64, and off k = beta, where a
-    dec: alpha cannot floor 0.  Totals are carried from cut to cut and block
-    to block, and beyond the table one block's arrays are held.
+    m(1); the main term weighs m >= 1 by 1 and floors only the tops.  One
+    read of the records up to M(L), L the last N, serves both; the lhs
+    floors at m(1) < k <= M(L) only, where c(k) is in [2, L]: in int64, and
+    off k = beta, where a dec: alpha cannot floor 0.  Totals are carried
+    from cut to cut and block to block; beyond the table one block is held.
     """
-    grid = _checked_grid(grid, mode)
     first, tops = params.term(1), [params.term(N) for N in grid]
-    ks = sorted({k for k in (first + 1, *tops) if first < k <= tops[-1]})
-    fl = (-params.gamma).affine_floor_frac_many(ks, params.gamma * params.beta)[0]
-    c = dict(zip([first, *ks], [1, *(-fl).tolist()]))   # max(c(m(1)), 1) = 1
-    scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
-    out, held, i = [], [0, 0], 0
-    for n, lam in class_blocks(table, scale * tops[-1] + shift, r,
-                               max(scale * min(first, 1) + shift, 2),
-                               primes=mode in ("N", "M")):
-        m, lo = (n - shift) // scale, 0
-        ws = np.zeros(m.size, np.int64), m >= 1      # lhs and main weights
+    if lhs:     # c at m(1) + 1 and at the tops, from one floors-only call
+        ks = sorted({k for k in (first + 1, *tops) if first < k <= tops[-1]})
+        fl = (-params.gamma).affine_floor_frac_many(ks, params.gamma * params.beta)[0]
+        c = dict(zip([first, *ks], [1, *(-fl).tolist()]))   # max(c(m(1)), 1) = 1
+    rule = functools.cache(lambda: _ceiling_steps(params))   # built at its first record
+
+    def weigh(m):   # the lhs weights of a block's records
+        w = np.zeros(m.size, np.int64)
         a, b = int(np.searchsorted(m, first, "right")), int(np.searchsorted(m, tops[-1]))
         if a and m[a - 1] == first:
-            ws[0][a - 1] = c.get(first + 1, 1) - 1
+            w[a - 1] = c.get(first + 1, 1) - 1
         if b > a:       # the records m(1) < m < M(L)
-            ws[0][a:b] = _ceiling_steps(params, m[a:b])[1]
+            w[a:b] = rule()(m[a:b])[1]
+        return w
+    sides = [(weigh, lambda i: grid[i] + 1 - c[tops[i]])] * lhs + \
+        [(lambda m: m >= 1, lambda i: int(tops[i] >= 1))] * main
+    scale, shift = (r.q, r.a) if mode in ("S", "N") else (1, 0)
+    out, held, i = [], [0] * len(sides), 0
+    for n, lam in class_blocks(table, scale * tops[-1] + shift, r,
+                               max(scale * min([first] * lhs + [1] * main) + shift, 2),
+                               primes=mode in ("N", "M")):
+        m, lo = (n - shift) // scale, 0
+        ws = [weigh(m) for weigh, _ in sides]
         while i < len(grid) and tops[i] <= m[-1]:
             k = int(np.searchsorted(m, tops[i]))
             held = [h + _units(lam, slice(lo, k), w[lo:k]) for h, w in zip(held, ws)]
             lo, at = k, slice(k, k + int(m[k] == tops[i]))
-            cut = np.full(at.stop - k, grid[i] + 1 - c[tops[i]])
-            out.append((held[0] + _units(lam, at, cut),
-                        held[1] + _units(lam, at, ws[1][at])))
+            out.append([h + _units(lam, at, np.full(at.stop - k, cut(i)))
+                        for h, (_, cut) in zip(held, sides)])
             i += 1
         held = [h + _units(lam, slice(lo, None), w[lo:]) for h, w in zip(held, ws)]
-    out += [tuple(held)] * (len(grid) - i)
-    return (*zip(*out), 1.0 if mode in ("N", "M") else 2.0 ** -53)
-
-
-def _rounded(params: BeattyParams, r: ResidueClass, grid, mode: str,
-             table: MangoldtTable) -> tuple:
-    """The lhs and main term at each N, each exact total rounded once."""
-    lhs, main, unit = _totals(params, r, grid, mode, table)
-    gf = float(params.gamma)
-    return [float(t) * unit for t in lhs], [gf * (float(t) * unit) for t in main]
+        del ws      # else the next block's step call runs beside these weights
+    out += [held] * (len(grid) - i)
+    unit = 1.0 if mode in ("N", "M") else 2.0 ** -53
+    scales = [1.0] * lhs + [float(params.gamma)] * main
+    return [[g * (float(t) * unit) for t in side] for g, side in zip(scales, zip(*out))]
 
 
 def beatty_sums(params: BeattyParams, r: ResidueClass, grid, mode: str,
                 table: MangoldtTable) -> list:
     """The mode's sum over n <= N of its weight at m(n), for each N of a
     strictly ascending grid, read from the class's records (see _totals)."""
-    return _rounded(params, r, grid, mode, table)[0]
+    return _totals(params, r, _checked_grid(grid, mode), mode, table, main=False)[0]
 
 
 def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
@@ -129,7 +130,7 @@ def main_terms(params: BeattyParams, r: ResidueClass, grid, mode: str,
     N: gamma * #{m <= M : q m + a prime}
     M: gamma * pi(M; q, a)
     """
-    return _rounded(params, r, grid, mode, table)[1]
+    return _totals(params, r, _checked_grid(grid, mode), mode, table, lhs=False)[0]
 
 
 def density_prediction(params: BeattyParams, r: ResidueClass, N: int,
@@ -182,9 +183,8 @@ def verify_sweep(params: BeattyParams, r: ResidueClass, grid, mode: str,
     if target not in ("main", "density"):
         raise ValueError("target is 'main' or 'density'")
     grid = _checked_grid(grid, mode)
-    lhs, main = _rounded(params, r, grid, mode, table)
-    if target == "density":
-        main = [density_prediction(params, r, N, mode) for N in grid]
+    lhs, *main = _totals(params, r, grid, mode, table, main=target == "main")
+    main = main[0] if main else [density_prediction(params, r, N, mode) for N in grid]
     rows = []
     for N, s, m in zip(grid, lhs, main):
         err = abs(s - m)

@@ -92,12 +92,10 @@ class PsiDelta(NamedTuple):
 
 
 def _head(x) -> str:
-    """str(x), cut past 61 digits for an exact x: str() of an integer refuses
+    """str(x) of an exact x, cut past 61 digits: str() of an integer refuses
     past 4300 digits, and a k-bit integer has over 0.3*k of them."""
-    if isinstance(x, float):
-        return str(x)
-    n, d = (abs(v) // 10 ** max(abs(v).bit_length() * 3 // 10 - 61, 0)
-            for v in (x.numerator, x.denominator))
+    n, d = (v // 10 ** max(v.bit_length() * 3 // 10 - 61, 0)
+            for v in (abs(x.numerator), x.denominator))
     return "-" * (x < 0) + str(n) + f"/{d}" * (x.denominator != 1)
 
 
@@ -109,7 +107,7 @@ def build_psi_delta(gamma: float, delta, K: int) -> PsiDelta:
         raise ValueError("gamma must lie strictly between 0 and 1")
     d = float(delta) if 0 < delta < 1 else math.nan
     if not (0.0 < d < 0.125 and d <= min(gamma, 1.0 - gamma) / 2.0):
-        shown = _head(delta)
+        shown = str(delta) if isinstance(delta, float) else _head(delta)
         raise DeltaOutOfRange(f"delta={shown[:60]}{'...' * (len(shown) > 60)} violates"
                               " 0 < delta < 1/8 and delta <= min(gamma, 1-gamma)/2")
     if K < 1:

@@ -249,7 +249,7 @@ def test_ceiling_steps_match_two_exact_floors(alpha, beta, ms):
     p = BeattyParams(STEP_ALPHAS[alpha], beta)
     want = ceiling_steps_brute(p, ms)
     try:
-        c, step = _ceiling_steps(p, np.array(ms, np.int64))
+        c, step = _ceiling_steps(p)(np.array(ms, np.int64))
     except AmbiguousFloor:
         assert alpha.startswith("dec:")
         return

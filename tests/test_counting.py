@@ -13,11 +13,11 @@ from beattykit import counting
 from beattykit.beatty import BeattyParams
 from beattykit.counting import (MODES, beatty_sums, density_prediction,
                                 main_terms, verify_sweep)
-from beattykit.errors import TableTooSmall
+from beattykit.errors import AmbiguousFloor, TableTooSmall
 from beattykit.irrational import floor_affine, parse_irrational
 from beattykit.sieve import (MAX_LIMIT, ResidueClass, build_table, euler_phi,
                              prime_pi_ap)
-from oracles import _is_prime, class_mask, oracle_S, oracle_T
+from oracles import _is_prime, class_mask, oracle_main, oracle_S, oracle_T
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,25 @@ def test_a_count_sweep_floors_each_record_once(monkeypatch, alpha):
     assert len(inner) > 1000 and inner <= set(sent)
     assert all(k <= (m in inner) + (m in ends) for m, k in Counter(sent).items())
     assert set(band) <= inner and len(band) == len(set(band))
+    # the main term alone sends -gamma nothing: it floors only the tops
+    del sent[:], band[:]
+    main_terms(p, r, grid, "S", table)
+    assert not sent and not band
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_main_terms_floor_no_record(mode):
+    # the main term weighs each record m >= 1 by 1, so it stands where the
+    # lhs refuses: on this short dec: alpha the record m = 8118 of 1 mod 5,
+    # a convergent denominator less one, lies in the step's band
+    p = BeattyParams(parse_irrational("dec:1.41421356@24"), 0)
+    r, N = ResidueClass(1, 5), 12_000
+    table = build_table(5 * p.term(N) + 1)
+    if mode in ("S", "N"):
+        with pytest.raises(AmbiguousFloor):
+            beatty_sums(p, r, [N], mode, table)
+    assert main_terms(p, r, [N], mode, table) == \
+        [oracle_main(p, r, N, mode, table)]
 
 
 def test_main_term_is_scaled_progression_sum(table, sqrt2):

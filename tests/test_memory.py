@@ -10,7 +10,7 @@ before it, per point, at M = 2^19 points (2e5 terms for generate, the
 3 mod 7 up to 7*floor(sqrt(2)*1e6 + 1/3) + 3 for the sums, the 206759
 records of 1 mod 3 up to 6e6 + 1 for the exponential sums).  The sums
 read the records a block at a time, so their figure is one block's
-arrays over the table's records: 18.1 and 8.9 bytes a record here.  Every
+arrays over the table's records: 18.0 and 8.9 bytes a record here.  Every
 bound sits a little above the value measured when it was set, given beside
 it, and less than 8 bytes above it: one more full-length int64 or float64
 temporary fails the test.
@@ -108,7 +108,7 @@ def sweep_bytes(sweep, alpha) -> float:
 def test_count_sweep_sums(alpha):
     # one block of the stream's records, their weights and steps, one
     # kernel call's and the carried totals' temporaries, whatever the range:
-    # 18.1 a record of 3 mod 7 (22.8 with two ceilings a record; 54.0 with
+    # 18.0 a record of 3 mod 7 (22.8 with two ceilings a record; 54.0 with
     # whole-length values, Lambda values, starts and stops; 117.3 when the
     # ceilings were one kernel call)
     assert sweep_bytes(beatty_sums, alpha) <= 21
@@ -116,7 +116,7 @@ def test_count_sweep_sums(alpha):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_verify_sweep(alpha):
-    # both sides from one read of the records: 18.1, as for the left side
+    # both sides from one read of the records: 18.0, as for the left side
     # alone (22.8 when each side read them in turn)
     assert sweep_bytes(verify_sweep, alpha) <= 21
 
