@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlphaNotGreaterThanOne, FloorOutOfRange, NotPositive
+from .errors import AlphaNotGreaterThanOne, NotPositive
 from .irrational import Irrational, _as_offset
 from .surd import _BLOCK
 
@@ -92,7 +92,7 @@ def _ceiling_steps(params: BeattyParams):
     within err of f and gf within g_err of {gamma}, float rounding included;
     outside the band |fr - gf| <= err + g_err the sign of fr - gf decides,
     and inside it the exact floor at m + 1 (a dec: straddle refuses).  The
-    outputs hold 16 bytes a point beyond ms.
+    step is bool where floor(gamma) = 0, else int64: 9 or 16 bytes a point.
     """
     g, b = params.gamma, params.beta
     neg, eta, eta1, ((gi,), (gf,), g_err) = -g, g * b, g * (b - 1), g.affine_floor_frac_many([1])
@@ -100,7 +100,7 @@ def _ceiling_steps(params: BeattyParams):
     def steps(ms) -> tuple:
         fl, fr, err = neg.affine_floor_frac_many(ms, eta)
         fr -= gf
-        step = np.where(fr < 0, gi + 1, gi)
+        step = fr < 0 if gi == 0 else np.where(fr < 0, gi + 1, gi)
         near = np.flatnonzero(np.abs(fr, out=fr) <= err + g_err)
         step[near] = fl[near] - neg.affine_floor_frac_many(ms[near], eta1)[0]
         return np.negative(fl, out=fl), step
@@ -133,8 +133,6 @@ def bulk_membership(params: BeattyParams, ms) -> tuple:
         if not live.all():
             mb = np.where(live, mb, mb.max())
         c, step = steps(mb)
-        if c.min() == np.iinfo(np.int64).min:   # -floor(w) wrapped
-            raise FloorOutOfRange("witness 2**63 exceeds the int64 result contract")
         h = np.logical_and(step, live, out=hit[s:s + _BLOCK])
         np.multiply(c, h, out=witness[s:s + _BLOCK])
     return hit, witness

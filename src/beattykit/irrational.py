@@ -166,8 +166,8 @@ class PrecisionReal(Irrational):
         """(floors, fracs, frac error bound) of self*n + eta over integer ns.
 
         The fixed-point kernel certifies floors against max|n|*(radius +
-        2**-128) + eta's radius; other points (and n < 0) go through
-        affine_floor_frac, which raises AmbiguousFloor on a straddle.
+        2**-128) + eta's radius; other points go through affine_floor_frac,
+        which raises AmbiguousFloor on a straddle.
         """
         return fixed_point_floor_frac(self.fixed_point(eta), ns,
                                       lambda n: self.affine_floor_frac(n, eta))

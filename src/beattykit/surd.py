@@ -120,10 +120,10 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
     F*n + G is formed exactly in uint64 limbs, 2**14 points at a time (as
     sieve's log blocks: the limb temporaries, about 1.9 MB, stay in cache);
     a point whose fraction lies within the bound max|n|*e_theta + e_eta
-    units of an integer, or with n < 0, takes (floor, frac) from exact(n).
-    Floors are exact and formed in place (FloorOutOfRange outside int64;
-    None with floors=False); err is the bound plus float rounding.  Beyond
-    ns, the outputs hold 16 bytes a point with floors and 8 without.
+    units of an integer takes (floor, frac) from exact(n).  Floors are exact
+    and formed in place (FloorOutOfRange unless both ends' exact floors lie
+    in (-2**63, 2**63); None with floors=False); err is the bound plus float
+    rounding.  Beyond ns, the outputs hold 16 bytes a point, 8 without floors.
     """
     I, F, J, G, e_theta, e_eta = parts
     ns = np.asarray(ns, dtype=np.int64)
@@ -136,15 +136,10 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
     b = min(bound, _ONE >> 1)
     fl = None
     if floors:
-        # floors are monotone in n, so the extreme indices bound them all;
-        # checked before any floor is written, so none can leave int64.  The
-        # fixed-point floor t is within slack of the exact one
-        slack = (bound >> 128) + 1
-        for n in ends:
-            t = (((I << 128) + F) * n + (J << 128) + G) >> 128
-            if not (-(1 << 63) + slack <= t < (1 << 63) - slack
-                    or -(1 << 63) <= exact(n)[0] < 1 << 63):
-                raise FloorOutOfRange("floor exceeds the int64 result contract")
+        # floors are monotone in n, so the ends bound them all, before any
+        # is written; the range is symmetric, so -floor is an int64 too
+        if not all(-(1 << 63) < exact(n)[0] < 1 << 63 for n in ends):
+            raise FloorOutOfRange("floor exceeds the int64 result contract")
         fl = np.empty(ns.size, np.int64)
         I64, J64 = (np.uint64(x & _M64).view(np.int64) for x in (I, J))
     F1, F0, G1, G0, B1, B0 = (np.uint64(x >> k & _M64) for x in (F, G, b)
@@ -161,6 +156,10 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
         c += hi_g < hi
         hi = hi_g + (lo < G0)
         c += hi < hi_g
+        if ends[0] < 0:     # m = n + 2**64 at n < 0: take F*2**64 off again
+            neg = (nb >> 63).view(np.uint64)
+            c -= (F1 & neg) + (hi < (F0 & neg))     # F1, and hi - F0's borrow
+            hi -= F0 & neg
         ok = (hi > B1) | ((hi == B1) & (lo >= B0))
         ok &= (hi < ~B1) | ((hi == ~B1) & (lo <= ~B0))
         fr = fracs[s:s + nb.size]
@@ -172,7 +171,7 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
             np.multiply(nb, I64, out=fb)
             fb += J64
             fb += c.view(np.int64)
-        for i in np.flatnonzero(~(ok & (nb >= 0))).tolist():
+        for i in np.flatnonzero(~ok).tolist():
             t, fr[i] = exact(int(nb[i]))
             if floors:
                 fb[i] = t
@@ -352,13 +351,8 @@ class QuadraticSurd(Irrational):
 
     def affine_floor_frac(self, n: int, eta=0):
         """Exact (floor, frac) of self*n + eta for one integer n."""
-        return self._exact(eta)(n)
-
-    def _exact(self, eta):
-        # affine_floor_frac(., eta), its coefficients formed once for the
-        # kernel's per-point fallback
         A, B, C, E, W = self.affine_coeffs(eta)
-        return lambda n: exact_floor_frac(A * n + B, C * n + E, W, self.d)
+        return exact_floor_frac(A * n + B, C * n + E, W, self.d)
 
     def fixed_point(self, eta=0):
         """(I, F, J, G, 1, 1): self and eta to 128 bits, each truncated, less
@@ -370,13 +364,15 @@ class QuadraticSurd(Irrational):
     def affine_floor_frac_many(self, ns, eta=0):
         """(floors, fracs, frac error bound) of self*n + eta over an integer
         array, by the fixed-point kernel; see fixed_point_floor_frac."""
-        return fixed_point_floor_frac(self.fixed_point(eta), ns, self._exact(eta))
+        return fixed_point_floor_frac(self.fixed_point(eta), ns,
+                                      lambda n: self.affine_floor_frac(n, eta))
 
     def phases_many(self, ns, eta=0):
         """Fractional parts of self*n + eta, each within (|n| + 1)*2**-128
-        plus rounding; points that close to an integer (or n < 0) are exact.
-        No floors are formed, so the integer part may exceed int64."""
-        return fixed_point_floor_frac(self.fixed_point(eta), ns, self._exact(eta),
+        plus rounding; points that close to an integer are exact.  No floors
+        are formed, so the integer part may exceed int64."""
+        return fixed_point_floor_frac(self.fixed_point(eta), ns,
+                                      lambda n: self.affine_floor_frac(n, eta),
                                       floors=False)[1]
 
     # -- conversions ------------------------------------------------------

@@ -127,7 +127,7 @@ def smoothed_indicator(x, gamma, delta):
 def bulk_floor_frac(A: int, B: int, C: int, E: int, W: int, d: int, ns):
     """Vectorised floor/frac of ((A*n + B) + (C*n + E)*sqrt(d)) / W: fracs are
     within (max|n| + 1)*2**-128 plus rounding, and points that close to an
-    integer (or n < 0) go through exact_floor_frac, so floors are exact."""
+    integer go through exact_floor_frac, so floors are exact."""
     parts = (*to_fixed_point(A, C, W, d), *to_fixed_point(B, E, W, d), 1, 1)
     return fixed_point_floor_frac(
         parts, ns, lambda n: exact_floor_frac(A * n + B, C * n + E, W, d))
@@ -185,6 +185,39 @@ def class_mask(table, L: int, r, min_n: int = 2, primes: bool = False):
     if primes:
         mask &= ns == table.base
     return mask
+
+
+# -- prime counts in progressions, without the sieve -------------------------
+
+def lucy_pi_ap(x: int, q: int) -> dict:
+    """{a: pi(x; q, a)} over the primitive classes a mod q, for x >= 1.
+
+    Lucy's form of the Legendre-Meissel recursion (Lagarias, Miller and
+    Odlyzko, Math. Comp. 44, 1985) over the values v = x // k, one column
+    per primitive class b: S(v, b) starts as the count of 2 <= n <= v with
+    n == b, and each prime p <= sqrt(x) not dividing q removes the n whose
+    least prime factor is p, S(v, b) -= S(v // p, b/p) - S(p - 1, b/p) for
+    v >= p*p.  A member of a primitive class has no prime factor dividing
+    q, so the columns form a closed system.  Counts only: a Lambda-weighted
+    total is not completely multiplicative, so modes S and T get no check
+    here.  It shares no code with beattykit.sieve.
+    """
+    r = math.isqrt(x)
+    V = np.array(sorted({x // k for k in range(1, r + 1)} | set(range(1, r + 1)),
+                        reverse=True), np.int64)
+    B = [b for b in range(q) if math.gcd(b, q) == 1]
+    col = {b: i for i, b in enumerate(B)}
+    rep = np.array([b or q for b in B], np.int64)     # b as a number in [1, q]
+    S = (V[:, None] - rep) // q + 1 - (rep == 1)
+    at = lambda v: np.where(v <= r, V.size - v, x // v - 1)   # the row of v
+    for p in range(2, r + 1):
+        c = col.get(p % q)      # None where p shares a factor with q
+        if c is None or S[V.size - p, c] == S[V.size - p + 1, c]:
+            continue            # no prime of a primitive class
+        t = int(np.searchsorted(-V, -p * p, "right"))    # the rows v >= p*p
+        perm = [col[b * pow(p, -1, q) % q] for b in B]  # the column of b/p
+        S[:t] -= S[at(V[:t] // p)][:, perm] - S[V.size - p + 1, perm]
+    return {b: int(S[0, i]) for i, b in enumerate(B)}
 
 
 # -- counting: direct per-index loops through the exact scalar floor --------

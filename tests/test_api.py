@@ -98,8 +98,8 @@ def _fresh(code: str):
     fresh interpreter, so no earlier import has filled the package in."""
     code = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n" \
         f"import beattykit\n{code}"
-    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-I", "-B", "-W", "error", "-c", code],
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 

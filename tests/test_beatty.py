@@ -184,6 +184,22 @@ def test_bulk_membership_matches_is_member_and_terms(alpha, beta, pool, size,
     assert ns.tolist() == [n or 0 for n in want]
 
 
+@pytest.mark.parametrize("alpha", ["sqrt:2", "dec:1.4142135623730950488@200"])
+def test_bulk_membership_on_negative_values(alpha):
+    # beta = -1e6 puts the terms of n near 7e5 at m < 0, so the kernel
+    # indices are all negative; both functions agree with the generated
+    # terms (is_member on every fifth m: a dec: one takes 0.1 ms)
+    p = BeattyParams(parse_irrational(alpha), -10 ** 6)
+    ms = np.arange(-20000, 0, dtype=np.int64)
+    terms = generate(p, 710000)
+    hit = {int(t): n for n, t in enumerate(terms.tolist(), start=1)}
+    mask, ns = bulk_membership(p, ms)
+    want = [hit.get(m) for m in ms.tolist()]
+    assert [is_member(p, m) for m in ms[::5].tolist()] == want[::5]
+    assert mask.tolist() == [n is not None for n in want]
+    assert ns.tolist() == [n or 0 for n in want]
+
+
 def test_bulk_membership_refuses_a_witness_beyond_int64(sqrt2):
     # a witness of 2**63 is no int64: refused, not wrapped to -2**63
     x = math.isqrt(2 << 126)  # floor(sqrt(2) * 2**63)

@@ -205,7 +205,7 @@ class TestExitCodes:
         "type-estimate --alpha dec:1.4142135623730950488016887242096980785696718753769 --K 50",
     ])
     def test_floor_beyond_int64_is_one(self, args):
-        proc = subprocess.run([sys.executable, "-B", "-m", "beattykit.cli",
+        proc = subprocess.run([sys.executable, "-B", "-W", "error", "-m", "beattykit.cli",
                                *args.split()],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True)
@@ -219,7 +219,7 @@ class TestExitCodes:
     ])
     def test_unsplit_radicand_is_refused_in_time(self, alpha):
         # trial division stops at 2^20 (about 0.3 s), where it ran for days
-        proc = subprocess.run([sys.executable, "-B", "-m", "beattykit.cli",
+        proc = subprocess.run([sys.executable, "-B", "-W", "error", "-m", "beattykit.cli",
                                "cfrac", "--alpha", alpha, "--K", "3"],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=30)
@@ -276,7 +276,7 @@ class TestExitCodes:
     def test_digit_limit_off_reads_as_the_default(self, args):
         # PYTHONINTMAXSTRDIGITS=0 switches the limit off; both the flag
         # reader and the convergent walk then hold to the default 4300 digits
-        runs = [subprocess.run([sys.executable, "-B", "-m", "beattykit.cli",
+        runs = [subprocess.run([sys.executable, "-B", "-W", "error", "-m", "beattykit.cli",
                                 *args.split()],
                                env=dict(os.environ, PYTHONPATH=str(SRC),
                                         PYTHONINTMAXSTRDIGITS=limit),
@@ -501,7 +501,8 @@ SLOW = ["beatty", "member", "--alpha", "sqrt:2", "--beta", "1e999999999",
     + ["beatty member --beta 1e999999999 in time"])
 def test_bad_flag_value_is_a_usage_error(capsys, argv, flag):
     if argv is SLOW:
-        proc = subprocess.run([sys.executable, "-B", "-m", "beattykit.cli", *argv],
+        proc = subprocess.run([sys.executable, "-B", "-W", "error", "-m",
+                               "beattykit.cli", *argv],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=30)
         code, err = proc.returncode, proc.stderr
@@ -547,8 +548,8 @@ def test_import_loads_no_fallback_module():
         print(json.dumps([held, sorted(
             m for m in ("mpmath", "sympy") if m in sys.modules)]))
     """
-    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-I", "-B", "-W", "error", "-c", code],
+                         check=True, capture_output=True, text=True).stdout
     assert json.loads(out) == [[], []]
 
 
@@ -595,8 +596,8 @@ def _loaded_after(*argvs):
         print(json.dumps([m for m in sys.modules if m.startswith("beattykit")
                           or m in ("numpy", "dataclasses")]))
     """
-    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-I", "-B", "-W", "error", "-c", code],
+                         check=True, capture_output=True, text=True).stdout
     return {m.removeprefix("beattykit.") for m in json.loads(out)}
 
 

@@ -11,6 +11,7 @@ dec: alpha cannot floor; a dec: alpha of 1e-20 makes every term beta, and
 c(m(N) + 1) = 1e20 also leaves int64: the engine must take neither.
 """
 
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -20,11 +21,13 @@ from hypothesis import strategies as st
 
 from beattykit.beatty import BeattyParams
 from beattykit.counting import MODES, beatty_sums, main_terms
-from beattykit.irrational import parse_irrational
+from beattykit.errors import AmbiguousFloor, PrecisionExhausted
+from beattykit.irrational import PrecisionReal, parse_irrational
 from beattykit.sieve import _LOG_BLOCK as BLOCK
 from beattykit.sieve import ResidueClass, build_table
-from oracles import (class_mask, oracle_M, oracle_N, oracle_S, oracle_T,
-                     oracle_main)
+from beattykit.surd import QuadraticSurd
+from oracles import (_is_prime, class_mask, lucy_pi_ap, oracle_M, oracle_N,
+                     oracle_S, oracle_T, oracle_main)
 
 TINY = "dec:0.00000000000000000001@200"
 ALPHAS = {name: parse_irrational(name) for name in (
@@ -111,3 +114,53 @@ def test_engine_equals_oracles_across_kernel_blocks(alpha, mode):
     assert class_mask(table, table.limit, r).sum() > 2 * BLOCK
     assert beatty_sums(p, r, grid, mode, table) == \
         [ORACLES[mode](p, r, N, table) for N in grid]
+
+
+# -- complementary sequences: counts that add up to prime counts -------------
+
+X_MAX = 10 ** 6
+DEC_SQRT2 = "dec:1.4142135623730950488016887242096980785696718753769@200"
+
+
+@pytest.fixture(scope="module")
+def complement_table():
+    # above q*m + a for q <= 30 and m <= X_MAX
+    return build_table(30 * X_MAX + 29)
+
+
+surds_above_one = st.builds(QuadraticSurd, st.integers(-20, 20), st.integers(1, 9),
+                            st.sampled_from((2, 3, 5, 7, 13, 1009))) \
+    .filter(lambda x: 1 < x < 9)
+decimals_above_one = st.builds("dec:{}.{}@{}".format, st.integers(1, 4),
+                               st.integers(10 ** 12, 10 ** 15 - 1),
+                               st.sampled_from((64, 128, 200))).map(parse_irrational)
+classes_to_30 = st.integers(1, 30).flatmap(lambda q: st.sampled_from(
+    [ResidueClass(a, q) for a in range(q) if gcd(a, q) == 1]))
+
+
+@given(st.one_of(surds_above_one, decimals_above_one), classes_to_30,
+       st.integers(1, X_MAX), st.sampled_from("NM"))
+@example(parse_irrational("sqrt:2"), ResidueClass(3, 7), 10 ** 5, "M")
+@example(parse_irrational("quad:1/2+sqrt:5"), ResidueClass(1, 10), 10 ** 5, "N")
+@example(parse_irrational("sqrt:7"), ResidueClass(29, 30), X_MAX, "N")
+@example(parse_irrational(DEC_SQRT2), ResidueClass(3, 7), X_MAX, "M")
+def test_complementary_sequences_add_up_to_prime_counts(complement_table, alpha,
+                                                         r, X, mode):
+    # floor(alpha*n) and floor(alpha'*n), alpha' = alpha/(alpha - 1),
+    # partition the positive integers (Rayleigh), and the terms <= X are
+    # those of n <= floor(gamma*(X + 1)).  So the two mode M sums are
+    # pi(X; q, a), and the two mode N sums count the primes q*m + a with
+    # 1 <= m <= X.  On dec: either side may refuse, never mismatch
+    try:
+        total = 0.0
+        for a in (alpha, alpha / (alpha - 1)):
+            p = BeattyParams(a)
+            N = math.floor(p.gamma * (X + 1))
+            total += beatty_sums(p, r, [N], mode, complement_table)[0] if N else 0.0
+    except (AmbiguousFloor, PrecisionExhausted):
+        assert isinstance(alpha, PrecisionReal)
+        return
+    if mode == "M":
+        assert total == lucy_pi_ap(X, r.q)[r.a]
+    else:
+        assert total == lucy_pi_ap(r.q * X + r.a, r.q)[r.a] - _is_prime(r.a)

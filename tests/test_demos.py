@@ -16,8 +16,8 @@ GOLDEN = ROOT / "tests" / "golden"
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-B", str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-B", "-W", "error", str(demo)], cwd=ROOT,
+                          env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     expected = (GOLDEN / f"demo_{demo.name[:2]}.txt").read_bytes()
     assert proc.stdout == expected

@@ -25,6 +25,7 @@ from beattykit.surd import (QuadraticSurd, exact_floor_frac,
 from oracles import bulk_floor_frac
 
 RADICANDS = (2, 3, 5, 6, 7, 13, 61, 1009)
+DEC_SQRT2 = "1.41421356237309504880168872420969807856967187537694807317667973799"
 N_MAX = 1 << 40
 
 
@@ -63,20 +64,49 @@ limbs = st.one_of(st.integers(0, (1 << 128) - 1),
                                    1 << 127, (1 << 128) - 1]))
 
 
-@given(st.integers(-(1 << 40), 1 << 40), limbs, st.integers(-(1 << 40), 1 << 40),
-       limbs, st.lists(st.integers(0, (1 << 63) - 1), min_size=1, max_size=20))
+@st.composite
+def limb_cases(draw):
+    """(I, F, J, G, ns) with indices of both signs, all of int64 but -2**63,
+    and |I*n| below 2**63; J may still carry a floor past int64."""
+    I, F, J, G = draw(st.integers(-(1 << 40), 1 << 40)), draw(limbs), \
+        draw(st.integers(-(1 << 40), 1 << 40)), draw(limbs)
+    n_max = ((1 << 63) - 1) // (abs(I) + 1)
+    ns = st.one_of(st.integers(-n_max, n_max),
+                   st.sampled_from([-n_max, -1, 0, 1, n_max]))
+    return I, F, J, G, draw(st.lists(ns, min_size=1, max_size=20))
+
+
+@given(limb_cases())
 # F + G = 2**128 + 1000: the low limbs carry into a high limb sum of 2**64 - 1
-@example(0, (1 << 127) + (1 << 64) - 1, 0, ((1 << 63) - 1 << 64) + 1001, [1])
-def test_limb_arithmetic_matches_python_ints(I, F, J, G, ns):
+@example((0, (1 << 127) + (1 << 64) - 1, 0, ((1 << 63) - 1 << 64) + 1001, [1]))
+# n < 0 with F0 = 2**64 - 1: the high limb borrows from the carry
+@example((0, (1 << 64) - 1, 0, 0, [-1, -(1 << 62), 3]))
+@example((-3, (1 << 128) - 1, 5, 1 << 127, [-((1 << 63) - 1) // 4, 7]))
+# floors of exactly 2**63 and -2**63: refused, so -floor is an int64 too
+@example((0, (1 << 128) - 1, 1, 1 << 63, [(1 << 63) - 1]))
+@example((0, (1 << 128) - 1, -1, 0, [-((1 << 63) - 1)]))
+def test_limb_arithmetic_matches_python_ints(case):
     # with zero error units every point is certified, so the kernel alone
-    # must reproduce floor((I + F/2**128)*n + J + G/2**128) exactly
-    n_max = max(ns)
-    assume(abs(I) * n_max + abs(J) + n_max + 2 < 1 << 62)
-    floors, fracs, err = fixed_point_floor_frac((I, F, J, G, 0, 0), ns, None)
+    # must reproduce floor((I + F/2**128)*n + J + G/2**128) exactly; the
+    # exact callable is asked only for the floors at the two ends
+    I, F, J, G, ns = case
+    total = lambda n: ((I << 128) + F) * n + (J << 128) + G
+    calls = []
+
+    def exact(n):
+        calls.append(n)
+        return total(n) >> 128, (total(n) % (1 << 128)) / (1 << 128)
+
+    ends = (min(ns), max(ns))
+    if not all(-(1 << 63) < total(n) >> 128 < 1 << 63 for n in ends):
+        with pytest.raises(FloorOutOfRange):
+            fixed_point_floor_frac((I, F, J, G, 0, 0), ns, exact)
+        return
+    floors, fracs, err = fixed_point_floor_frac((I, F, J, G, 0, 0), ns, exact)
+    assert set(calls) <= set(ends)
     for i, n in enumerate(ns):
-        total = ((I << 128) + F) * n + (J << 128) + G
-        assert floors[i] == total >> 128
-        assert abs(fracs[i] - (total % (1 << 128)) / (1 << 128)) <= err
+        assert floors[i] == total(n) >> 128
+        assert abs(fracs[i] - (total(n) % (1 << 128)) / (1 << 128)) <= err
 
 
 surds = st.builds(
@@ -151,11 +181,35 @@ def test_floors_beyond_int64_rejected_phases_kept():
     assert np.abs(x.phases_many(ns) - want).max() <= 5e-16
 
 
+@pytest.mark.parametrize("alpha", ["sqrt:2", f"dec:{DEC_SQRT2}@200"])
+def test_only_band_points_and_ends_reach_the_scalar_kernel(alpha):
+    # n of both signs take the limb path: the exact callable sees only the
+    # points within err of an integer, of which sqrt(2)*n + 1/3 has none
+    # for |n| <= 20000, and with floors the two ends (the int64 check)
+    x, eta = parse_irrational(alpha), Fraction(1, 3)
+    ns = np.arange(-20000, 20001, dtype=np.int64)
+    calls = []
+
+    def exact(n):
+        calls.append(n)
+        return x.affine_floor_frac(n, eta)
+
+    floors, fracs, err = fixed_point_floor_frac(x.fixed_point(eta), ns, exact)
+    assert sorted(calls) == [-20000, 20000]
+    calls.clear()
+    phases = fixed_point_floor_frac(x.fixed_point(eta), ns, exact, floors=False)[1]
+    assert not calls and np.array_equal(phases, fracs)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(x.affine_floor_frac_many(ns, eta), (floors, fracs)))
+    for n in ns[::97].tolist():
+        fl, fr = x.affine_floor_frac(n, eta)
+        assert floors[n + 20000] == fl and abs(fracs[n + 20000] - fr) <= err
+
+
 # -- across blocks: the kernel runs 2**14 points at a time --------------------
 
 BLOCK = 1 << 14
 LENGTHS = (BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5)
-DEC_SQRT2 = "1.41421356237309504880168872420969807856967187537694807317667973799"
 
 
 @st.composite

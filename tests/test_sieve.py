@@ -21,7 +21,7 @@ from beattykit.sieve import (MAX_LIMIT, SEGMENT, MangoldtTable,
                              ResidueClass, build_table, chebyshev_psi_ap,
                              class_blocks, euler_phi, lambda_units,
                              prime_pi_ap)
-from oracles import class_mask, log_correctly_rounded
+from oracles import class_mask, log_correctly_rounded, lucy_pi_ap
 
 # the primes up to 5e6 whose glibc math.log is not the correctly rounded log
 LIBM_MISSES = [351497, 664679, 1070557, 1243783, 1908407, 1959253, 2784043,
@@ -548,3 +548,17 @@ def test_build_peaks_near_its_records():
     finally:
         tracemalloc.stop()
     assert peak <= 1.15 * (t.power.nbytes + t.base.nbytes)
+
+
+@given(st.integers(1, 30), st.integers(1, 10 ** 7))
+@example(7, 10 ** 7)
+@example(30, 10 ** 7)
+@example(1, 1)
+def test_prime_counts_match_lucys_recursion(big_table, q, x):
+    # pi(x; q, a) for every primitive class of q from the full table, and
+    # from the class's own table (the class sieve), against an oracle
+    # that shares no code with the sieve
+    want = lucy_pi_ap(x, q)
+    assert {a: prime_pi_ap(big_table, x, ResidueClass(a, q)) for a in want} == want
+    assert {a: prime_pi_ap(build_table(x, ResidueClass(a, q)), x, ResidueClass(a, q))
+            for a in want} == want
