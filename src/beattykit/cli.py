@@ -26,6 +26,7 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import chain, count, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -157,8 +158,8 @@ class Report(NamedTuple):
 
 
 class _Terms(Sequence):
-    """The rows (n, term), n = 1..N, of a term array, formed when indexed,
-    so that a report holds them one chunk at a time."""
+    """The rows (n, term), n = 1..N, of a term array, formed when indexed or
+    read, so that a report holds them one chunk at a time."""
 
     def __init__(self, terms: np.ndarray):
         self.terms = terms
@@ -171,6 +172,11 @@ class _Terms(Sequence):
         if isinstance(ns, int):
             return ns, int(self.terms[ns - 1])
         return list(zip(ns, self.terms[i].tolist()))
+
+    def __iter__(self):     # a chunk of terms at a time as Python ints
+        t = self.terms
+        return zip(count(1), chain.from_iterable(
+            t[s:s + _CHUNK].tolist() for s in range(0, t.size, _CHUNK)))
 
 
 def _fmt(v) -> str:
@@ -193,15 +199,7 @@ def _json_value(v):
     return str(v)
 
 
-_CHUNK = 1 << 16    # rows formatted at a time
-
-
-def _columns(rows, start: int, stop: int):
-    """The columns of rows[start:stop]; a term array's without forming rows."""
-    if isinstance(rows, _Terms):
-        terms = rows.terms[start:stop]
-        return range(start + 1, start + terms.size + 1), terms.tolist()
-    return zip(*rows[start:stop])
+_CHUNK = 1 << 15    # rows formatted at a time
 
 
 def _pieces(report: Report, fmt: str):
@@ -223,7 +221,7 @@ def _pieces(report: Report, fmt: str):
         # each row laid out as json.dumps(indent=2) lays out the whole array
         cell, cell_sep, row_sep = (lambda v: json.dumps(_json_value(v)),
                                    ",\n      ", ",")
-        line = "\n    [\n      {}\n    ]".format
+        line = "\n    [\n      {}\n    ]"
         last = ("\n  ]" if rows else "]") + tail + "\n"
     else:
         lines = [f"# beattykit {report.name}"]
@@ -233,14 +231,15 @@ def _pieces(report: Report, fmt: str):
             lines.append(f"# verdict={'PASS' if report.verdict else 'FAIL'}")
         lines.append(",".join(report.columns))
         yield "\n".join(lines) + "\n"
-        cell, cell_sep, row_sep, line, last = _fmt, ",", "", "{}\n".format, ""
+        cell, cell_sep, row_sep, line, last = _fmt, ",", "", "{}\n", ""
+    line, it = line.format(cell_sep.join(["%s"] * len(report.columns))), iter(rows)
     for start in range(0, len(rows), _CHUNK):
-        # column by column, lazily; plain ints (most cells of large
-        # reports) skip the formatter
-        cols = ((str(v) if type(v) is int else cell(v) for v in col)
-                for col in _columns(rows, start, start + _CHUNK))
-        rows_text = row_sep.join(map(line, map(cell_sep.join, zip(*cols))))
-        yield (row_sep if start else "") + rows_text
+        # one %-format over the chunk's cells; plain ints (most cells of
+        # large reports) go in as they are, as %s formats them as str does
+        cells = [v if type(v) is int else cell(v)
+                 for row in islice(it, _CHUNK) for v in row]
+        text = row_sep.join([line] * min(_CHUNK, len(rows) - start))
+        yield (row_sep if start else "") + text % tuple(cells)
     yield last
 
 
@@ -321,15 +320,16 @@ def _run_member(ns) -> Report:
 
 
 def _run_sieve(ns) -> Report:
-    from .sieve import SEGMENT, chebyshev_psi_ap, euler_phi, prime_pi_ap
+    from .sieve import SEGMENT, _grid_totals, euler_phi
     table = _table(ns, ns.grid[-1])
     params = [("q", ns.q), ("a", ns.a), ("segment", SEGMENT)]
+    totals = _grid_totals(table, ns.grid, ns.residue, primes=ns.action == "pi")
     if ns.action == "pi":
-        rows = [(x, prime_pi_ap(table, x, ns.residue)) for x in ns.grid]
+        rows = list(zip(ns.grid, totals))
         return Report("sieve-pi", params, ("x", "count"), rows)
     rows = []
-    for L in ns.grid:
-        val = chebyshev_psi_ap(table, L, ns.residue)
+    for L, units in zip(ns.grid, totals):
+        val = units * 2.0 ** -53
         mainv = L / euler_phi(ns.q)
         rows.append((L, val, mainv, abs(val - mainv) / L))
     return Report("sieve-psi", params, ("L", "psi", "main", "rel_dev"), rows)

@@ -437,15 +437,31 @@ def class_blocks(table: MangoldtTable, L: int, r, min_n: int = 2,
             yield ns[keep], None if primes else table.log_base[at][keep]
 
 
+def _grid_totals(table: MangoldtTable, grid, r, primes: bool = False) -> list:
+    """At each x of an ascending grid, the exact total over the records
+    n <= x of the class: with primes their count, else their Lambda in
+    units of 2**-53 (lambda_units).  One read of the records up to the last
+    x; the total is carried from cut to cut and block to block."""
+    out, held = [], 0
+    for ns, lam in class_blocks(table, grid[-1], r, primes=primes):
+        lo = 0
+        for k in [int(np.searchsorted(ns, x, side="right"))
+                  for x in grid[len(out):] if x < ns[-1]]:
+            held += k - lo if primes else lambda_units(lam[lo:k])
+            out.append(held)
+            lo = k
+        held += ns.size - lo if primes else lambda_units(lam[lo:])
+    return out + [held] * (len(grid) - len(out))
+
+
 def chebyshev_psi_ap(table: MangoldtTable, L: int, r) -> float:
     """psi(L; q, a): sum of Lambda(n) over n <= L with n congruent to a mod q."""
-    return float(sum(lambda_units(lam) for _, lam in class_blocks(table, L, r))) \
-        * 2.0 ** -53
+    return _grid_totals(table, [L], r)[0] * 2.0 ** -53
 
 
 def prime_pi_ap(table: MangoldtTable, x: int, r) -> int:
     """pi(x; q, a): primes p <= x with p congruent to a mod q."""
-    return sum(ns.size for ns, _ in class_blocks(table, x, r, primes=True))
+    return _grid_totals(table, [x], r, primes=True)[0]
 
 
 def euler_phi(q: int) -> int:

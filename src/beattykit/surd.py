@@ -15,9 +15,9 @@ operand as the element with v = 0, so each operation is one formula.
 Irrational, the base class of QuadraticSurd and irrational.PrecisionReal,
 states the orderings once from each backend's certified sign().  The module
 also hosts the bulk kernel of both backends: theta and the offset as
-128-bit fixed-point values, F*n formed exactly, and an error bound of
-n*2**-128 (exact truncation), plus n*radius for decimals.  Points within
-the bound of an integer go to the exact scalar kernel, so floors are exact.
+128-bit fixed-point values, F*n formed exactly from 32-bit digits, and an
+error bound of n*2**-128 (exact truncation), plus n*radius for decimals.
+Points within the bound go to the exact scalar kernel: floors are exact.
 """
 
 from __future__ import annotations
@@ -102,27 +102,21 @@ def exact_floor_frac(U: int, V: int, W: int, d: int):
     return t, F if F < 1.0 else _ONE_BELOW
 
 
-def _mul_wide(a, b):
-    """(high, low) limbs of the 128-bit products a*b, b a uint64 scalar; the
-    high limb is built from 32-bit halves (Granlund & Montgomery, PLDI 1994)."""
-    a0, a1 = a & _LO32, a >> _S32
-    b0, b1 = b & _LO32, b >> _S32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
-    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), a * b
-
-
 def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
     """(floors, fracs, err) of theta*n + eta over an int64 array.
 
     parts = (I, F, J, G, e_theta, e_eta) from a backend's fixed_point:
     theta = I + F/2**128 and eta = J + G/2**128 within e units of 2**-128.
-    F*n + G is formed exactly in uint64 limbs, 2**14 points at a time (as
-    sieve's log blocks: the limb temporaries, about 1.9 MB, stay in cache);
-    a point whose fraction lies within the bound max|n|*e_theta + e_eta
-    units of an integer takes (floor, frac) from exact(n).  Floors are exact
-    and formed in place (FloorOutOfRange unless both ends' exact floors lie
-    in (-2**63, 2**63); None with floors=False); err is the bound plus float
+    F*m + G, m = n mod 2**64, is formed exactly from 32-bit digits: a step
+    f*m + a + carry of digits is at most 2**64 - 1, exact in uint64 (Granlund
+    & Montgomery, PLDI 1994), and m's high half adds a second row of steps
+    once some n lies outside [0, 2**32).  Blocks of 2**14 points (as sieve's
+    log blocks) share one scratch set per call, written through out=: six
+    uint64 rows (eight with the high half) and a bool row, at most 1.1 MB.  A
+    point whose fraction lies within the bound max|n|*e_theta + e_eta units
+    of an integer takes (floor, frac) from exact(n).  Floors are exact and
+    formed in place (FloorOutOfRange unless both ends' exact floors lie in
+    (-2**63, 2**63); None with floors=False); err is the bound plus float
     rounding.  Beyond ns, the outputs hold 16 bytes a point, 8 without floors.
     """
     I, F, J, G, e_theta, e_eta = parts
@@ -142,39 +136,55 @@ def fixed_point_floor_frac(parts, ns, exact, floors: bool = True):
             raise FloorOutOfRange("floor exceeds the int64 result contract")
         fl = np.empty(ns.size, np.int64)
         I64, J64 = (np.uint64(x & _M64).view(np.int64) for x in (I, J))
-    F1, F0, G1, G0, B1, B0 = (np.uint64(x >> k & _M64) for x in (F, G, b)
-                              for k in (64, 0))
+    fd, gd = ([np.uint64(x >> k & 0xFFFFFFFF) for k in range(0, 128, 32)]
+              for x in (F, G))
+    F0, F1, B1 = np.uint64(F & _M64), np.uint64(F >> 64), b >> 64
+    # a high limb in (B1, ~B1) is certified whatever the low one; the rest
+    # are checked in full as Python ints, and band points go to exact(n)
+    cut, span = np.uint64(B1 + 1), np.uint64(max(_M64 - 2 * B1 - 1, 0))
+    wide = ends[0] < 0 or ends[1] >> 32 > 0
+    scratch = np.empty((6 + 2 * wide, min(ns.size, _BLOCK)), np.uint64)
+    flags = np.empty(scratch.shape[1], bool)
     for s in range(0, ns.size, _BLOCK):
         nb = ns[s:s + _BLOCK]
-        m = nb.view(np.uint64)
-        # F*m + G = c*2**128 + hi*2**64 + lo, exactly
-        h0, lo = _mul_wide(m, F0)
-        h1, l1 = _mul_wide(m, F1)
-        hi = l1 + h0
-        c = h1 + (hi < l1)
-        lo, hi_g = lo + G0, hi + G1
-        c += hi_g < hi
-        hi = hi_g + (lo < G0)
-        c += hi < hi_g
-        if ends[0] < 0:     # m = n + 2**64 at n < 0: take F*2**64 off again
-            neg = (nb >> 63).view(np.uint64)
-            c -= (F1 & neg) + (hi < (F0 & neg))     # F1, and hi - F0's borrow
-            hi -= F0 & neg
-        ok = (hi > B1) | ((hi == B1) & (lo >= B0))
-        ok &= (hi < ~B1) | ((hi == ~B1) & (lo <= ~B0))
-        fr = fracs[s:s + nb.size]
-        np.multiply(hi, 2.0 ** -64, out=fr)
+        m, k = nb.view(np.uint64), nb.size
+        t, *d = (row[:k] for row in scratch)
+        # a row puts the digits of F*x + A in d; the wide row adds F*m1 to
+        # F*m0 + G >> 32, the first row's digits shifted down one
+        xs = [np.bitwise_and(m, _LO32, out=d.pop()),
+              np.right_shift(m, _S32, out=d.pop())] if wide else [m]
+        for x, add in zip(xs, (gd, d[1:])):
+            for j in range(4):
+                np.multiply(x, fd[j], out=d[j])
+                d[j] += add[j]
+                if j:
+                    d[j] += t
+                np.right_shift(d[j], _S32, out=d[4] if j == 3 else t)
+                if j:
+                    d[j] &= _LO32
+        D = [None] * wide + d   # the 32-bit digits of F*m + G, low first
+        for lo, top in zip(D[2::2], D[3::2]):   # hi = D[2] | D[3] << 32, c likewise
+            top <<= _S32
+            top |= lo
+        hi, c = D[3], D[-1]
+        if ends[0] < 0:     # m = n + 2**64 at n < 0: F*2**64 off, and hi's borrow
+            neg = np.right_shift(nb, 63, out=t.view(np.int64)).view(np.uint64)
+            c -= np.less(hi, np.bitwise_and(neg, F0, out=d[0]), out=flags[:k])
+            c -= np.bitwise_and(neg, F1, out=d[1])
+            hi -= d[0]
+        np.greater_equal(np.subtract(hi, cut, out=t), span, out=flags[:k])
+        fr = np.multiply(hi, 2.0 ** -64, out=fracs[s:s + k])
         np.minimum(fr, _ONE_BELOW, out=fr)
         if floors:
             # I*n + J + c, wrapping in int64 to the floor the check bounds
-            fb = fl[s:s + nb.size]
-            np.multiply(nb, I64, out=fb)
+            fb = np.multiply(nb, I64, out=fl[s:s + k])
             fb += J64
             fb += c.view(np.int64)
-        for i in np.flatnonzero(~ok).tolist():
-            t, fr[i] = exact(int(nb[i]))
-            if floors:
-                fb[i] = t
+        for i in np.flatnonzero(flags[:k]).tolist():
+            if not b <= (F * int(nb[i]) + G) % _ONE < _ONE - b:
+                fl_i, fr[i] = exact(int(nb[i]))
+                if floors:
+                    fb[i] = fl_i
     # 5e-16 covers float rounding here (2**-53); a fraction from exact(n) is
     # within half an ulp plus 2**-64 relative (surd) or its center's (decimal)
     return fl, fracs, bound / _ONE + 5e-16

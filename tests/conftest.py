@@ -45,6 +45,10 @@ def phi():
 settings.register_profile("beattykit", derandomize=True, deadline=None,
                           max_examples=60, database=None)
 settings.load_profile("beattykit")
+# a deeper search on fresh random seeds, run by name:
+# pytest tests/test_fixed_point.py --hypothesis-profile deep
+settings.register_profile("deep", derandomize=False, deadline=None,
+                          max_examples=1000, database=None)
 
 
 def pytest_collection_modifyitems(items):

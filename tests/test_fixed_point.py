@@ -355,3 +355,97 @@ def test_is_member_at_zero_argument(alpha):
     assert is_member(params, 2) == 1
     mask, ns = bulk_membership(params, [0, 1, 2])
     assert mask.tolist() == [False, False, True] and ns.tolist() == [0, 0, 1]
+
+
+# -- 32-bit digits: the high half of m, signs and block edges ------------------
+
+def exact_from_ints(I, F, J, G, calls):
+    """The exact callable of parts (I, F, J, G, 0, 0), from Python ints,
+    recording each n it is asked for."""
+    def exact(n):
+        calls.append(n)
+        total = ((I << 128) + F) * n + (J << 128) + G
+        return total >> 128, (total % (1 << 128)) / (1 << 128)
+    return exact
+
+
+def wide_last(size):
+    # 250 distinct n below 2**32 tiled over the blocks, then 2**32 last
+    ns = np.resize(np.arange(250, dtype=np.int64) * 17179869, size)
+    ns[-1] = 1 << 32
+    return ns
+
+
+DIGIT_EDGES = {
+    "2^32 - 1, 2^32, 2^32 + 1": [(1 << 32) - 1, 1 << 32, (1 << 32) + 1],
+    "only 2^32 - 1": [(1 << 32) - 1, 0, 1],
+    "+-2^62": [1 << 62, -(1 << 62), (1 << 62) - 1, 1 - (1 << 62)],
+    "mixed signs": list(range(-40, 43)),
+    "mixed signs in a later block": [7] * BLOCK + [-1, 1, -(1 << 32) - 1, (1 << 32) - 1],
+    "only the last n >= 2^32": wide_last(BLOCK + 2),
+}
+
+
+@pytest.mark.parametrize("ns", DIGIT_EDGES.values(), ids=DIGIT_EDGES.keys())
+@given(st.sampled_from([0, 1, -3]), limbs, st.integers(-(1 << 40), 1 << 40), limbs)
+@example(0, (1 << 128) - 1, 0, (1 << 128) - 1)    # every digit step at its top
+@example(1, 1 << 96, -1, (1 << 64) - 1)
+def test_digit_edges_match_python_ints(ns, I, F, J, G):
+    # zero error units: every point is certified, so floors and fractions
+    # are the kernel's own, and the exact callable sees the two ends only
+    ns = np.asarray(ns, dtype=np.int64)
+    if abs(I) * int(np.abs(ns).max()) >= 1 << 61:
+        I = 0
+    calls = []
+    exact = exact_from_ints(I, F, J, G, calls)
+    floors, fracs, err = fixed_point_floor_frac((I, F, J, G, 0, 0), ns, exact)
+    assert set(calls) <= {int(ns.min()), int(ns.max())}
+    values, where = np.unique(ns, return_inverse=True)
+    want = [exact_from_ints(I, F, J, G, [])(n) for n in values.tolist()]
+    assert np.array_equal(floors, np.array([fl for fl, _ in want])[where])
+    assert np.abs(fracs - np.array([fr for _, fr in want])[where]).max() <= err
+    phases = fixed_point_floor_frac((I, F, J, G, 0, 0), ns, exact, floors=False)[1]
+    assert np.array_equal(phases, fracs)
+
+
+@pytest.mark.parametrize("n0", [(1 << 32) - 1, 1 << 32, (1 << 32) + 1, -(1 << 33), 5])
+@pytest.mark.parametrize("at", [0, BLOCK - 1, BLOCK, 2 * BLOCK])
+def test_band_points_on_digit_edges_reach_the_scalar_kernel(n0, at):
+    # sqrt(2)*n0 + eta is the integer 3: n0 lies in the guard band, and no
+    # other n of the call comes near an integer, so the exact callable sees
+    # n0 and, with floors, the two ends; the runs of n around n0 cross 0 or
+    # 2**32, or lie below -2**32
+    x = QuadraticSurd.sqrt(2)
+    eta = 3 - x * n0
+    ns = np.arange(3 * BLOCK + 1, dtype=np.int64) + (n0 - at)
+    calls = []
+
+    def exact(n):
+        calls.append(n)
+        return x.affine_floor_frac(n, eta)
+
+    floors, fracs, err = fixed_point_floor_frac(x.fixed_point(eta), ns, exact)
+    assert sorted(calls) == sorted([int(ns[0]), int(ns[-1]), n0])
+    assert floors[at] == 3 and fracs[at] == 0.0
+    calls.clear()
+    phases = fixed_point_floor_frac(x.fixed_point(eta), ns, exact, floors=False)[1]
+    assert calls == [n0] and np.array_equal(phases, fracs)
+    for i in range(0, ns.size, 997):
+        fl, fr = x.affine_floor_frac(int(ns[i]), eta)
+        assert floors[i] == fl and abs(fracs[i] - fr) <= err
+
+
+@pytest.mark.parametrize("b", [1, 5, (1 << 64) - 1, 1 << 64, (1 << 64) + 5, 1 << 100])
+def test_guard_band_edges(b):
+    # with F = 0 the fraction is G/2**128 at every n and the bound is e_eta
+    # = b units: a fraction is certified in [b, 2**128 - b) and no closer to
+    # an integer, including where the high limb alone cannot tell
+    for G, band in ((b - 1, True), (b, False), ((1 << 128) - b - 1, False),
+                    ((1 << 128) - b, True)):
+        calls = []
+        ns = np.array([0, -(1 << 40), 1 << 40, 0], dtype=np.int64)
+        exact = exact_from_ints(0, 0, 0, G, calls)
+        fracs = fixed_point_floor_frac((0, 0, 0, G, 0, b), ns, exact,
+                                       floors=False)[1]
+        assert calls == (ns.tolist() if band else []), (G, band)
+        assert np.abs(fracs - G / (1 << 128)).max() <= 5e-16

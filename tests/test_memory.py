@@ -53,33 +53,51 @@ def ns():
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bulk_membership(ns, alpha):
     # the hit mask and the witnesses, then one block's floors, fractions
-    # and limbs: 12.8 on both backends (21.0 with whole-length floors)
+    # and kernel scratch: 11.5 on both backends (12.8 with per-block limb
+    # temporaries, 21.0 with whole-length floors)
     params = BeattyParams(parse_irrational(alpha), Fraction(1, 3))
-    assert bytes_per_point(lambda: bulk_membership(params, ns), M) <= 14
+    assert bytes_per_point(lambda: bulk_membership(params, ns), M) <= 13
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_floor_kernel(ns, alpha):
-    # 16 for floors and fractions, the rest for one block's limbs: 20.0
+    # 16 for floors and fractions, the rest for the kernel's scratch set:
+    # 17.7 (20.0 with per-block limb temporaries)
     x = parse_irrational(alpha)
     assert bytes_per_point(lambda: x.affine_floor_frac_many(ns, Fraction(1, 3)),
-                           M) <= 22
+                           M) <= 19
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_phase_kernel(ns, alpha):
-    # no floor array: 12.0
+    # no floor array: 9.7 (12.0 with per-block limb temporaries)
     x = parse_irrational(alpha)
-    assert bytes_per_point(lambda: x.phases_many(ns, Fraction(1, 3)), M) <= 14
+    assert bytes_per_point(lambda: x.phases_many(ns, Fraction(1, 3)), M) <= 11
+
+
+@pytest.mark.parametrize("floors", [True, False])
+def test_kernel_scratch_is_one_block(floors):
+    # beyond its outputs (16 or 8 bytes a point) the kernel holds one
+    # scratch set of a block's rows whatever the length: 0.87 MB at 2^17 and
+    # at 2^20 points, within a few bytes of each other
+    x, eta = parse_irrational("sqrt:2"), Fraction(1, 3)
+    call = x.affine_floor_frac_many if floors else x.phases_many
+    beyond = []
+    for k in (17, 20):
+        ks = np.arange(1, (1 << k) + 1, dtype=np.int64)
+        beyond.append(bytes_per_point(lambda: call(ks, eta), 1)
+                      - ks.size * (16 if floors else 8))
+    assert abs(beyond[1] - beyond[0]) < 4096, beyond
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_discrepancy_beatty(alpha):
-    # the sorted fractions, then one block's kernel or scan temporaries: 11.5
-    # (42.0 when the scan held whole-length arrays)
+    # the sorted fractions, then one block's kernel scratch or scan
+    # temporaries: 10.4 (11.5 with per-block limb temporaries, 42.0 when
+    # the scan held whole-length arrays)
     x = parse_irrational(alpha)
     assert bytes_per_point(lambda: discrepancy_beatty(x, Fraction(1, 3), M),
-                           M) <= 13
+                           M) <= 12
 
 
 def test_discrepancy_of_points():
@@ -90,8 +108,9 @@ def test_discrepancy_of_points():
 
 
 def test_streamed_generate(tmp_path):
-    # the term array and one chunk of 2^16 rows, which dominates at this
-    # size: 50.7 (323 when the whole report was formed at once)
+    # the term array and one chunk of 2^15 rows, which dominates at this
+    # size: 35.8 (50.7 with chunks of 2^16 rows formatted cell by cell, 323
+    # when the whole report was formed at once)
     N, out = 200_000, str(tmp_path / "terms.csv")
     argv = ["beatty", "generate", "--alpha", "sqrt:2", "--N", str(N), "--out", out]
     assert bytes_per_point(lambda: main(argv), N) <= 80

@@ -102,6 +102,24 @@ def test_psi_frozen():
     assert chebyshev_psi_ap(t, 2, ResidueClass(1, 3)) == 0.0
 
 
+@pytest.mark.parametrize("r", [ResidueClass(1, 3), ResidueClass(2, 9)])
+def test_grid_totals_carry_across_cuts_and_blocks(r):
+    # one read of the records for the whole grid equals one read per x:
+    # x at records (primes and the prime power 4), between them, at the
+    # edges of the 2**14-record blocks and beyond the class's last record;
+    # 2 mod 9 is read from a table of 2 mod 3
+    table = build_table(2 * 10 ** 6, ResidueClass(r.a % 3, 3))
+    ns = [n for n, _ in class_blocks(table, 2 * 10 ** 6, r)]
+    at = np.concatenate(ns)
+    grid = sorted({1, 2, 4, 5, 6, *at[[0, 1, 2, 999, -2, -1]].tolist(),
+                   *(n[0] for n in ns), *(n[-1] for n in ns),
+                   *(n[-1] + 1 for n in ns), 2 * 10 ** 6} - {0})
+    assert sieve._grid_totals(table, grid, r, primes=True) == \
+        [prime_pi_ap(table, x, r) for x in grid]
+    assert [u * 2.0 ** -53 for u in sieve._grid_totals(table, grid, r)] == \
+        [chebyshev_psi_ap(table, x, r) for x in grid]
+
+
 def test_psi_growth_rate():
     t = build_table(10 ** 6)
     val = chebyshev_psi_ap(t, 10 ** 6, ResidueClass(0, 1))
